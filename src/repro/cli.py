@@ -549,13 +549,13 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         raise SystemExit(f"error: {error}")
 
     model = ServiceModel(policies=_parse_policies(args.policy))
-    scaler = Autoscaler(
-        model,
-        chip=args.chip,
-        target_utilization=args.target_utilization,
-        max_replicas=args.max_replicas,
-    )
     try:
+        scaler = Autoscaler(
+            model,
+            chip=args.chip,
+            target_utilization=args.target_utilization,
+            max_replicas=args.max_replicas,
+        )
         if args.replicas is not None:
             # Manual fleet: one pod shape for every workload, replica
             # count forced (the demand numbers stay for context).

@@ -28,6 +28,7 @@ from repro.serving.batching import (
 )
 from repro.serving.metrics import PolicyEnergy, WorkloadMetrics, metrics_table
 from repro.serving.queueing import (
+    pool_latencies,
     queue_batches,
     queue_batches_oracle,
     request_latencies,
@@ -66,6 +67,7 @@ __all__ = [
     "load_trace",
     "metrics_table",
     "poisson_trace",
+    "pool_latencies",
     "queue_batches",
     "queue_batches_oracle",
     "request_latencies",

@@ -102,6 +102,14 @@ class RequestTrace:
     def workload_mask(self, workload_id: int) -> np.ndarray:
         return self.workload_ids == workload_id
 
+    def pool_arrivals(self, workload_id: int) -> np.ndarray:
+        """One workload's arrival times, in arrival order (one tag scan).
+
+        Gathers by index, which on a mixed tag column is several times
+        faster than indexing with the boolean mask.
+        """
+        return self.arrival_ns[np.flatnonzero(self.workload_ids == workload_id)]
+
     def request_counts(self) -> dict[str, int]:
         """Requests per workload tag."""
         counts = np.bincount(self.workload_ids, minlength=len(self.workloads))
@@ -116,10 +124,10 @@ class RequestTrace:
         gating-vs-utilization curve sweeps one trace across load levels
         without changing its request mix or burst structure.
         """
-        if load_factor <= 0:
-            raise TraceError("load factor must be positive")
+        if not (math.isfinite(load_factor) and load_factor > 0):
+            raise TraceError("load factor must be positive and finite")
         arrival = np.rint(self.arrival_ns / load_factor).astype(np.int64)
-        return RequestTrace(arrival, self.workload_ids.copy(), self.workloads)
+        return RequestTrace(arrival, self.workload_ids, self.workloads)
 
     def demand_qps(self, window_s: float = 60.0) -> float:
         """Peak windowed arrival rate (requests/second).
@@ -173,8 +181,8 @@ def poisson_trace(
     """
     workloads = tuple(workloads)
     rates = _broadcast_rates(rate_qps, workloads)
-    if duration_s <= 0:
-        raise TraceError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise TraceError("duration must be positive and finite")
     streams = []
     for tag, (workload, rate) in enumerate(zip(workloads, rates)):
         rng = np.random.default_rng([seed, tag])
@@ -202,10 +210,12 @@ def diurnal_trace(
     """
     workloads = tuple(workloads)
     rates = _broadcast_rates(mean_qps, workloads)
-    if duration_s <= 0:
-        raise TraceError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise TraceError("duration must be positive and finite")
     if not 0.0 <= amplitude <= 1.0:
         raise TraceError("diurnal amplitude must be in [0, 1]")
+    if not (math.isfinite(period_s) and period_s > 0):
+        raise TraceError("diurnal period must be positive and finite")
     streams = []
     for tag, (workload, mean) in enumerate(zip(workloads, rates)):
         rng = np.random.default_rng([seed, tag, 1])
@@ -236,8 +246,8 @@ def _broadcast_rates(
                 f"{len(rates)} rates for {len(workloads)} workloads "
                 "(give one rate, or one per workload)"
             )
-    if any(value <= 0 for value in rates):
-        raise TraceError("arrival rates must be positive")
+    if not all(math.isfinite(value) and value > 0 for value in rates):
+        raise TraceError("arrival rates must be positive and finite")
     return rates
 
 

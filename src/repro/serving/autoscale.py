@@ -100,6 +100,10 @@ class Autoscaler:
         selection: SLOSelection | None = None
         if pod is None:
             pod, selection = self.select_pod(workload)
+        if pod.max_batch < 1:
+            raise ServingError(
+                f"pod of {workload!r} needs max_batch >= 1, got {pod.max_batch}"
+            )
         try:
             workload_id = trace.workloads.index(workload)
         except ValueError:

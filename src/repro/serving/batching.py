@@ -18,7 +18,8 @@ array equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise TraceError("max_batch must be >= 1")
-        if self.max_wait_s <= 0:
-            raise TraceError("max_wait_s must be positive")
+        if not (math.isfinite(self.max_wait_s) and self.max_wait_s > 0):
+            raise TraceError("max_wait_s must be positive and finite")
 
     @property
     def window_ns(self) -> int:
@@ -55,36 +56,69 @@ class BatchPolicy:
 class BatchTable:
     """Columnar batch table: one row per formed batch.
 
-    Batches are grouped by workload — all of a workload's batches form
-    one contiguous slice, ordered by dispatch (close) time — and
-    ``request_batch`` maps every request of the originating trace to
-    its batch row.
+    Batches are grouped by workload: pool ``wid``'s batches are rows
+    ``pool_offsets[wid]:pool_offsets[wid + 1]``, ordered by dispatch
+    (close) time.  A pool's requests fill its batches in arrival order,
+    so the sizes and the trace's tag column (``request_tags``) fix which
+    batch every request rode in (:attr:`request_batch`).
     """
 
     workload_ids: np.ndarray  # int64 per batch
     close_ns: np.ndarray  # int64 per batch: dispatch-ready time
     sizes: np.ndarray  # int64 per batch
-    request_batch: np.ndarray  # int64 per request (original trace order)
+    pool_offsets: np.ndarray  # int64, len(workloads) + 1
+    request_tags: np.ndarray  # int64 per request: the trace's workload_ids
     workloads: tuple[str, ...]
+    _request_batch: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.close_ns)
 
     def workload_slice(self, workload_id: int) -> slice:
         """The contiguous batch-row slice of one workload."""
-        indices = np.flatnonzero(self.workload_ids == workload_id)
-        if len(indices) == 0:
-            return slice(0, 0)
-        return slice(int(indices[0]), int(indices[-1]) + 1)
+        return slice(
+            int(self.pool_offsets[workload_id]),
+            int(self.pool_offsets[workload_id + 1]),
+        )
+
+    @property
+    def request_batch(self) -> np.ndarray:
+        """Batch row of every request, in original trace order.
+
+        Built on first read: the serving metrics work per pool and never
+        need it.
+        """
+        if self._request_batch is None:
+            batch = np.empty(len(self.request_tags), dtype=np.int64)
+            for wid in range(len(self.workloads)):
+                rows = self.workload_slice(wid)
+                batch[self.request_tags == wid] = np.repeat(
+                    np.arange(rows.start, rows.stop, dtype=np.int64),
+                    self.sizes[rows],
+                )
+            object.__setattr__(self, "_request_batch", batch)
+        return self._request_batch
 
 
-def _empty_table(trace: RequestTrace) -> BatchTable:
+def _table(
+    trace: RequestTrace,
+    workload_ids,
+    close_ns,
+    sizes,
+    request_batch: np.ndarray | None = None,
+) -> BatchTable:
+    """A :class:`BatchTable` from pool-grouped batch columns."""
+    workload_ids = np.asarray(workload_ids, dtype=np.int64)
     return BatchTable(
-        workload_ids=np.empty(0, dtype=np.int64),
-        close_ns=np.empty(0, dtype=np.int64),
-        sizes=np.empty(0, dtype=np.int64),
-        request_batch=np.empty(0, dtype=np.int64),
+        workload_ids=workload_ids,
+        close_ns=np.asarray(close_ns, dtype=np.int64),
+        sizes=np.asarray(sizes, dtype=np.int64),
+        pool_offsets=np.searchsorted(
+            workload_ids, np.arange(len(trace.workloads) + 1)
+        ).astype(np.int64),
+        request_tags=trace.workload_ids,
         workloads=trace.workloads,
+        _request_batch=request_batch,
     )
 
 
@@ -112,52 +146,58 @@ def _policy_columns(
     return window_ns, max_batch
 
 
+def _pool_batches(
+    arrival: np.ndarray, window_ns: int, max_batch: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(close_ns, sizes)`` of one pool's batches, from its sorted arrivals.
+
+    One floor division and one ``diff`` find the window groups; the rest
+    works on the far shorter group and batch arrays.  A group of ``g``
+    requests opens ``ceil(g / max_batch)`` batches, every one full but
+    the last.
+    """
+    if len(arrival) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    window = arrival // window_ns
+    boundaries = np.flatnonzero(np.diff(window)) + 1
+    group_start = np.concatenate(([0], boundaries))
+    group_end = np.concatenate((boundaries, [len(arrival)]))
+    per_group = -(-(group_end - group_start) // max_batch)
+    group = np.repeat(np.arange(len(group_start)), per_group)
+    first_batch = np.repeat(np.cumsum(per_group) - per_group, per_group)
+    batch_start = group_start[group] + (np.arange(len(group)) - first_batch) * max_batch
+    sizes = np.minimum(group_end[group] - batch_start, max_batch)
+    window_close = (window[group_start] + 1) * window_ns
+    close_ns = np.where(
+        sizes == max_batch, arrival[batch_start + sizes - 1], window_close[group]
+    )
+    return close_ns, sizes
+
+
 def form_batches(
     trace: RequestTrace, policy: "BatchPolicy | dict[int, BatchPolicy]"
 ) -> BatchTable:
-    """Columnar batch formation (no per-request Python loop).
+    """Columnar batch formation: one linear pass per workload pool.
 
-    One stable sort brings each workload's requests together (they are
-    already in arrival order); window indices, in-window ranks and
-    size-capped chunks then fall out of array arithmetic.
+    Each pool's requests come from one tag scan, already in arrival
+    order, so no per-request sort or scatter is needed;
+    :func:`_pool_batches` turns them into batches.
     """
     if len(trace) == 0:
-        return _empty_table(trace)
+        return _table(trace, [], [], [], np.empty(0, dtype=np.int64))
     window_by_id, batch_by_id = _policy_columns(trace, policy)
-    order = np.argsort(trace.workload_ids, kind="stable")
-    arrival = trace.arrival_ns[order]
-    workload = trace.workload_ids[order]
-    window_ns = window_by_id[workload]
-    max_batch = batch_by_id[workload]
-    window = arrival // window_ns
-
-    # A new (workload, window) group starts wherever either changes.
-    new_group = np.ones(len(arrival), dtype=bool)
-    new_group[1:] = (workload[1:] != workload[:-1]) | (window[1:] != window[:-1])
-    group_id = np.cumsum(new_group) - 1
-    group_starts = np.flatnonzero(new_group)
-    rank = np.arange(len(arrival)) - group_starts[group_id]
-
-    # Within a group, a new batch opens every ``max_batch`` requests.
-    new_batch = (rank % max_batch) == 0
-    batch_id = np.cumsum(new_batch) - 1
-    batch_starts = np.flatnonzero(new_batch)
-    batch_ends = np.append(batch_starts[1:], len(arrival))
-    sizes = (batch_ends - batch_starts).astype(np.int64)
-
-    last_arrival = arrival[batch_ends - 1]
-    window_close = (window[batch_starts] + 1) * window_ns[batch_starts]
-    full = sizes == max_batch[batch_starts]
-    close_ns = np.where(full, last_arrival, window_close).astype(np.int64)
-
-    request_batch = np.empty(len(arrival), dtype=np.int64)
-    request_batch[order] = batch_id
-    return BatchTable(
-        workload_ids=workload[batch_starts].astype(np.int64),
-        close_ns=close_ns,
-        sizes=sizes,
-        request_batch=request_batch,
-        workloads=trace.workloads,
+    pools = [
+        _pool_batches(
+            trace.pool_arrivals(wid), int(window_by_id[wid]), int(batch_by_id[wid])
+        )
+        for wid in range(len(trace.workloads))
+    ]
+    return _table(
+        trace,
+        np.repeat(np.arange(len(pools)), [len(sizes) for _close, sizes in pools]),
+        np.concatenate([close for close, _sizes in pools]),
+        np.concatenate([sizes for _close, sizes in pools]),
     )
 
 
@@ -172,7 +212,7 @@ def form_batches_oracle(
     every output array, exactly.
     """
     if len(trace) == 0:
-        return _empty_table(trace)
+        return _table(trace, [], [], [], np.empty(0, dtype=np.int64))
     window_by_id, batch_by_id = _policy_columns(trace, policy)
 
     workload_rows: list[int] = []
@@ -208,13 +248,7 @@ def form_batches_oracle(
     request_batch = np.empty(len(trace), dtype=np.int64)
     for original, row in request_rows:
         request_batch[original] = row
-    return BatchTable(
-        workload_ids=np.asarray(workload_rows, dtype=np.int64),
-        close_ns=np.asarray(close_rows, dtype=np.int64),
-        sizes=np.asarray(size_rows, dtype=np.int64),
-        request_batch=request_batch,
-        workloads=trace.workloads,
-    )
+    return _table(trace, workload_rows, close_rows, size_rows, request_batch)
 
 
 __all__ = ["BatchPolicy", "BatchTable", "form_batches", "form_batches_oracle"]

@@ -72,17 +72,13 @@ def queue_batches(
     for wid in range(len(batches.workloads)):
         rows = batches.workload_slice(wid)
         count = counts[wid]
-        pool = np.arange(rows.stop - rows.start, dtype=np.int64) % count
-        replica_of[rows] = pool
-        ready_all = batches.close_ns[rows]
-        service_all = service_ns[rows]
-        for replica in range(count):
-            stripe = np.flatnonzero(pool == replica)
-            if len(stripe) == 0:
-                continue
-            fin = _strided_fcfs(ready_all[stripe], service_all[stripe])
-            finish[rows.start + stripe] = fin
-            start[rows.start + stripe] = fin - service_all[stripe]
+        replica_of[rows] = np.arange(rows.stop - rows.start, dtype=np.int64) % count
+        for replica in range(min(count, rows.stop - rows.start)):
+            # Round-robin: the replica's batches are every count-th row.
+            stripe = slice(rows.start + replica, rows.stop, count)
+            fin = _strided_fcfs(batches.close_ns[stripe], service_ns[stripe])
+            finish[stripe] = fin
+            start[stripe] = fin - service_ns[stripe]
     return start, finish, replica_of
 
 
@@ -134,7 +130,30 @@ def request_latencies(
     return queue_wait, latency
 
 
+def pool_latencies(
+    trace: RequestTrace,
+    batches: BatchTable,
+    start_ns: np.ndarray,
+    finish_ns: np.ndarray,
+    workload_id: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pool's ``(queue_wait_ns, latency_ns)``, in arrival order.
+
+    The same values :func:`request_latencies` gives for the pool's
+    requests: the pool's requests fill its batches in arrival order, so
+    each batch's start and finish repeat once per request it carries.
+    """
+    rows = batches.workload_slice(workload_id)
+    arrival = trace.pool_arrivals(workload_id)
+    sizes = batches.sizes[rows]
+    return (
+        np.repeat(start_ns[rows], sizes) - arrival,
+        np.repeat(finish_ns[rows], sizes) - arrival,
+    )
+
+
 __all__ = [
+    "pool_latencies",
     "queue_batches",
     "queue_batches_oracle",
     "request_latencies",

@@ -133,14 +133,14 @@ def carbon_table(rollup: ServingCarbonReport) -> str:
         [
             policy.value,
             f"{entry.operational_kg:.4f}",
-            f"{entry.per_request_kg * 1e6:.2f}",
+            f"{entry.per_request_kg * 1e9:.2f}",
             percentage(entry.reduction_vs_nopg),
         ]
         for policy, entry in rollup.per_policy.items()
     ]
     lines = [
         format_table(
-            ["policy", "kgCO2e", "mgCO2e/request", "reduction"],
+            ["policy", "kgCO2e", "ugCO2e/request", "reduction"],
             policy_rows,
             title=(
                 "Operational carbon of the serving trace "

@@ -24,6 +24,7 @@ converge to the busy-execution savings alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.serving.metrics import (
     metrics_table,
 )
 from repro.serving.queueing import (
+    pool_latencies,
     queue_batches,
     queue_batches_oracle,
     request_latencies,
@@ -50,18 +52,37 @@ from repro.serving.service import ServiceModel
 
 @dataclass
 class ServingReport:
-    """Everything one serving run produced."""
+    """Everything one serving run produced.
+
+    ``queue_wait_ns`` and ``latency_ns`` hold one value per request, in
+    original trace order; they are built on first read, because the
+    metrics are computed per pool.
+    """
 
     trace: RequestTrace
     plans: dict[str, PodPlan]
     batches: BatchTable
     start_ns: np.ndarray
     finish_ns: np.ndarray
-    queue_wait_ns: np.ndarray
-    latency_ns: np.ndarray
     span_ns: int
     per_workload: list[WorkloadMetrics] = field(default_factory=list)
     fleet: WorkloadMetrics | None = None
+
+    @cached_property
+    def _request_latencies(self) -> tuple[np.ndarray, np.ndarray]:
+        return request_latencies(
+            self.trace, self.batches, self.start_ns, self.finish_ns
+        )
+
+    @property
+    def queue_wait_ns(self) -> np.ndarray:
+        """Per-request arrival → service start, in trace order."""
+        return self._request_latencies[0]
+
+    @property
+    def latency_ns(self) -> np.ndarray:
+        """Per-request arrival → batch completion, in trace order."""
+        return self._request_latencies[1]
 
     def metrics_table(self, policy: PolicyName = PolicyName.REGATE_FULL) -> str:
         assert self.fleet is not None
@@ -90,51 +111,53 @@ class ServingReport:
         }
 
 
+#: One pool's batch-size histogram: ``np.unique(sizes, return_inverse=True,
+#: return_counts=True)`` of its batch rows.
+SizeHistogram = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _batch_service_ns(
-    batches: BatchTable, plans: dict[str, PodPlan], model: ServiceModel
+    batches: BatchTable,
+    plans: dict[str, PodPlan],
+    model: ServiceModel,
+    histograms: list[SizeHistogram],
 ) -> np.ndarray:
     """Per-batch service times: one simulator call per distinct size."""
     service = np.zeros(len(batches), dtype=np.int64)
     for wid, workload in enumerate(batches.workloads):
-        rows = batches.workload_slice(wid)
-        if rows.stop == rows.start:
-            continue
+        distinct, inverse, _counts = histograms[wid]
         pod = plans[workload].pod
-        sizes = batches.sizes[rows]
-        for size in np.unique(sizes):
-            ns = model.service_ns(pod, int(size))
-            service[rows.start + np.flatnonzero(sizes == size)] = ns
+        per_size = np.asarray(
+            [model.service_ns(pod, int(size)) for size in distinct], dtype=np.int64
+        )
+        service[batches.workload_slice(wid)] = per_size[inverse]
     return service
 
 
 def _policy_energy(
-    batches: BatchTable,
-    service_ns: np.ndarray,
-    plans: dict[str, PodPlan],
+    plan: PodPlan,
     model: ServiceModel,
+    histogram: SizeHistogram,
+    busy_ns: int,
     span_ns: int,
-    wid: int,
 ) -> dict[PolicyName, PolicyEnergy]:
     """Busy + idle fleet energy of one workload pool, per policy.
 
-    Busy energy sums the simulator's per-batch pod energy; idle energy
-    prices the pool's remaining up-time at the policy's gated idle
-    power.  Identical int64 inputs on both queueing paths make these
-    floats identical too.
+    Busy energy sums the simulator's per-batch pod energy, one term per
+    distinct batch size in ascending order; idle energy prices the
+    pool's remaining up-time at the policy's gated idle power.
+    Identical int64 inputs on both queueing paths make these floats
+    identical too.
     """
-    workload = batches.workloads[wid]
-    plan = plans[workload]
-    rows = batches.workload_slice(wid)
-    sizes = batches.sizes[rows]
-    requests = int(sizes.sum()) if len(sizes) else 0
-    busy_ns = int(service_ns[rows].sum()) if rows.stop > rows.start else 0
+    distinct, _inverse, counts = histogram
+    requests = int((distinct * counts).sum())
     idle_ns = max(0, plan.replicas * span_ns - busy_ns)
+    size_counts = list(zip(distinct.tolist(), counts.tolist()))
     energy: dict[PolicyName, PolicyEnergy] = {}
     for policy in model.policies:
         busy_j = 0.0
-        for size in np.unique(sizes):
-            count = int((sizes == size).sum())
-            busy_j += count * model.busy_energy_j(plan.pod, int(size), policy)
+        for size, count in size_counts:
+            busy_j += count * model.busy_energy_j(plan.pod, size, policy)
         idle_j = model.idle_power_w(plan.pod, policy) * (idle_ns / NS)
         energy[policy] = PolicyEnergy(
             busy_j=busy_j, idle_j=idle_j, requests=requests
@@ -168,37 +191,50 @@ def simulate_serving(
     }
     former = form_batches if fast else form_batches_oracle
     batches = former(trace, policies)
-    service_ns = _batch_service_ns(batches, plans, service_model)
+    histograms = [
+        np.unique(
+            batches.sizes[batches.workload_slice(wid)],
+            return_inverse=True,
+            return_counts=True,
+        )
+        for wid in range(len(trace.workloads))
+    ]
+    service_ns = _batch_service_ns(batches, plans, service_model, histograms)
     replicas = {
         wid: plans[name].replicas for wid, name in enumerate(trace.workloads)
     }
     queue = queue_batches if fast else queue_batches_oracle
     start_ns, finish_ns, _replica_of = queue(batches, service_ns, replicas)
-    queue_wait_ns, latency_ns = request_latencies(
-        trace, batches, start_ns, finish_ns
-    )
-    if len(trace):
-        span_ns = int(finish_ns.max() - trace.arrival_ns.min())
-    else:
-        span_ns = 0
+    span_ns = int(finish_ns.max() - trace.arrival_ns[0]) if len(trace) else 0
+    if not fast:
+        queue_wait_ns, latency_ns = request_latencies(
+            trace, batches, start_ns, finish_ns
+        )
 
     per_workload: list[WorkloadMetrics] = []
     for wid, workload in enumerate(trace.workloads):
         rows = batches.workload_slice(wid)
-        mask = trace.workload_mask(wid)
-        energy = _policy_energy(
-            batches, service_ns, plans, service_model, span_ns, wid
-        )
+        if fast:
+            queue_wait, latency = pool_latencies(
+                trace, batches, start_ns, finish_ns, wid
+            )
+        else:
+            mask = trace.workload_mask(wid)
+            queue_wait, latency = queue_wait_ns[mask], latency_ns[mask]
+        plan = plans[workload]
+        busy_ns = int(service_ns[rows].sum())
         per_workload.append(
             compute_workload_metrics(
                 workload=workload,
-                replicas=plans[workload].replicas,
+                replicas=plan.replicas,
                 span_ns=span_ns,
                 sizes=batches.sizes[rows],
                 service_ns=service_ns[rows],
-                queue_wait_ns=queue_wait_ns[mask],
-                latency_ns=latency_ns[mask],
-                energy=energy,
+                queue_wait_ns=queue_wait,
+                latency_ns=latency,
+                energy=_policy_energy(
+                    plan, service_model, histograms[wid], busy_ns, span_ns
+                ),
             )
         )
     fleet = aggregate_fleet(per_workload, span_ns)
@@ -208,8 +244,6 @@ def simulate_serving(
         batches=batches,
         start_ns=start_ns,
         finish_ns=finish_ns,
-        queue_wait_ns=queue_wait_ns,
-        latency_ns=latency_ns,
         span_ns=span_ns,
         per_workload=per_workload,
         fleet=fleet,

@@ -88,15 +88,18 @@ def manual_plans(trace, replicas=2, max_batch=4):
 # Hypothesis strategies
 # --------------------------------------------------------------------- #
 @st.composite
-def traces(draw, max_requests=40):
+def traces(draw, max_requests=60):
     n_workloads = draw(st.integers(1, 3))
     names = tuple(f"wl-{i}" for i in range(n_workloads))
     count = draw(st.integers(0, max_requests))
+    # A 2 ms span crowds many requests into one window (several times
+    # max_batch), exercising the per-group batch-count arithmetic.
+    span_ns = draw(st.sampled_from([2_000_000, 400_000_000]))
     arrivals = np.asarray(
         sorted(
             draw(
                 st.lists(
-                    st.integers(0, 400_000_000),
+                    st.integers(0, span_ns),
                     min_size=count,
                     max_size=count,
                 )
@@ -398,6 +401,26 @@ class TestEndToEndEquivalence:
         with pytest.raises(KeyError, match="no pod plan"):
             simulate_serving(trace, plans, model)
 
+    def test_utilization_curve_fast_and_oracle_are_identical(self, model):
+        trace = poisson_trace(["a", "b", "c"], [150.0, 60.0, 20.0], 3.0, seed=13)
+        plans = {
+            name: PodPlan(
+                pod=PodSpec(workload=name, max_batch=cap),
+                replicas=replicas,
+                demand_qps=0.0,
+                replica_rps=1.0,
+            )
+            for name, cap, replicas in zip(trace.workloads, (8, 3, 1), (3, 2, 2))
+        }
+        factors = (0.25, 1.0, 4.0, 16.0)
+        fast = utilization_curve(
+            trace, plans, model, load_factors=factors, use_fast_path=True
+        )
+        slow = utilization_curve(
+            trace, plans, model, load_factors=factors, use_fast_path=False
+        )
+        assert fast == slow
+
     def test_utilization_curve_savings_shrink_with_load(self, model):
         trace = poisson_trace(["a"], 60.0, 4.0, seed=9)
         plans = manual_plans(trace, replicas=2, max_batch=4)
@@ -564,6 +587,17 @@ class TestRealServing:
         assert lifespan.gated_years >= lifespan.nopg_years
         text = carbon_table(rollup)
         assert "kgCO2e" in text and "optimal lifespan" in text
+        # The per-request column must tell the policies apart.
+        per_request = {
+            cells[0]: cells[2]
+            for cells in (
+                [cell.strip() for cell in line.split("|")]
+                for line in text.splitlines()
+            )
+            if len(cells) == 4
+        }
+        assert "ugCO2e/request" in per_request.values()
+        assert per_request["NoPG"] != per_request["ReGate-Full"]
         payload = rollup.to_json()
         assert payload["kind"] == "repro-serving-carbon"
         json.dumps(payload)  # JSON-serializable end to end
@@ -641,3 +675,37 @@ class TestServeCli:
         bad.write_text("nope\n1,2\n")
         with pytest.raises(SystemExit, match="error:"):
             main(["serve", "--arrival", "trace", "--trace", str(bad)])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--target-utilization", "0"],
+            ["--max-replicas", "0"],
+            ["--duration", "nan"],
+            ["--rate", "nan"],
+            ["--max-wait", "nan", "--replicas", "1"],
+            ["--max-batch", "0", "--replicas", "1"],
+            ["--load-factor", "nan", "--curve", "--replicas", "1"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_input_exits_with_one_error_line(self, flags):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "-w", "dlrm-s-inference", "--duration", "1", *flags,
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
