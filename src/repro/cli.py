@@ -64,25 +64,34 @@ def _cmd_chips(_: argparse.Namespace) -> str:
     )
 
 
+def _input_error(error: Exception) -> SystemExit:
+    """Print ``error: <message>`` (no KeyError repr quotes); exit 2."""
+    print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _parse_policies(names: list[str] | None) -> tuple[PolicyName, ...]:
     if not names:
         return SimulationConfig().policies
     try:
         selected = [PolicyName.parse(name) for name in names]
     except KeyError as error:
-        raise SystemExit(error.args[0])
+        raise _input_error(error)
     if PolicyName.NOPG not in selected:
         selected.insert(0, PolicyName.NOPG)
     return tuple(selected)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    config = SimulationConfig(
-        chip=args.chip,
-        num_chips=args.num_chips,
-        batch_size=args.batch_size,
-        policies=_parse_policies(args.policy),
-    )
+    try:
+        config = SimulationConfig(
+            chip=args.chip,
+            num_chips=args.num_chips,
+            batch_size=args.batch_size,
+            policies=_parse_policies(args.policy),
+        )
+    except ValueError as error:
+        raise _input_error(error)
     result = simulate_workload(args.workload, config)
     nopg = result.report(PolicyName.NOPG)
     lines = [
@@ -151,10 +160,13 @@ def _spec_from_args(args: argparse.Namespace):
         # SweepSpec resolves policy names itself and always prepends NoPG.
         spec_kwargs["policies"] = tuple(args.policy)
     try:
+        for workload in args.workload:
+            get_workload(workload)
+        for chip in spec_kwargs["chips"]:
+            get_chip(chip)
         return SweepSpec(**spec_kwargs)
-    except KeyError as error:
-        # Same message/exit behavior as `simulate` with an unknown policy.
-        raise SystemExit(error.args[0])
+    except (KeyError, ValueError) as error:
+        raise _input_error(error)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
@@ -198,7 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             f"(sweep points; {store})"
         )
     if args.csv:
-        # Streamed row by row: very large grids export in O(1) memory.
+        # Written one chunk of rows at a time: memory stays bounded.
         result.write_csv(args.csv)
         lines.append(f"csv written   : {args.csv}")
     if args.json:

@@ -45,6 +45,8 @@ class SimulationConfig:
             raise ValueError("PUE cannot be below 1.0")
         if self.num_chips is not None and self.num_chips < 1:
             raise ValueError("num_chips must be positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
     # ------------------------------------------------------------------ #
     def resolve_chip(self) -> NPUChipSpec:

@@ -929,9 +929,14 @@ def _price_prepared(
     # either way, so a sweep's rows (and CSV bytes) do not change.
     fetched: dict[str, Any] = {}
     groups: dict[PolicyName, _ReportGroup] = {}
+    item_rkeys: list[list[str]] = []
     for spec, config, chip, parallelism, pkey, profile in prepared:
-        for policy_name in config.policies:
-            rkey = report_key(pkey, policy_name.value, config.gating_parameters)
+        rkeys = [
+            report_key(pkey, policy_name.value, config.gating_parameters)
+            for policy_name in config.policies
+        ]
+        item_rkeys.append(rkeys)
+        for policy_name, rkey in zip(config.policies, rkeys):
             if rkey in fetched:
                 continue
             report = cache.get_report(rkey)
@@ -951,21 +956,16 @@ def _price_prepared(
 
     results: list[SimulationResult] = []
     cells: list[list] = []
-    for spec, config, chip, parallelism, pkey, profile in prepared:
+    for (spec, config, chip, parallelism, pkey, profile), rkeys in zip(
+        prepared, item_rkeys
+    ):
         results.append(
             build_result(spec.name, profile, parallelism, profile.graph, config)
         )
         cells.append(
             [
-                (
-                    policy_name,
-                    fetched[
-                        report_key(
-                            pkey, policy_name.value, config.gating_parameters
-                        )
-                    ],
-                )
-                for policy_name in config.policies
+                (policy_name, fetched[rkey])
+                for policy_name, rkey in zip(config.policies, rkeys)
             ]
         )
     return results, cells

@@ -14,6 +14,7 @@ parallel sweep runner, whose workers hash in separate interpreters.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import weakref
@@ -48,19 +49,21 @@ CACHE_SCHEMA_VERSION = __version__
 #: requirement for the parallel runner and the on-disk cache.
 _DIGESTED_TYPES = (NPUChipSpec, GatingParameters)
 
-#: id(instance) -> digest dict, evicted by weakref.finalize when the
-#: instance is collected (before its id can be reused).
-_DIGEST_MEMO: dict[int, dict[str, str]] = {}
+#: id(instance) -> (digest dict, its JSON text), evicted by
+#: weakref.finalize when the instance is collected (before its id can
+#: be reused).
+_DIGEST_MEMO: dict[int, tuple[dict[str, str], str]] = {}
 
 
-def _digested(value: Any) -> dict[str, str]:
+def _digest_entry(value: Any) -> tuple[dict[str, str], str]:
     key = id(value)
     hit = _DIGEST_MEMO.get(key)
     if hit is None:
-        hit = {
+        digested = {
             "__type__": type(value).__name__,
             "__digest__": stable_hash(_canonical_dataclass(value)),
         }
+        hit = (digested, _dumps(digested))
         _DIGEST_MEMO[key] = hit
         weakref.finalize(value, _DIGEST_MEMO.pop, key, None)
     return hit
@@ -92,7 +95,7 @@ def canonical(value: Any) -> Any:
         # canonical form bit-faithful to the double.
         return repr(value)
     if isinstance(value, _DIGESTED_TYPES):
-        return _digested(value)
+        return _digest_entry(value)[0]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _canonical_dataclass(value)
     if isinstance(value, dict):
@@ -104,10 +107,107 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__!r} for hashing")
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _hash_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:KEY_HEX_CHARS]
+
+
 def stable_hash(value: Any) -> str:
     """Hex digest of the canonical JSON rendering of ``value``."""
-    payload = json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_HEX_CHARS]
+    return _hash_text(_dumps(canonical(value)))
+
+
+# ---------------------------------------------------------------------- #
+# Canonical JSON text from fragments
+# ---------------------------------------------------------------------- #
+# The domain keys below hash the same canonical JSON text as
+# ``stable_hash(payload)``, but assemble it from pieces that are
+# rendered once: the version string, each digested spec instance, each
+# enum member and each dataclass type's key order.  Only the few
+# per-call fields (a profile key, a policy name, ints and floats) are
+# encoded per call.  ``_encode`` is the string encoder ``json.dumps``
+# itself uses (``ensure_ascii=True``).
+_encode = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=1)
+def _version_text(version: str) -> str:
+    """The encoded version stamp, rendered once per version string."""
+    return _encode(version)
+
+
+#: (enum type, member) -> JSON text of the member's canonical dict.
+_ENUM_TEXT: dict[tuple[type, Enum], str] = {}
+
+#: dataclass type -> its canonical dict keys in ``sort_keys`` order,
+#: each as (encoded key, field name or ``None`` for ``__type__``).
+_FIELD_ORDER: dict[type, tuple[tuple[str, str | None], ...]] = {}
+
+
+def _dataclass_text(value: Any, **overrides: Any) -> str:
+    """JSON text of ``_canonical_dataclass(value)`` with fields replaced."""
+    cls = type(value)
+    order = _FIELD_ORDER.get(cls)
+    if order is None:
+        names = [field.name for field in dataclasses.fields(value)]
+        order = tuple(
+            (_encode(key), None if key == "__type__" else key)
+            for key in sorted(["__type__", *names])
+        )
+        _FIELD_ORDER[cls] = order
+    parts = []
+    for key_text, name in order:
+        if name is None:
+            parts.append(f"{key_text}:{_encode(cls.__name__)}")
+        else:
+            field = overrides[name] if name in overrides else getattr(value, name)
+            parts.append(f"{key_text}:{_json_text(field)}")
+    return "{" + ",".join(parts) + "}"
+
+
+#: Exact scalar type -> its JSON text (floats as their ``repr`` string,
+#: like :func:`canonical`).  Subclasses take the ``isinstance`` chain.
+_SCALAR_TEXT = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    str: _encode,
+    float: lambda value: _encode(float.__repr__(value)),
+}
+
+
+def _json_text(value: Any) -> str:
+    """``_dumps(canonical(value))``, assembled from memoized fragments."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, Enum):
+        key = (type(value), value)
+        text = _ENUM_TEXT.get(key)
+        if text is None:
+            text = _dumps(canonical(value))
+            _ENUM_TEXT[key] = text
+        return text
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, float):
+        return _encode(repr(value))
+    if isinstance(value, _DIGESTED_TYPES):
+        return _digest_entry(value)[1]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _dataclass_text(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_json_text, value)) + "]"
+    return _dumps(canonical(value))
 
 
 def file_digest(path: str | Path) -> str:
@@ -131,32 +231,8 @@ def file_digest(path: str | Path) -> str:
 # ---------------------------------------------------------------------- #
 # Domain-specific keys
 # ---------------------------------------------------------------------- #
-# Steady-state memo for the two hottest domain keys: a sweep hashes the
-# same (workload, chip, ...) tuples on every run, and the shared chip /
-# parameter instances make an identity-based lookup key cheap.  Values
-# are full stable hashes, so the memo changes nothing content-wise.
-# When an instance whose id anchors memo entries is collected, those
-# entries are evicted before the id can be reused.
-_DOMAIN_KEY_MEMO: dict[tuple, str] = {}
-_DOMAIN_KEYS_BY_INSTANCE: dict[int, list[tuple]] = {}
-
-
-def _evict_domain_keys_for(instance_id: int) -> None:
-    for key in _DOMAIN_KEYS_BY_INSTANCE.pop(instance_id, ()):
-        _DOMAIN_KEY_MEMO.pop(key, None)
-
-
-def _remember_domain_key(anchor: Any, memo_key: tuple, value: str) -> None:
-    _DOMAIN_KEY_MEMO[memo_key] = value
-    anchor_id = id(anchor)
-    keys = _DOMAIN_KEYS_BY_INSTANCE.get(anchor_id)
-    if keys is None:
-        keys = []
-        _DOMAIN_KEYS_BY_INSTANCE[anchor_id] = keys
-        weakref.finalize(anchor, _evict_domain_keys_for, anchor_id)
-    keys.append(memo_key)
-
-
+# Each docstring names the payload whose ``stable_hash`` the key equals;
+# the keys hash the same text, assembled from fragments instead.
 def profile_key(
     workload: str,
     chip: NPUChipSpec,
@@ -164,41 +240,33 @@ def profile_key(
     parallelism: ParallelismConfig,
     apply_fusion: bool,
 ) -> str:
-    """Key of a :class:`WorkloadProfile` (independent of policies/gating)."""
-    memo_key = ("profile", workload, id(chip), batch_size, parallelism, apply_fusion)
-    cached = _DOMAIN_KEY_MEMO.get(memo_key)
-    if cached is None:
-        cached = stable_hash(
-            {
-                "kind": "profile",
-                "version": CACHE_SCHEMA_VERSION,
-                "workload": workload,
-                "chip": chip,
-                "batch_size": batch_size,
-                "parallelism": parallelism,
-                "apply_fusion": apply_fusion,
-            }
-        )
-        _remember_domain_key(chip, memo_key, cached)
-    return cached
+    """Key of a :class:`WorkloadProfile` (independent of policies/gating).
+
+    ``stable_hash({"kind": "profile", "version": CACHE_SCHEMA_VERSION,
+    "workload": workload, "chip": chip, "batch_size": batch_size,
+    "parallelism": parallelism, "apply_fusion": apply_fusion})``.
+    """
+    return _hash_text(
+        f'{{"apply_fusion":{_json_text(apply_fusion)},'
+        f'"batch_size":{_json_text(batch_size)},'
+        f'"chip":{_json_text(chip)},"kind":"profile",'
+        f'"parallelism":{_json_text(parallelism)},'
+        f'"version":{_version_text(CACHE_SCHEMA_VERSION)},'
+        f'"workload":{_json_text(workload)}}}'
+    )
 
 
 def report_key(profile: str, policy: str, parameters: GatingParameters) -> str:
-    """Key of one policy's :class:`EnergyReport` on one profile."""
-    memo_key = ("report", profile, policy, id(parameters))
-    cached = _DOMAIN_KEY_MEMO.get(memo_key)
-    if cached is None:
-        cached = stable_hash(
-            {
-                "kind": "report",
-                "version": CACHE_SCHEMA_VERSION,
-                "profile": profile,
-                "policy": policy,
-                "parameters": parameters,
-            }
-        )
-        _remember_domain_key(parameters, memo_key, cached)
-    return cached
+    """Key of one policy's :class:`EnergyReport` on one profile.
+
+    ``stable_hash({"kind": "report", "version": CACHE_SCHEMA_VERSION,
+    "profile": profile, "policy": policy, "parameters": parameters})``.
+    """
+    return _hash_text(
+        f'{{"kind":"report","parameters":{_json_text(parameters)},'
+        f'"policy":{_json_text(policy)},"profile":{_json_text(profile)},'
+        f'"version":{_version_text(CACHE_SCHEMA_VERSION)}}}'
+    )
 
 
 def shard_key(
@@ -229,17 +297,26 @@ def shard_key(
 def point_key(workload: str, config: SimulationConfig) -> str:
     """Key of one fully-specified sweep point (workload + configuration).
 
-    The chip is resolved through the registry first so that
-    ``chip="NPU-D"`` and ``chip=get_chip("NPU-D")`` address the same
-    cache entry.
+    ``stable_hash({"kind": "point", "version": CACHE_SCHEMA_VERSION,
+    "workload": workload, "config": config})`` with the config's chip
+    resolved through the registry first, so that ``chip="NPU-D"`` and
+    ``chip=get_chip("NPU-D")`` address the same cache entry.
     """
-    return stable_hash(
-        {
-            "kind": "point",
-            "version": CACHE_SCHEMA_VERSION,
-            "workload": workload,
-            "config": dataclasses.replace(config, chip=config.resolve_chip()),
-        }
+    return _hash_text(
+        f'{{"config":{_dataclass_text(config, chip=config.resolve_chip())},'
+        f'"kind":"point","version":{_version_text(CACHE_SCHEMA_VERSION)},'
+        f'"workload":{_json_text(workload)}}}'
+    )
+
+
+def labeled_point_key(workload: str, config: SimulationConfig, label: str) -> str:
+    """Key of one sweep point's rows (its point key plus gating label).
+
+    ``stable_hash({"point": point_key(workload, config), "label": label})``.
+    """
+    return _hash_text(
+        f'{{"label":{_json_text(label)},'
+        f'"point":"{point_key(workload, config)}"}}'
     )
 
 
@@ -248,6 +325,7 @@ __all__ = [
     "KEY_HEX_CHARS",
     "canonical",
     "file_digest",
+    "labeled_point_key",
     "point_key",
     "profile_key",
     "report_key",

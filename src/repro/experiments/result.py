@@ -7,8 +7,7 @@ fixed column order and three interchangeable backing stores:
   (:meth:`from_series`; shard merges feed this directly, with float
   columns that may be memory-mapped views into ``.repro-shard``
   artifacts).  ``iter_csv``/``write_csv`` and ``filter`` operate
-  straight on the columns — no row tuple or dict is materialized, so a
-  merged million-row table streams to CSV with bounded resident memory;
+  straight on the columns — no row tuple or dict is materialized;
 * a **packed store** — one value tuple per row (the runner's
   array-native assembly and the row cache feed this directly), with the
   row *dicts* of the legacy API materialized lazily on first access;
@@ -16,10 +15,15 @@ fixed column order and three interchangeable backing stores:
   (:meth:`from_rows`, and what ``group_by`` hands back).
 
 Either way the export (CSV/JSON) and reshaping (filter/group-by/pivot)
-helpers behave identically; :meth:`iter_csv` streams straight off the
-packed or column store without ever building a dict per row.  Floats
-are exported with ``repr`` so a CSV written by a parallel run is
-byte-identical to one written by a serial run of the same sweep.
+helpers behave identically.  CSV export renders column by column, one
+chunk of at most :data:`_CSV_CHUNK_ROWS` rows at a time, so resident
+memory stays bounded by the chunk: float columns print one ``repr`` per
+distinct bit pattern in the chunk, int columns one ``str`` per cell,
+and every other cell goes through a per-chunk memo of its csv-quoted
+text.  Floats are exported with ``repr`` so a CSV written by a parallel
+run is byte-identical to one written by a serial run of the same sweep.
+:func:`iter_csv_oracle` is the per-row ``csv.writer`` reference the
+column renderer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -28,19 +32,78 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 
-def _cell(value: Any) -> Any:
-    if isinstance(value, float):
-        return repr(value)
-    return value
+#: Rows rendered per chunk by :meth:`SweepResult.iter_csv`.
+_CSV_CHUNK_ROWS = 512
 
 
-#: Rows per rendering window when streaming CSV off the column store.
-_CSV_CHUNK_ROWS = 2048
+def _csv_fields(cells: Iterable[Any]) -> list[str]:
+    """Each cell's text as ``csv.writer`` writes it within a row.
+
+    Floats print by ``repr``.  Quoting stays ``csv``'s own: each cell is
+    written as the first of two fields and the trailing ``",\\n"`` is
+    cut off.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    texts = []
+    for cell in cells:
+        writer.writerow((repr(cell) if isinstance(cell, float) else cell, ""))
+        texts.append(buffer.getvalue()[:-2])
+        buffer.seek(0)
+        buffer.truncate(0)
+    return texts
+
+
+def _float_texts(values: Any) -> list[str]:
+    """``repr`` of each double, computed once per distinct bit pattern.
+
+    Dedup keys on the ``int64`` view, not on the value: ``-0.0 == 0.0``
+    yet the two print differently, and NaN equals nothing.  The memo is
+    a dict, not ``np.unique``: a sort buys nothing here, and its first
+    call maps another ~0.6 MiB of numpy into a process that may not
+    have touched it yet.
+    """
+    doubles = np.asarray(values, dtype=np.float64)
+    bits = doubles.view(np.int64).tolist()
+    distinct = dict(zip(bits, doubles.tolist()))
+    texts = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    return list(map(texts.__getitem__, bits))
+
+
+def _column_texts(column: Any) -> list[str]:
+    """CSV text of every cell of one column chunk."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _float_texts(column)
+        column = column.tolist()
+    types = set(map(type, column))
+    if types == {float}:
+        return _float_texts(column)
+    if types == {int}:
+        return list(map(int.__repr__, column))
+    if types <= {str, bool, type(None)}:
+        # Equal values of these types print identically: one memo entry
+        # per distinct value is exact.
+        distinct = dict.fromkeys(column)
+        texts = dict(zip(distinct, _csv_fields(distinct)))
+        return list(map(texts.__getitem__, column))
+    return _csv_fields(column)
+
+
+def _csv_lines(texts: list[list[str]], count: int) -> list[str]:
+    """The CSV lines of ``count`` rows, given each column's cell texts."""
+    if not texts:
+        return ["\n"] * count
+    if len(texts) == 1:
+        # csv.writer quotes a row made of one empty field, so that it
+        # does not read back as a blank line.
+        texts = [['""' if text == "" else text for text in texts[0]]]
+    return [",".join(cells) + "\n" for cells in zip(*texts)]
 
 
 class SweepResult:
@@ -283,64 +346,54 @@ class SweepResult:
         return table
 
     # ------------------------------------------------------------------ #
+    def _column_chunks(self) -> Iterator[tuple[int, list[Any]]]:
+        """``(rows, columns)`` per chunk of at most ``_CSV_CHUNK_ROWS`` rows.
+
+        Array columns are sliced, not converted, so memory-mapped shard
+        columns are pulled in one bounded window at a time.
+        """
+        count = len(self)
+        for start in range(0, count, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, count)
+            if self._rows is not None:
+                rows = self._rows[start:stop]
+                columns = [[row.get(name) for row in rows] for name in self.columns]
+            elif self._series is not None:
+                columns = [self._series[name][start:stop] for name in self.columns]
+            else:
+                columns = list(zip(*self._values_list[start:stop]))
+            yield stop - start, columns
+
+    def _csv_chunks(self) -> Iterator[list[str]]:
+        """CSV lines, header first, one list per chunk of rows."""
+        yield _csv_lines([[text] for text in _csv_fields(self.columns)], 1)
+        for count, columns in self._column_chunks():
+            yield _csv_lines([_column_texts(column) for column in columns], count)
+
     def iter_csv(self) -> Iterator[str]:
         """Yield CSV lines (header first, trailing newline included).
 
-        The generator renders one row at a time, so consumers that
-        stream the lines to a file or socket never hold more than one
-        rendered row in memory regardless of the grid size.  On the
-        packed store the cells are read positionally — no row dict is
-        ever materialized (zero-copy with respect to the dict API).
+        Lines are rendered a chunk of at most ``_CSV_CHUNK_ROWS`` rows at
+        a time, column by column, straight off whichever store backs the
+        table — no row dict is ever materialized, and memory stays
+        bounded by one chunk regardless of the table size.
         """
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-
-        def render(cells) -> str:
-            writer.writerow(cells)
-            line = buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate(0)
-            return line
-
-        yield render(self.columns)
-        if self._rows is not None:
-            for row in self._rows:
-                yield render([_cell(row.get(column)) for column in self.columns])
-            return
-        if self._series is not None:
-            # Column store: stream fixed-size chunks so array columns
-            # (possibly memory-mapped shard columns) are pulled in a
-            # bounded window at a time — resident memory stays O(chunk)
-            # regardless of the table size.
-            ordered = [self._series[name] for name in self.columns]
-            count = len(self)
-            for start in range(0, count, _CSV_CHUNK_ROWS):
-                stop = min(start + _CSV_CHUNK_ROWS, count)
-                chunk = [
-                    column[start:stop].tolist()
-                    if isinstance(column, np.ndarray)
-                    else column[start:stop]
-                    for column in ordered
-                ]
-                for row in zip(*chunk):
-                    yield render([_cell(value) for value in row])
-            return
-        for row in self._values_list:
-            yield render([_cell(value) for value in row])
+        for lines in self._csv_chunks():
+            yield from lines
 
     def write_csv(self, path: str | Path) -> int:
-        """Stream the table to ``path`` in O(1) memory; returns row count.
+        """Write the table to ``path`` one chunk at a time; returns row count.
 
         Unlike :meth:`to_csv`, the full CSV text is never materialized —
         use this for very large grids.  The bytes written are identical
         to what :meth:`to_csv` produces.
         """
-        lines = 0
+        rows = -1  # the header is not a row
         with Path(path).open("w", newline="") as handle:
-            for line in self.iter_csv():
-                handle.write(line)
-                lines += 1
-        return max(0, lines - 1)  # exclude the header
+            for lines in self._csv_chunks():
+                handle.writelines(lines)
+                rows += len(lines)
+        return rows
 
     def to_csv(self, path: str | Path | None = None) -> str:
         """Render as CSV (and write it to ``path`` when given)."""
@@ -385,4 +438,43 @@ class SweepResult:
         return merge_shard_paths(paths).result()
 
 
-__all__ = ["SweepResult"]
+def _cell(value: Any) -> Any:
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def iter_csv_oracle(table: SweepResult) -> Iterator[str]:
+    """Per-row reference renderer of :meth:`SweepResult.iter_csv`.
+
+    One ``csv.writer.writerow`` per row with floats by ``repr``: the
+    readable oracle the column renderer must match byte for byte.  Reads
+    the table's store in place (no row dict is materialized).
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def render(cells) -> str:
+        writer.writerow([_cell(value) for value in cells])
+        line = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate(0)
+        return line
+
+    yield render(table.columns)
+    if table._rows is not None:
+        rows = ([row.get(name) for name in table.columns] for row in table._rows)
+    elif table._series is not None:
+        rows = zip(
+            *(
+                column.tolist() if isinstance(column, np.ndarray) else column
+                for column in table._series.values()
+            )
+        )
+    else:
+        rows = table._values_list
+    for row in rows:
+        yield render(row)
+
+
+__all__ = ["SweepResult", "iter_csv_oracle"]

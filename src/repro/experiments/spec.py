@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.core.config import SimulationConfig
 from repro.gating.bet import DEFAULT_PARAMETERS, GatingParameters
 from repro.gating.report import PolicyName
-from repro.experiments.keys import point_key, stable_hash
+from repro.experiments.keys import labeled_point_key
 
 #: Label attached to rows swept with the paper's default gating parameters.
 DEFAULT_GATING_LABEL = "default"
@@ -52,11 +52,8 @@ class SweepPoint:
         """
         cached = self.__dict__.get("_cache_key")
         if cached is None:
-            cached = stable_hash(
-                {
-                    "point": point_key(self.workload, self.config),
-                    "label": self.gating_label,
-                }
+            cached = labeled_point_key(
+                self.workload, self.config, self.gating_label
             )
             object.__setattr__(self, "_cache_key", cached)
         return cached
@@ -94,6 +91,18 @@ class SweepSpec:
         self.chips = _as_tuple(self.chips)
         self.batch_sizes = _as_tuple(self.batch_sizes)
         self.num_chips = _as_tuple(self.num_chips)
+        for axis, values in (
+            ("batch size", self.batch_sizes),
+            ("pod size", self.num_chips),
+        ):
+            for value in values:
+                if value is None:
+                    continue
+                if type(value) is not int or value < 1:
+                    raise ValueError(
+                        f"{axis} must be a positive integer or None "
+                        f"(the workload default), got {value!r}"
+                    )
         policies = tuple(PolicyName.parse(p) for p in _as_tuple(self.policies))
         if PolicyName.NOPG not in policies:
             policies = (PolicyName.NOPG, *policies)

@@ -115,3 +115,35 @@ class TestSweepCommand:
         payload = json.loads(path.read_text())
         assert len(payload["rows"]) == 5
         assert "total_energy_j" in payload["columns"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--batch-size", "0"],
+            ["--batch-size", "-3"],
+            ["--num-chips", "0"],
+            ["--policy", "bogus"],
+            ["--chip", "NPU-Z"],
+            ["-w", "no-such-workload"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_sweep_bad_grid_exits_with_one_error_line(self, flags):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "-w", "llama3-8b-decode", *flags],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        # The message itself, not the repr of a KeyError.
+        assert not lines[0].startswith(("error: '", 'error: "'))

@@ -39,6 +39,11 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(num_chips=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_invalid_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            SimulationConfig(batch_size=batch_size)
+
     def test_with_policy_subset(self):
         config = SimulationConfig().with_policy_subset(PolicyName.NOPG)
         assert config.policies == (PolicyName.NOPG,)

@@ -131,6 +131,20 @@ class TestSweepSpecNormalization:
         with pytest.raises(ValueError):
             SweepSpec(workloads=())
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"batch_sizes": (8, 0)},
+            {"batch_sizes": -3},
+            {"batch_sizes": (True,)},
+            {"num_chips": (0,)},
+            {"num_chips": (4, 2.0)},
+        ],
+    )
+    def test_bad_size_axes_rejected(self, axes):
+        with pytest.raises(ValueError, match="positive integer"):
+            SweepSpec(workloads=("dlrm-s-inference",), **axes)
+
     def test_bare_labeled_pair_is_one_entry(self):
         spec = SweepSpec(
             workloads=("dlrm-s-inference",),
