@@ -138,9 +138,9 @@ def _parse_shard(text: str) -> tuple[int, int]:
         index_text, count_text = text.split("/", 1)
         index, count = int(index_text), int(count_text)
     except ValueError:
-        raise SystemExit(f"--shard expects I/N (e.g. 0/3), got {text!r}")
+        raise ValueError(f"--shard expects I/N (e.g. 0/3), got {text!r}") from None
     if count < 1 or not 0 <= index < count:
-        raise SystemExit(
+        raise ValueError(
             f"--shard index must satisfy 0 <= I < N, got {index}/{count}"
         )
     return index, count
@@ -172,6 +172,19 @@ def _spec_from_args(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.experiments import ShardRunner, SimulationCache, SweepRunner
 
+    try:
+        if args.parallel is not None and args.parallel < 0:
+            raise ValueError(
+                f"--parallel expects N >= 0 (0 and 1 run serially), "
+                f"got {args.parallel}"
+            )
+        shard = _parse_shard(args.shard) if args.shard else None
+        if shard is not None and not args.shard_dir:
+            raise ValueError("--shard requires --shard-dir PATH")
+        if shard is None and args.shard_dir:
+            raise ValueError("--shard-dir requires --shard I/N")
+    except ValueError as error:
+        raise _input_error(error)
     spec = _spec_from_args(args)
     cache = (
         SimulationCache(args.cache, shared_dir=args.shared_cache)
@@ -179,12 +192,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         else None
     )
     lines = [f"sweep grid    : {spec.describe()}"]
-    if args.shard_dir and not args.shard:
-        raise SystemExit("--shard-dir requires --shard I/N")
-    if args.shard:
-        index, count = _parse_shard(args.shard)
-        if not args.shard_dir:
-            raise SystemExit("--shard requires --shard-dir PATH")
+    if shard is not None:
+        index, count = shard
         runner = ShardRunner(spec, count, cache=cache, max_workers=args.parallel)
         artifact = runner.run(index)
         path = artifact.write(args.shard_dir)
@@ -261,8 +270,8 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
             # Partial merges are allowed when writing an artifact: the
             # combined artifact merges again later with the rest.  The
             # skipped-artifact list rides along in the manifest so
-            # repair tooling / re-runs can consume it without having to
-            # scrape this command's stderr.
+            # re-runs can consume it without having to scrape this
+            # command's stderr.
             extra = (
                 {
                     "skipped": [
@@ -293,7 +302,7 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
     ]
     if missing:
         # Name the holes so a partial-run operator knows what to
-        # re-launch, instead of diffing covered/N by hand.
+        # re-run, instead of diffing covered/N by hand.
         lines.append(
             f"missing shards: {missing} (re-run these, then re-merge)"
         )
@@ -315,123 +324,6 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _launch_backend(args: argparse.Namespace, injector) -> object | str:
-    """The scheduler backend: a name for local ones, an instance for
-    remote ones (which need hosts and the fault injector up front)."""
-    from pathlib import Path
-
-    from repro.experiments.remote import (
-        LoopbackBackend,
-        SshBackend,
-        parse_hosts,
-    )
-
-    if args.backend not in ("ssh", "loopback"):
-        if args.hosts or args.hosts_file:
-            raise SystemExit(
-                f"--hosts only applies to the ssh/loopback backends, "
-                f"not {args.backend!r}"
-            )
-        return args.backend
-    hosts: list[str] = []
-    if args.hosts:
-        hosts += parse_hosts(args.hosts)
-    if args.hosts_file:
-        try:
-            hosts += parse_hosts(Path(args.hosts_file).read_text())
-        except OSError as error:
-            raise SystemExit(f"cannot read --hosts-file: {error}")
-    common = dict(
-        remote_root=args.remote_root,
-        injector=injector,
-        quarantine_after=args.quarantine_after,
-    )
-    if args.backend == "ssh":
-        if not hosts:
-            raise SystemExit(
-                "the ssh backend needs --hosts user@host[,...] or --hosts-file"
-            )
-        return SshBackend(
-            hosts,
-            python=args.remote_python,
-            pythonpath=args.remote_pythonpath,
-            **common,
-        )
-    return LoopbackBackend(
-        Path(args.dir) / "fleet",
-        host_names=hosts or ("loop-a", "loop-b"),
-        **common,
-    )
-
-
-def _cmd_launch(args: argparse.Namespace) -> str:
-    from repro.experiments.scheduler import (
-        FaultInjector,
-        LaunchError,
-        LaunchScheduler,
-        RetryPolicy,
-    )
-    from repro.experiments.sharding import ShardError
-
-    spec = _spec_from_args(args) if args.workload else None
-    if spec is None and not args.resume:
-        raise SystemExit(
-            "launch needs a grid (-w/--workload ...) unless --resume "
-            "restores one from the launch directory"
-        )
-    if args.shards is None and not args.resume:
-        raise SystemExit("launch needs --shards N (or --resume)")
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        base_delay_s=args.base_delay,
-    )
-    try:
-        injector = FaultInjector.from_env()
-        scheduler = LaunchScheduler(
-            args.dir,
-            spec,
-            args.shards,
-            backend=_launch_backend(args, injector),
-            max_workers=args.max_workers,
-            retry=retry,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            shard_timeout=args.shard_timeout,
-            speculate=not args.no_speculate,
-            injector=injector,
-            shared_cache=args.shared_cache,
-            gc_max_age_days=args.gc_max_age_days,
-            gc_max_bytes=args.gc_max_bytes,
-            csv_path=args.csv,
-            resume=args.resume,
-            serve=args.serve,
-            catalog=args.catalog,
-        )
-        report = scheduler.run()
-    except (LaunchError, ShardError) as error:
-        raise SystemExit(f"error: {error}")
-    if not report.complete:
-        # Print the summary ourselves, then exit with the partial code
-        # (main() only prints on success/exit 0).
-        print(report.describe())
-        raise SystemExit(report.exit_code)
-    return report.describe()
-
-
-def _cmd_launch_status(args: argparse.Namespace) -> str:
-    from repro.experiments.status import StatusError, fetch_status, render_status
-
-    try:
-        payload = fetch_status(args.url, timeout=args.timeout)
-    except StatusError as error:
-        raise SystemExit(f"error: {error}")
-    if args.json:
-        import json
-
-        return json.dumps(payload, indent=2)
-    return render_status(payload)
-
-
 def _cmd_cache_gc(args: argparse.Namespace) -> str:
     from repro.experiments.cache import SharedCacheDir
 
@@ -447,68 +339,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> str:
     if args.dry_run:
         for path, reason in report.removed:
             lines.append(f"  {path} ({reason})")
-    return "\n".join(lines)
-
-
-def _open_catalog(args: argparse.Namespace):
-    from repro.experiments.catalog import CatalogError, ExperimentCatalog
-
-    try:
-        return ExperimentCatalog(args.db)
-    except CatalogError as error:
-        raise SystemExit(f"error: {error}")
-
-
-def _cmd_catalog_list(args: argparse.Namespace) -> str:
-    catalog = _open_catalog(args)
-    entries = catalog.entries()
-    summary = catalog.summary()
-    lines = [
-        f"catalog       : {catalog.path}",
-        f"entries       : {summary['entries']} "
-        f"(by status {summary['by_status'] or '{}'}; "
-        f"by kind {summary['by_kind'] or '{}'})",
-    ]
-    lines += [entry.describe() for entry in entries]
-    return "\n".join(lines)
-
-
-def _cmd_catalog_query(args: argparse.Namespace) -> str:
-    catalog = _open_catalog(args)
-    entries = catalog.query(
-        spec_digest=args.spec, status=args.status, kind=args.kind
-    )
-    if args.json:
-        import json
-
-        return json.dumps([entry.to_json() for entry in entries], indent=2)
-    if not entries:
-        return "no matching catalog entries"
-    return "\n".join(entry.describe() for entry in entries)
-
-
-def _cmd_catalog_verify(args: argparse.Namespace) -> str:
-    catalog = _open_catalog(args)
-    report = catalog.verify(spec_digest=args.spec)
-    if report.flagged:
-        # Like a partial launch: print the findings, then exit nonzero
-        # so CI and scripts can gate on catalog health.
-        print(report.describe())
-        raise SystemExit(1)
-    return report.describe()
-
-
-def _cmd_catalog_repair(args: argparse.Namespace) -> str:
-    catalog = _open_catalog(args)
-    report = catalog.repair(spec_digest=args.spec)
-    return report.describe()
-
-
-def _cmd_catalog_gc(args: argparse.Namespace) -> str:
-    catalog = _open_catalog(args)
-    evicted = catalog.gc()
-    lines = [f"evicted       : {len(evicted)} entr(ies) with no artifact on disk"]
-    lines += [f"  {entry.path} ({entry.shard_key})" for entry in evicted]
     return "\n".join(lines)
 
 
@@ -741,36 +571,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
-    def add_grid_arguments(
-        target: argparse.ArgumentParser, required: bool = True
-    ) -> None:
-        """The workload x chip x policy grid flags (sweep and launch)."""
-        target.add_argument(
-            "-w", "--workload", action="append", required=required,
-            help="workload to sweep (repeatable)",
-        )
-        target.add_argument(
-            "--chip", action="append",
-            help="NPU generation to sweep (repeatable; default NPU-D)",
-        )
-        target.add_argument(
-            "--batch-size", action="append", type=int,
-            help="batch size grid point (repeatable; default: workload default)",
-        )
-        target.add_argument(
-            "--num-chips", action="append", type=int,
-            help="pod size grid point (repeatable; default: workload default)",
-        )
-        target.add_argument(
-            "--policy", action="append",
-            help="evaluate only these policies (repeatable); NoPG is always "
-                 "included",
-        )
-
     sweep = subparsers.add_parser(
         "sweep", help="run a cached workload x chip x policy parameter sweep"
     )
-    add_grid_arguments(sweep)
+    sweep.add_argument(
+        "-w", "--workload", action="append", required=True,
+        help="workload to sweep (repeatable)",
+    )
+    sweep.add_argument(
+        "--chip", action="append",
+        help="NPU generation to sweep (repeatable; default NPU-D)",
+    )
+    sweep.add_argument(
+        "--batch-size", action="append", type=int,
+        help="batch size grid point (repeatable; default: workload default)",
+    )
+    sweep.add_argument(
+        "--num-chips", action="append", type=int,
+        help="pod size grid point (repeatable; default: workload default)",
+    )
+    sweep.add_argument(
+        "--policy", action="append",
+        help="evaluate only these policies (repeatable); NoPG is always "
+             "included",
+    )
     sweep.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="run points on N worker processes (default: serial)",
@@ -822,142 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--json", metavar="PATH", help="write the merged table as JSON")
     merge.set_defaults(handler=_cmd_merge_shards)
 
-    launch = subparsers.add_parser(
-        "launch",
-        help="run a full sharded sweep through the fault-tolerant scheduler "
-             "(retries, heartbeats, speculation, crash-safe resume)",
-    )
-    add_grid_arguments(launch, required=False)
-    launch.add_argument(
-        "--shards", type=int, metavar="N",
-        help="shard count of the deterministic plan (restored from the "
-             "launch directory with --resume)",
-    )
-    launch.add_argument(
-        "--dir", required=True, metavar="PATH",
-        help="launch directory (journal, landed shards, logs, partial merge)",
-    )
-    launch.add_argument(
-        "--backend", choices=("process", "thread", "ssh", "loopback"),
-        default="process",
-        help="worker backend: one killable subprocess per shard attempt "
-             "(default), in-process threads, a fleet of SSH hosts, or the "
-             "hermetic loopback fleet (remote code path, local processes)",
-    )
-    launch.add_argument(
-        "--hosts", metavar="H1[,H2...]",
-        help="remote hosts for --backend ssh (user@host) or loopback "
-             "(fake host names; default loop-a,loop-b)",
-    )
-    launch.add_argument(
-        "--hosts-file", metavar="PATH",
-        help="file of hosts, one per line ('#' comments); merged with --hosts",
-    )
-    launch.add_argument(
-        "--remote-root", default=".repro-remote", metavar="PATH",
-        help="staging root on the remote hosts (default .repro-remote, "
-             "relative to the remote home)",
-    )
-    launch.add_argument(
-        "--remote-python", default="python3", metavar="BIN",
-        help="python executable on the ssh hosts (default python3)",
-    )
-    launch.add_argument(
-        "--remote-pythonpath", default=None, metavar="PATH",
-        help="PYTHONPATH exported to ssh workers (a remote checkout's src/ "
-             "when repro is not installed there)",
-    )
-    launch.add_argument(
-        "--quarantine-after", type=int, default=3, metavar="K",
-        help="quarantine a host after K consecutive failed attempts; its "
-             "shards rebalance onto surviving hosts (default 3)",
-    )
-    launch.add_argument(
-        "--serve", metavar="[HOST]:PORT",
-        help="serve live progress as JSON over HTTP while the launch runs "
-             "(GET /status, /journal, /catalog with --catalog; read-only; "
-             "host defaults to 127.0.0.1)",
-    )
-    launch.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help="concurrent shard attempts (default: min(shards, cores, 8))",
-    )
-    launch.add_argument(
-        "--max-attempts", type=int, default=6, metavar="N",
-        help="retry budget per shard (default 6)",
-    )
-    launch.add_argument(
-        "--base-delay", type=float, default=0.25, metavar="SECONDS",
-        help="first retry backoff; doubles per failure, capped (default 0.25)",
-    )
-    launch.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
-        help="worker heartbeat period (default 1.0)",
-    )
-    launch.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="declare a worker dead after this much heartbeat silence "
-             "(default 30)",
-    )
-    launch.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock cap per shard attempt (default: none)",
-    )
-    launch.add_argument(
-        "--no-speculate", action="store_true",
-        help="disable straggler speculation (re-issuing the slowest shard "
-             "once >80%% have landed)",
-    )
-    launch.add_argument(
-        "--shared-cache", metavar="DIR",
-        help="cross-run shared cache directory the workers read and write",
-    )
-    launch.add_argument(
-        "--gc-max-age-days", type=float, default=None, metavar="DAYS",
-        help="garbage-collect shared-cache entries older than this at "
-             "teardown",
-    )
-    launch.add_argument(
-        "--gc-max-bytes", type=int, default=None, metavar="BYTES",
-        help="shrink the shared cache to this size at teardown (LRU)",
-    )
-    launch.add_argument(
-        "--csv", metavar="PATH",
-        help="write the merged table as CSV (byte-identical to the "
-             "monolithic sweep when the launch completes)",
-    )
-    launch.add_argument(
-        "--resume", action="store_true",
-        help="continue a killed launch: restore landed shards from --dir "
-             "and re-run only the rest",
-    )
-    launch.add_argument(
-        "--catalog", metavar="PATH", default=None,
-        help="cross-run experiment catalog (SQLite file, or a directory "
-             "getting catalog.sqlite): register landed artifacts and adopt "
-             "shards prior runs already computed instead of re-running them",
-    )
-    launch.set_defaults(handler=_cmd_launch)
-
-    launch_status = subparsers.add_parser(
-        "launch-status",
-        help="render the live progress of a `repro launch --serve` run",
-    )
-    launch_status.add_argument(
-        "url", metavar="URL",
-        help="the progress endpoint, e.g. http://127.0.0.1:8765 "
-             "(printed by the launch when --serve is active)",
-    )
-    launch_status.add_argument(
-        "--timeout", type=float, default=10.0, metavar="SECONDS",
-        help="HTTP timeout (default 10)",
-    )
-    launch_status.add_argument(
-        "--json", action="store_true",
-        help="print the raw /status JSON instead of the rendered summary",
-    )
-    launch_status.set_defaults(handler=_cmd_launch_status)
-
     cache = subparsers.add_parser(
         "cache", help="manage the cross-run shared cache directory"
     )
@@ -987,81 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(always on with --dry-run)",
     )
     cache_gc.set_defaults(handler=_cmd_cache_gc)
-
-    catalog = subparsers.add_parser(
-        "catalog",
-        help="inspect and repair the cross-run experiment catalog "
-             "(`repro launch --catalog`)",
-    )
-    catalog_sub = catalog.add_subparsers(dest="catalog_command", required=True)
-
-    def add_catalog_db(target: argparse.ArgumentParser) -> None:
-        target.add_argument(
-            "db", metavar="PATH",
-            help="catalog database (SQLite file, or a directory containing "
-                 "catalog.sqlite)",
-        )
-
-    catalog_list = catalog_sub.add_parser(
-        "list", help="list every cataloged artifact with its status"
-    )
-    add_catalog_db(catalog_list)
-    catalog_list.set_defaults(handler=_cmd_catalog_list)
-
-    catalog_query = catalog_sub.add_parser(
-        "query", help="filter catalog entries by spec digest, status or kind"
-    )
-    add_catalog_db(catalog_query)
-    catalog_query.add_argument(
-        "--spec", metavar="DIGEST", default=None,
-        help="only entries of this spec digest",
-    )
-    catalog_query.add_argument(
-        "--status", metavar="STATUS", default=None,
-        choices=("ok", "corrupt", "missing", "outdated"),
-        help="only entries with this status",
-    )
-    catalog_query.add_argument(
-        "--kind", metavar="KIND", default=None, choices=("shard", "merged"),
-        help="only shard or only merged artifacts",
-    )
-    catalog_query.add_argument(
-        "--json", action="store_true", help="print the raw entries as JSON"
-    )
-    catalog_query.set_defaults(handler=_cmd_catalog_query)
-
-    catalog_verify = catalog_sub.add_parser(
-        "verify",
-        help="re-verify recorded digests against the artifacts on disk; "
-             "marks corrupt/missing/outdated entries and exits nonzero if "
-             "any are flagged",
-    )
-    add_catalog_db(catalog_verify)
-    catalog_verify.add_argument(
-        "--spec", metavar="DIGEST", default=None,
-        help="only verify entries of this spec digest",
-    )
-    catalog_verify.set_defaults(handler=_cmd_catalog_verify)
-
-    catalog_repair = catalog_sub.add_parser(
-        "repair",
-        help="verify, evict every flagged entry, and report exactly which "
-             "shards need re-running",
-    )
-    add_catalog_db(catalog_repair)
-    catalog_repair.add_argument(
-        "--spec", metavar="DIGEST", default=None,
-        help="only repair entries of this spec digest",
-    )
-    catalog_repair.set_defaults(handler=_cmd_catalog_repair)
-
-    catalog_gc = catalog_sub.add_parser(
-        "gc",
-        help="drop entries whose artifact directory no longer exists "
-             "(cheap; no digest re-checking)",
-    )
-    add_catalog_db(catalog_gc)
-    catalog_gc.set_defaults(handler=_cmd_catalog_gc)
 
     serve = subparsers.add_parser(
         "serve",
@@ -1209,8 +822,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         output = args.handler(args)
     except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _input_error(error).code
     print(output)
     return 0
 

@@ -13,18 +13,13 @@ parallel parameter studies:
   finished sweep rows, with an optional on-disk JSON store.
 * :class:`SweepResult` — a flat table with CSV/JSON export and
   filter/group-by/pivot helpers.
-* :class:`LaunchScheduler` / :func:`launch_sweep` — fault-tolerant
-  sharded execution (``repro launch``): retries with backoff, heartbeat
-  liveness, straggler speculation, a crash-safe journal with
-  ``--resume``, and reproducible fault injection.
-* :class:`SshBackend` / :class:`LoopbackBackend` — remote shard
-  dispatch over a retrying, digest-verified transport with per-host
-  quarantine, plus :class:`StatusServer` — the live ``--serve``
-  progress API.
-* :class:`ExperimentCatalog` — a durable, content-addressed index over
-  shard and merged artifacts (``repro launch --catalog`` / ``repro
-  catalog``): cross-run adoption of already-computed shards, digest
-  re-verification, and self-healing eviction of corrupt entries.
+* :class:`ShardRunner` / :func:`merge_artifacts` — deterministic
+  ``--shard I/N`` partitions of a grid written as self-describing,
+  digest-checked artifacts that merge back byte-identical to the
+  monolithic sweep (``repro merge-shards``).
+* :class:`SharedCacheDir` — the cross-run shared cache directory
+  (``--shared-cache``, ``repro cache gc``) that shards and re-runs
+  reuse simulated profiles, reports and rows through.
 
 See ``docs/experiments.md`` for a guide and the cache-invalidation rules.
 """
@@ -40,14 +35,6 @@ from repro.experiments.cache import (
     simulate_cached,
     simulate_cached_many,
     unpack_rows,
-)
-from repro.experiments.catalog import (
-    CatalogEntry,
-    CatalogError,
-    CatalogRepairReport,
-    CatalogVerifyReport,
-    ExperimentCatalog,
-    resolve_catalog_path,
 )
 from repro.experiments.keys import (
     canonical,
@@ -69,26 +56,6 @@ from repro.experiments.runner import (
     run_points_packed,
     run_sweep,
 )
-from repro.experiments.remote import (
-    HostPool,
-    LocalLoopbackTransport,
-    LoopbackBackend,
-    RemoteBackend,
-    RemoteHost,
-    SshBackend,
-    SshTransport,
-    TransportError,
-)
-from repro.experiments.scheduler import (
-    FaultInjector,
-    FaultSpec,
-    LaunchError,
-    LaunchReport,
-    LaunchScheduler,
-    RetryPolicy,
-    ShardState,
-    launch_sweep,
-)
 from repro.experiments.sharding import (
     Shard,
     ShardArtifact,
@@ -102,50 +69,27 @@ from repro.experiments.sharding import (
     spec_digest,
 )
 from repro.experiments.spec import DEFAULT_GATING_LABEL, SweepPoint, SweepSpec
-from repro.experiments.status import StatusServer
 
 __all__ = [
     "CacheGcReport",
-    "CatalogEntry",
-    "CatalogError",
-    "CatalogRepairReport",
-    "CatalogVerifyReport",
     "DEFAULT_GATING_LABEL",
-    "ExperimentCatalog",
-    "FaultInjector",
-    "FaultSpec",
-    "HostPool",
     "JsonFileStore",
-    "LaunchError",
-    "LaunchReport",
-    "LaunchScheduler",
-    "LocalLoopbackTransport",
-    "LoopbackBackend",
     "PackedRows",
     "ROW_COLUMNS",
-    "RemoteBackend",
-    "RemoteHost",
-    "RetryPolicy",
     "Shard",
     "ShardArtifact",
     "ShardError",
     "ShardPlan",
     "ShardRunner",
-    "ShardState",
     "SharedCacheDir",
     "SimulationCache",
-    "SshBackend",
-    "SshTransport",
-    "StatusServer",
     "SweepPoint",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
-    "TransportError",
     "assemble_packed_rows",
     "canonical",
     "file_digest",
-    "launch_sweep",
     "load_manifest",
     "merge_artifacts",
     "merge_shard_paths",
@@ -155,7 +99,6 @@ __all__ = [
     "profile_key",
     "read_artifacts",
     "report_key",
-    "resolve_catalog_path",
     "rows_from_result",
     "run_point",
     "run_points",

@@ -215,11 +215,10 @@ def file_digest(path: str | Path) -> str:
 
     The content digest recorded per column store in every shard
     manifest, re-checked by
-    :func:`~repro.experiments.sharding.verify_artifact_files` and the
-    experiment catalog's integrity pass.  Full-width (not truncated to
-    :data:`KEY_HEX_CHARS`): these digests guard against corruption, not
-    just collisions, and the on-disk format already shipped them at
-    full width.
+    :func:`~repro.experiments.sharding.verify_artifact_files`.
+    Full-width (not truncated to :data:`KEY_HEX_CHARS`): these digests
+    guard against corruption, not just collisions, and the on-disk
+    format already shipped them at full width.
     """
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -84,21 +84,14 @@ class ShardError(ValueError):
     """A shard artifact is unreadable, foreign, duplicated or missing."""
 
 
-#: Backwards-compatible alias; the digest helper moved to
-#: :func:`repro.experiments.keys.file_digest` so the experiment catalog
-#: shares one definition with the artifact writer/verifier.
-_file_digest = file_digest
-
-
 def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read and shape-check one artifact's ``manifest.json``.
 
     The single manifest-parsing entry point shared by
-    :meth:`ShardArtifact.read`, :func:`verify_artifact_files` and the
-    experiment catalog's registration path.  Only the envelope is
-    validated here (readable JSON object of ``kind`` repro-shard);
-    schema and field validation stay with the callers, which disagree
-    on how strict to be.
+    :meth:`ShardArtifact.read` and :func:`verify_artifact_files`.  Only
+    the envelope is validated here (readable JSON object of ``kind``
+    repro-shard); schema and field validation stay with the callers,
+    which disagree on how strict to be.
     """
     path = Path(path)
     try:
@@ -115,15 +108,13 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
 def verify_artifact_files(path: str | Path, require: bool = True) -> None:
     """Check an artifact's column stores against the manifest's digests.
 
-    The transfer-side validation hook: a worker calls it right after
-    writing (catching a torn local write before the artifact ever
-    travels), and a remote backend calls it after fetching (a torn or
-    bit-flipped transfer then degrades exactly like a local corrupt
-    write — the attempt fails and the shard re-dispatches).  Raises
+    Run it on an artifact copied from another machine before merging
+    it: a truncated, bit-flipped or rewritten column store no longer
+    matches the digest recorded when the shard was written.  Raises
     :class:`ShardError` on any mismatch or missing file.  Artifacts
     written before digests existed carry no ``files`` entry; ``require``
-    decides whether that is an error (the default — every transfer path
-    deals in freshly written artifacts) or accepted silently.
+    decides whether that is an error (the default) or accepted
+    silently.
     """
     path = Path(path)
     manifest = load_manifest(path)
@@ -557,8 +548,8 @@ class ShardArtifact:
             lambda handle: handle.write(json.dumps(objects).encode("utf-8")),
         )
         # Content digests of every column store, written into the
-        # manifest so transfers (and the workers' own writes) can be
-        # verified end to end — see :func:`verify_artifact_files`.
+        # manifest so a copied artifact can be verified end to end —
+        # see :func:`verify_artifact_files`.
         files = {OBJECT_NAME: file_digest(path / OBJECT_NAME)}
         if numeric:
             files[NUMERIC_NAME] = file_digest(path / NUMERIC_NAME)
@@ -951,7 +942,7 @@ def read_artifacts(
     (``strict=False``, what ``repro merge-shards`` uses unless told
     ``--strict``) an unreadable or truncated artifact *directory* is
     skipped with a per-path warning and a summary listing, so one
-    corrupt file from a crashed worker no longer aborts a whole fleet's
+    corrupt file from a crashed shard run no longer aborts the whole
     merge.  Path-resolution failures (a nonexistent entry, a directory
     with no artifacts in it) are operator typos, not partial-run damage,
     and stay hard errors in both modes.

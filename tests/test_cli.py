@@ -1,8 +1,31 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: Runs the in-tree package in a fresh interpreter.
+_ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+
+def _assert_one_error_line(argv: list[str]) -> None:
+    """``python -m repro ARGV`` exits 2 with one ``error:`` line."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=_ENV, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    # The message itself, not the repr of a KeyError.
+    assert not lines[0].startswith(("error: '", 'error: "'))
 
 
 class TestParser:
@@ -125,25 +148,43 @@ class TestSweepCommand:
             ["--policy", "bogus"],
             ["--chip", "NPU-Z"],
             ["-w", "no-such-workload"],
+            ["--shard", "3/2"],
+            ["--shard", "x"],
+            ["--parallel", "-2"],
         ],
         ids=lambda flags: " ".join(flags),
     )
     def test_sweep_bad_grid_exits_with_one_error_line(self, flags):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        _assert_one_error_line(["sweep", "-w", "llama3-8b-decode", *flags])
 
-        import repro
 
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep", "-w", "llama3-8b-decode", *flags],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        lines = done.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
-        # The message itself, not the repr of a KeyError.
-        assert not lines[0].startswith(("error: '", 'error: "'))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "nope"],
+        ["simulate", "llama3-8b-decode", "--chip", "NPU-Z"],
+        ["serve", "-w", "nope", "--rate", "10", "--duration", "1"],
+        ["serve", "-w", "llama3-8b-decode", "--rate", "10", "--duration", "1",
+         "--chip", "NPU-Z"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unknown_name_exits_with_one_error_line(argv):
+    _assert_one_error_line(argv)
+
+
+def test_imports_leave_out_database_and_network_modules():
+    """The CLI, sweep and serving entry points pay no startup cost for
+    SQLite, an HTTP server or a URL client."""
+    code = (
+        "import sys, repro.cli, repro.experiments, repro.serving; "
+        "print(sorted(name for name in "
+        "('sqlite3', 'http.server', 'urllib.request', 'ssl') "
+        "if name in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

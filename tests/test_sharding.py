@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +39,7 @@ from repro.experiments import (
     SweepSpec,
     merge_artifacts,
     merge_shard_paths,
+    read_artifacts,
     spec_digest,
 )
 from repro.gating.bet import DEFAULT_PARAMETERS
@@ -370,8 +374,6 @@ class TestContentDigests:
             verify_artifact_files(path)  # freshly written == intact
 
     def test_single_corrupt_byte_is_detected(self, shard_artifacts, tmp_path):
-        import shutil
-
         from repro.experiments.sharding import verify_artifact_files
 
         source, _oracle = shard_artifacts
@@ -386,11 +388,30 @@ class TestContentDigests:
         with pytest.raises(ShardError, match="content digest mismatch"):
             verify_artifact_files(torn)
 
+    @pytest.mark.parametrize("damage", ["truncated", "rewritten"])
+    def test_truncated_or_rewritten_store_is_detected(
+        self, shard_artifacts, tmp_path, damage
+    ):
+        """A short copy, or a store swapped for another shard's valid
+        one, must not verify against the manifest it travelled with."""
+        from repro.experiments.sharding import verify_artifact_files
+
+        source, _oracle = shard_artifacts
+        copied = Path(shutil.copytree(source[0], tmp_path / source[0].name))
+        target = copied / "columns.json"
+        if damage == "truncated":
+            target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
+        else:
+            other = (source[1] / "columns.json").read_bytes()
+            assert other != target.read_bytes()
+            target.write_bytes(other)
+        with pytest.raises(ShardError, match="content digest mismatch on columns.json"):
+            verify_artifact_files(copied)
+        verify_artifact_files(source[0])  # the original is untouched
+
     def test_predigest_artifacts_only_fail_when_required(
         self, shard_artifacts, tmp_path
     ):
-        import shutil
-
         from repro.experiments.sharding import verify_artifact_files
 
         source, _oracle = shard_artifacts
@@ -405,8 +426,104 @@ class TestContentDigests:
 
 
 # ---------------------------------------------------------------------- #
+# Lenient merge of damaged artifacts
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def shard_paths(shard_artifacts, tmp_path) -> list[Path]:
+    """Private copies of the module's shard artifacts, safe to damage."""
+    paths, _oracle = shard_artifacts
+    return [Path(shutil.copytree(path, tmp_path / path.name)) for path in paths]
+
+
+class TestLenientMerge:
+    def test_strict_aborts_on_first_unreadable(self, shard_paths):
+        (shard_paths[1] / "manifest.json").write_text("{ truncated")
+        with pytest.raises(ShardError, match="not a readable"):
+            read_artifacts(shard_paths, strict=True)
+
+    def test_lenient_skips_with_reasons_and_merges_the_rest(self, shard_paths):
+        (shard_paths[1] / "manifest.json").write_text("{ truncated")
+        artifacts, skipped = read_artifacts(shard_paths, strict=False)
+        assert len(artifacts) == len(shard_paths) - 1
+        [(skipped_path, reason)] = skipped
+        assert skipped_path == shard_paths[1] and "not a readable" in reason
+        partial = merge_shard_paths(
+            shard_paths, strict=False, require_complete=False
+        )
+        assert partial.shard_indices == (0, 2)
+
+    def test_lenient_mode_keeps_resolution_failures_fatal(self, tmp_path):
+        with pytest.raises(ShardError, match="neither a shard artifact"):
+            read_artifacts([tmp_path / "does-not-exist"], strict=False)
+
+    def test_merge_cli_reports_missing_indices_and_skips(
+        self, shard_paths, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        (shard_paths[1] / "manifest.json").write_text("{ truncated")
+        code = main(
+            [
+                "merge-shards",
+                *map(str, shard_paths),
+                "--output",
+                str(tmp_path / "partial.repro-shard"),
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "missing shards: [1]" in output
+        assert "skipped" in output
+        with pytest.raises(SystemExit, match="not a readable"):
+            main(["merge-shards", *map(str, shard_paths), "--strict"])
+
+
+# ---------------------------------------------------------------------- #
 # The cross-run shared cache
 # ---------------------------------------------------------------------- #
+class TestCacheGc:
+    @staticmethod
+    def _seed(root: Path, name: str, age_days: float, size: int = 4) -> Path:
+        path = root / "rows" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"x" * size)
+        stamp = time.time() - age_days * 86400
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def test_age_eviction_and_tmp_ghosts(self, tmp_path):
+        old = self._seed(tmp_path, "old.json", age_days=10)
+        new = self._seed(tmp_path, "new.json", age_days=0)
+        ghost = tmp_path / "profiles" / "x.pkl.tmp"
+        ghost.parent.mkdir(parents=True)
+        ghost.write_bytes(b"zz")
+        shared = SharedCacheDir(tmp_path)
+        dry = shared.gc(max_age_days=7, dry_run=True)
+        assert dry.removed_files == 2 and old.exists() and ghost.exists()
+        wet = shared.gc(max_age_days=7)
+        assert wet.removed_files == 2 and wet.kept_files == 1
+        assert not old.exists() and not ghost.exists() and new.exists()
+
+    def test_size_eviction_is_lru_by_mtime(self, tmp_path):
+        oldest = self._seed(tmp_path, "a.json", age_days=3, size=10)
+        middle = self._seed(tmp_path, "b.json", age_days=2, size=10)
+        newest = self._seed(tmp_path, "c.json", age_days=1, size=10)
+        report = SharedCacheDir(tmp_path).gc(max_bytes=20)
+        assert report.removed_files == 1 and report.kept_bytes == 20
+        assert not oldest.exists() and middle.exists() and newest.exists()
+
+    def test_cache_gc_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self._seed(tmp_path, "old.json", age_days=10)
+        code = main(
+            ["cache", "gc", str(tmp_path), "--max-age-days", "7", "--dry-run"]
+        )
+        assert code == 0
+        assert "would remove 1" in capsys.readouterr().out
+        assert (tmp_path / "rows" / "old.json").exists()
+
+
 def _spam_shared_writes(root, key, payload, repeats):
     """Worker: hammer one shared-cache entry with whole-value writes."""
     shared = SharedCacheDir(root)
@@ -432,8 +549,6 @@ class TestSharedCache:
         """Rows recomputed from a *reloaded* shared profile equal the
         original's exactly (the portable-pickle contract), with zero
         new simulate calls."""
-        import shutil
-
         spec = SPECS["gating_grid"]
         shared = tmp_path / "shared"
         baseline = ShardRunner(spec, 1, cache=SimulationCache()).run(0)
@@ -528,20 +643,24 @@ class TestShardCli:
         assert code == 0
         assert merged_csv.read_bytes() == mono_csv.read_bytes()
 
-    def test_shard_flag_validation(self, tmp_path):
+    def test_shard_flag_validation(self, tmp_path, capsys):
         from repro.cli import main
 
         base = ["sweep", "-w", "llama3-8b-decode"]
-        with pytest.raises(SystemExit, match="expects I/N"):
-            main(base + ["--shard", "nonsense", "--shard-dir", str(tmp_path)])
-        with pytest.raises(SystemExit, match="0 <= I < N"):
-            main(base + ["--shard", "3/3", "--shard-dir", str(tmp_path)])
-        with pytest.raises(SystemExit, match="requires --shard-dir"):
-            main(base + ["--shard", "0/3"])
-        # The mirror image: --shard-dir without --shard is a likely
-        # scripting mistake, not a silent monolithic run.
-        with pytest.raises(SystemExit, match="requires --shard"):
-            main(base + ["--shard-dir", str(tmp_path)])
+        cases = [
+            (["--shard", "nonsense", "--shard-dir", str(tmp_path)], "expects I/N"),
+            (["--shard", "3/3", "--shard-dir", str(tmp_path)], "0 <= I < N"),
+            (["--shard", "0/3"], "requires --shard-dir"),
+            # The mirror image: --shard-dir without --shard is a likely
+            # scripting mistake, not a silent monolithic run.
+            (["--shard-dir", str(tmp_path)], "--shard-dir requires --shard"),
+        ]
+        for flags, message in cases:
+            with pytest.raises(SystemExit) as exit_info:
+                main(base + flags)
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, err
 
     def test_merge_cli_partial_output_then_complete(self, shard_artifacts, tmp_path):
         from repro.cli import main
