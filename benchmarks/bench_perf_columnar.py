@@ -181,7 +181,7 @@ def test_perf_sensitivity_grid_batched(benchmark, sensitivity_profiles):
 
 
 def test_perf_sensitivity_grid_per_point(benchmark, sensitivity_profiles):
-    """The per-point path the grid kernel replaced (also fast-path)."""
+    """One parameter point at a time: one-point grids (also fast-path)."""
     from repro.analysis.perf import SENSITIVITY_GRID_PARAMETERS
     from repro.gating.policies import PackedProfiles
 

@@ -15,13 +15,14 @@ recorded.  The measured pairs are:
 * **policy_evaluation** — all five gating policies evaluated on one
   fresh profile (vectorized gap/leakage accounting vs per-gap loops);
 * **batch_policy_evaluation** — every policy across a fleet of
-  profiles (packed multi-profile ``batch_evaluate`` vs the per-profile
-  object-path loop; the serving-style deployment benchmark);
+  profiles (``batch_evaluate``, a one-point grid over the packed fleet,
+  vs the per-profile object-path loop; the serving-style deployment
+  benchmark);
 * **sensitivity_sweep** — a Figure-22 style delay sweep (one profile,
   many gating-parameter points) through :mod:`repro.analysis.sensitivity`;
 * **sensitivity_grid** — the grid-batched policy kernel
   (:meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`) vs
-  the per-point path it replaced: every policy priced across the
+  pricing one parameter point at a time: every policy priced across the
   sensitivity workloads × a 25-point Figure 21 × Figure 22 parameter
   grid.  Both sides run on the columnar fast path — the pair isolates
   the grid kernel itself;
@@ -369,17 +370,17 @@ SENSITIVITY_GRID_PARAMETERS = tuple(
 
 
 def bench_sensitivity_grid(repeat: int) -> PerfResult:
-    """Grid-batched policy kernel vs the per-point path it replaced.
+    """Grid-batched policy kernel vs pricing one parameter point at a time.
 
     Unlike the other pairs, *both* sides run on the columnar fast path:
-    the "object" side is the per-point path a sensitivity sweep used
-    before the grid kernel (one ``batch_evaluate`` per gating-parameter
-    point), the "columnar" side one
-    :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate` per
-    policy over the same packed profiles — so the pair isolates the
-    speedup of the grid kernel itself.  Derived table/pack caches are
-    dropped before every run (cold, like a fresh sweep), and the two
-    sides are asserted report-identical before timing.
+    the "object" side prices one gating-parameter point at a time (one
+    ``batch_evaluate``, a one-point grid, per point), the "columnar"
+    side one :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
+    per policy over the same packed profiles — so the pair isolates
+    what batching the parameter axis buys.  Derived table/pack caches
+    are dropped before every run (cold, like a fresh sweep), and every
+    grid cell is asserted equal to per-profile ``evaluate`` before
+    timing.
     """
     from repro.gating.policies import PackedProfiles
 
@@ -417,7 +418,7 @@ def bench_sensitivity_grid(repeat: int) -> PerfResult:
                 get_policy(policy_name).grid_evaluate(packed, ptable, power_model)
 
         # The benchmark doubles as an equivalence check: every grid cell
-        # must reproduce the per-point report bit-for-bit.
+        # must reproduce the per-profile evaluate report bit-for-bit.
         packed = reset()
         ptable = ParameterTable(grid)
         for policy_name in config.policies:
@@ -425,9 +426,10 @@ def bench_sensitivity_grid(repeat: int) -> PerfResult:
                 packed, ptable, power_model
             )
             for index, parameters in enumerate(grid):
-                expected = get_policy(policy_name, parameters).batch_evaluate(
-                    packed, power_model
-                )
+                policy = get_policy(policy_name, parameters)
+                expected = [
+                    policy.evaluate(profile, power_model) for profile in profiles
+                ]
                 if observed.reports(index) != expected:  # pragma: no cover
                     raise AssertionError("sensitivity grid paths disagree")
 

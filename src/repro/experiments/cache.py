@@ -47,7 +47,7 @@ from repro.core.regate import (
 )
 from repro.core.results import SimulationResult
 from repro.gating.bet import GatingParameters, parameters_token
-from repro.gating.policies import ChipMajorPacks, PackedProfiles, get_policy
+from repro.gating.policies import get_policy
 from repro.gating.report import EnergyReport, PolicyName
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
@@ -834,43 +834,23 @@ class _ReportGroup:
         self.members[rkey] = (pkey, token)
 
     def evaluate_cells(self, policy_name: PolicyName):
-        """Yield ``(rkey, cell)`` for every missing cell of the group.
+        """Yield ``(rkey, (grid, point_row, profile_col))`` for every missing cell.
 
-        A cell is either a materialized :class:`EnergyReport`
-        (single-parameter groups) or a ``(grid, point_row,
-        profile_col)`` triple into the group's
-        :class:`~repro.gating.policies.GridEnergyReports` — the fused
+        The whole group is priced by one
+        :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
+        call; each triple indexes into the resulting
+        :class:`~repro.gating.policies.GridEnergyReports`, so the fused
         sweep path assembles its result columns straight from the grid
         arrays without ever turning the triple into a report object.
         """
         profile_index = {pkey: i for i, pkey in enumerate(self.profiles)}
-        profiles = list(self.profiles.values())
-        parameters = list(self.parameters.values())
-        policy = get_policy(policy_name, parameters[0])
-        if len(parameters) == 1:
-            if len(profiles) == 1:
-                power_model = ChipPowerModel.for_chip(profiles[0].chip)
-                reports = [policy.evaluate(profiles[0], power_model)]
-            else:
-                packed = ChipMajorPacks.pack(profiles)
-                reports = policy.batch_evaluate(
-                    packed if packed is not None else profiles
-                )
-            for rkey, (pkey, _token) in self.members.items():
-                yield rkey, reports[profile_index[pkey]]
-            return
         token_index = {token: i for i, token in enumerate(self.parameters)}
-        packed = ChipMajorPacks.pack(profiles)
-        grid = policy.grid_evaluate(
-            packed if packed is not None else profiles, parameters
+        parameters = list(self.parameters.values())
+        grid = get_policy(policy_name, parameters[0]).grid_evaluate(
+            list(self.profiles.values()), parameters
         )
         for rkey, (pkey, token) in self.members.items():
             yield rkey, (grid, token_index[token], profile_index[pkey])
-
-    def evaluate(self, policy_name: PolicyName):
-        """Yield ``(rkey, report)``: :meth:`evaluate_cells`, materialized."""
-        for rkey, cell in self.evaluate_cells(policy_name):
-            yield rkey, materialize_cell(cell)
 
 
 def materialize_cell(cell) -> EnergyReport:
@@ -896,15 +876,15 @@ def _price_prepared(
     One pass: profiles are resolved through the cache with the
     execution resolution memoized per distinct (workload, chip, batch)
     combination, missing report cells are grouped per policy and priced
-    by one grid/batch kernel call per group, and the grid cells are
+    by one grid kernel call per group, and the grid cells are
     cached *lazily* — the (grid, row, col) triple stands in for the
     report until something actually probes it.
 
     Returns ``(results, cells)``: per item, a metadata
     :class:`SimulationResult` shell (its ``reports`` dict left empty)
     and one ``(policy_name, cell)`` pair per ``config.policies`` entry —
-    a cell is either a materialized :class:`EnergyReport` (cache hits
-    and single-parameter groups) or a ``(grid, row, col)`` triple (see
+    a cell is either a materialized :class:`EnergyReport` (cache hits)
+    or a ``(grid, row, col)`` triple (see
     :meth:`_ReportGroup.evaluate_cells`).
     """
     prepared: list[tuple] = []
@@ -923,10 +903,9 @@ def _price_prepared(
     # group's distinct profiles (chip-major packed) × distinct gating
     # parameters form one grid that a single
     # :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
-    # call prices — the sensitivity-sweep hot path.  With one parameter
-    # point the grid degenerates to one `batch_evaluate` over the
-    # chip-major pack.  Cells are bit-identical to the per-item path
-    # either way, so a sweep's rows (and CSV bytes) do not change.
+    # call prices — the sensitivity-sweep hot path; with one parameter
+    # point it is an N×1 grid.  Cells are bit-identical to the per-item
+    # path, so a sweep's rows (and CSV bytes) do not change.
     fetched: dict[str, Any] = {}
     groups: dict[PolicyName, _ReportGroup] = {}
     item_rkeys: list[list[str]] = []
@@ -947,11 +926,8 @@ def _price_prepared(
             group.add(rkey, pkey, profile, config.gating_parameters)
     for policy_name, group in groups.items():
         for rkey, cell in group.evaluate_cells(policy_name):
-            if isinstance(cell, tuple):
-                grid, row, col = cell
-                cache.put_report_lazy(rkey, functools.partial(grid.report, row, col))
-            else:
-                cache.put_report(rkey, cell)
+            grid, row, col = cell
+            cache.put_report_lazy(rkey, functools.partial(grid.report, row, col))
             fetched[rkey] = cell
 
     results: list[SimulationResult] = []

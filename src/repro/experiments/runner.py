@@ -5,8 +5,8 @@ row is a pure function of its :class:`SweepPoint`, points are evaluated
 in deterministic grid order (``ProcessPoolExecutor.map`` preserves input
 order), and floats are never re-derived from formatted strings.  Worker
 processes receive chunk-sized *lists* of points so the packed
-batch/grid evaluation path (:func:`run_points_packed`, backed by
-:func:`~repro.experiments.cache.simulate_cached_many` and the
+grid evaluation path (:func:`run_points_packed`, backed by the fused
+:func:`~repro.experiments.cache.simulate_cached_cells` pass and the
 grid-batched policy kernel) runs inside the pool too, with a
 per-process :class:`SimulationCache` sharing the expensive workload
 profiles between a worker's points; in serial mode the runner's own

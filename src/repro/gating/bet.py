@@ -13,6 +13,7 @@ them.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -53,6 +54,14 @@ class ComponentTiming:
 
     delay_cycles: float
     bet_cycles: float
+
+    def __post_init__(self) -> None:
+        for name in ("delay_cycles", "bet_cycles"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
 
     def scaled(self, factor: float) -> "ComponentTiming":
         """Scale the power-gate & wake-up delay (Figure 22 sweep).
@@ -137,6 +146,10 @@ class GatingParameters:
     pe_weight_register_share: float = 0.12
 
     def __post_init__(self) -> None:
+        for name in ("detection_window_bet_fraction", "pe_weight_register_share"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1], got {value}")
         # Deep-freeze: a copied, immutable mapping means neither the
         # caller's dict nor in-place item assignment can change this
         # instance's content behind the identity-keyed caches.
@@ -267,9 +280,9 @@ class IdleCoefficientColumns:
 
     One entry per gating-parameter point, shaped ``(n_points, 1)`` so the
     grid kernel can broadcast them against a packed per-operator axis.
-    The columns are built from per-point scalar coefficient instances
-    (the exact objects the per-point oracle consumes), so the grid path
-    uses bit-identical scalars by construction.
+    The grid kernel derives them with
+    :func:`grid_idle_coefficient_columns`; :meth:`from_coefficients`
+    stacks per-point scalar instances instead.
     """
 
     window_s: np.ndarray
@@ -319,9 +332,8 @@ def grid_idle_coefficient_columns(
     of one scalar derivation per point.  Every operation mirrors the
     scalar function elementwise — same divisions, same ``max`` order —
     so the columns are bit-identical to stacking the per-point scalar
-    results.  Only valid for policies whose coefficient hooks are the
-    stock ones; subclasses with custom windows or coefficients must go
-    through the per-point path.
+    results.  Only valid for the stock coefficient hooks, which is why
+    the grid kernel runs only for the stock policy classes.
     """
     key = variant or GatingParameters._COMPONENT_KEYS[component]
     delay_cycles = table.delay_cycles[key]

@@ -22,7 +22,6 @@ energy of power-state transitions, and the exposed wake-up delays:
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
 from repro.simulator import columnar
 from repro.simulator.columnar import ProfileTable, seq_sum
-from repro.simulator.engine import GapProfile, OperatorProfile, WorkloadProfile
+from repro.simulator.engine import GapProfile, WorkloadProfile
 
 # The hardware VU idle detector waits at least 8 cycles to avoid blocking
 # the SA pipeline (§4.1 of the paper).
@@ -69,9 +68,9 @@ def _idle_gap_values(
     """Per-gap ``(energy_j, gated-mask)`` arrays of the idle accounting.
 
     The single definition of the gated-gap energy expressions, shared by
-    the per-profile columnar path, the packed multi-profile path and the
-    grid path so they can never drift apart; only the reduction differs
-    between them.  ``coeff`` is either one scalar
+    the per-profile columnar path and the grid path so they can never
+    drift apart; only the reduction differs between them.  ``coeff`` is
+    either one scalar
     :class:`IdleGatingCoefficients` or, on the grid path, an
     :class:`~repro.gating.bet.IdleCoefficientColumns` whose
     ``(n_points, 1)`` columns broadcast against the per-operator axis —
@@ -90,6 +89,22 @@ def _idle_gap_values(
         valid, np.where(below, ungated_j, per_gap * num_gaps), 0.0
     )
     return energy_values, valid & ~below
+
+
+def _grid_view(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``values`` as a ``(n_points, n_profiles)`` grid array, copy-free.
+
+    Arrays already of the grid shape pass through, and a one-point grid
+    takes a read-only ``(1, n)`` reshape; only a true broadcast pays for
+    ``np.broadcast_to``, whose fixed cost dominates small grids.
+    """
+    if values.shape == shape:
+        return values
+    if shape[0] == 1:
+        view = values.reshape(shape)
+        view.flags.writeable = False
+        return view
+    return np.broadcast_to(values, shape)
 
 
 def _safe_latency(store) -> np.ndarray:
@@ -131,116 +146,13 @@ def _peak_active_fraction(store, component: Component) -> np.ndarray:
     return fraction
 
 
-# Object-path accounting hooks and their columnar counterparts.  A
-# subclass overriding one side of a pair without the other would make
-# the two paths disagree, so `evaluate` only takes the fast path when,
-# for every pair, both names are (re)defined by the same class.
-_HOOK_PAIRS = (
-    ("_idle_energy", "_idle_energy_columnar"),
-    ("_sa_active_energy", "_sa_active_energy_columnar"),
-    ("_sram_energy", "_sram_energy_columnar"),
-    ("_peak_power", "_peak_power_columnar"),
-)
-_DISPATCH_SAFE: dict[type, bool] = {}
-
-# The packed (multi-profile batch) accounting additionally mirrors each
-# hook as a ``*_packed`` variant; `batch_evaluate` only takes the packed
-# path when every member of each hook family is defined by the same
-# class AND `evaluate` itself is not customized (a subclass overriding
-# `evaluate` expects one call per profile).
-_HOOK_FAMILIES = (
-    ("_idle_energy", "_idle_energy_columnar", "_idle_energy_packed"),
-    ("_sa_active_energy", "_sa_active_energy_columnar", "_sa_active_energy_packed"),
-    ("_sram_energy", "_sram_energy_columnar", "_sram_energy_packed"),
-    ("_peak_power", "_peak_power_columnar", "_peak_power_packed"),
-)
-_PACKED_DISPATCH_SAFE: dict[type, bool] = {}
-
-# The grid (profiles × gating-parameter points) accounting mirrors each
-# family once more as a ``*_grid`` variant; `grid_evaluate` additionally
-# requires a stock ``__init__`` because the kernel derives per-point
-# coefficients through fresh ``type(self)(parameters)`` instances (the
-# same construction the per-point oracle uses).
-_GRID_HOOK_FAMILIES = tuple(
-    family + (family[0] + "_grid",) for family in _HOOK_FAMILIES
-)
-_GRID_DISPATCH_SAFE: dict[type, bool] = {}
-
-
-def _first_definer(cls: type, name: str) -> type | None:
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    return None
-
-
-def _columnar_dispatch_safe(cls: type) -> bool:
-    cached = _DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = all(
-            _first_definer(cls, legacy) is _first_definer(cls, fast)
-            for legacy, fast in _HOOK_PAIRS
-        )
-        _DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-def _packed_dispatch_safe(cls: type) -> bool:
-    cached = _PACKED_DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = _first_definer(cls, "evaluate") is PowerGatingPolicy and all(
-            len({_first_definer(cls, name) for name in family}) == 1
-            for family in _HOOK_FAMILIES
-        )
-        _PACKED_DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-def _grid_dispatch_safe(cls: type) -> bool:
-    cached = _GRID_DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = (
-            _first_definer(cls, "evaluate") is PowerGatingPolicy
-            and _first_definer(cls, "__init__") is PowerGatingPolicy
-            and all(
-                len({_first_definer(cls, name) for name in family}) == 1
-                for family in _GRID_HOOK_FAMILIES
-            )
-        )
-        _GRID_DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-# The idle-coefficient hooks the vectorized column builder replaces.
-# A subclass redefining any of them gets the per-point derivation so
-# its custom windows/coefficients keep affecting every accounting path.
-_COEFFICIENT_HOOKS = (
-    "_idle_coefficients",
-    "_detection_window_s",
-    "_uses_software_gating",
-    "_timing_variant",
-)
-_COEFFICIENT_COLUMNS_SAFE: dict[type, bool] = {}
-
-
-def _coefficient_columns_safe(cls: type) -> bool:
-    cached = _COEFFICIENT_COLUMNS_SAFE.get(cls)
-    if cached is None:
-        cached = all(
-            _first_definer(cls, name) is PowerGatingPolicy
-            for name in _COEFFICIENT_HOOKS
-        )
-        _COEFFICIENT_COLUMNS_SAFE[cls] = cached
-    return cached
-
-
 class PackedProfiles:
     """A ragged batch of profile tables packed into offset-indexed arrays.
 
-    The serving-style batch API: ``n`` profiles of one chip are
+    The storage of the grid kernel: ``n`` profiles of one chip are
     concatenated into single per-operator arrays so a policy can
     evaluate all of them with single NumPy calls
-    (:meth:`PowerGatingPolicy.batch_evaluate`).  Derived arrays that do
+    (:meth:`PowerGatingPolicy.grid_evaluate`).  Derived arrays that do
     not depend on the policy (gap tables, active fractions, leakage
     factor arrays) are memoized on the pack and shared by every policy
     evaluated on it — pack once, evaluate many.
@@ -312,23 +224,16 @@ class PackedProfiles:
             out[index] = seq_sum(values[starts[index]:ends[index]])
         return out
 
-    def seg_sums_multi(self, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Per-profile sequential sums of several packed arrays at once.
-
-        Stacks the rows into one matrix and accumulates each segment
-        with a single ``cumsum(axis=1)`` — row-wise sequential, so every
-        row reduces bit-identically to :func:`seq_sum`, with one NumPy
-        call per profile instead of one per (row, profile).
-        """
-        return self.seg_sums_matrix(np.vstack(rows))
-
     def seg_sums_matrix(self, stacked: np.ndarray) -> np.ndarray:
         """Per-profile sequential sums of every row of a ``(R, n_ops)`` matrix.
 
-        The workhorse behind :meth:`seg_sums_multi`; the grid kernel
-        feeds it ``(n_points * quantities, n_ops)`` matrices so a whole
-        policy × gating-parameter grid reduces with one NumPy call per
-        profile (the parameter axis rides along as extra rows).
+        Each segment accumulates with a single ``cumsum(axis=1)`` —
+        row-wise sequential, so every row reduces bit-identically to
+        :func:`seq_sum`, with one NumPy call per profile instead of one
+        per (row, profile).  The grid kernel feeds it ``(n_points *
+        quantities, n_ops)`` matrices so a whole policy × gating-parameter
+        grid reduces in one pass (the parameter axis rides along as
+        extra rows).
         """
         out = np.empty((stacked.shape[0], self.n_profiles), dtype=np.float64)
         starts = self.starts.tolist()
@@ -368,7 +273,7 @@ class PackedProfiles:
             + tuple(self.weighted_active(c) for c in active_components)
             + tuple(self.dynamic[c] * self.count for c in components)
         )
-        totals = self.seg_sums_multi(rows)
+        totals = self.seg_sums_matrix(np.vstack(rows))
         self.memo["total_time_s"] = totals[0]
         for offset, component in enumerate(active_components):
             self.memo[("active_total", component)] = totals[1 + offset]
@@ -388,17 +293,6 @@ class PackedProfiles:
                 table._dynamic_totals.setdefault(
                     component, float(totals[5 + offset][index])
                 )
-
-    def seg_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile max (order-insensitive) with an implicit 0 floor."""
-        out = np.empty(self.n_profiles, dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[index] = np.max(
-                values[starts[index]:ends[index]], initial=0.0
-            )
-        return out
 
     # -- packed analogues of the per-table derived arrays ---------------- #
     def weighted_latency(self) -> np.ndarray:
@@ -574,10 +468,10 @@ class GridEnergyReports:
     quantity is one ``(n_points, n_profiles)`` ``float64`` array (the
     gating-parameter axis first), so a sweep can assemble its result
     columns without materializing per-report dictionaries.
-    :meth:`report` lazily materializes a single
+    :meth:`report` materializes a single
     :class:`~repro.gating.report.EnergyReport` — bit-identical to what
-    per-point :meth:`~PowerGatingPolicy.batch_evaluate` returns — for
-    consumers of the object API (e.g. the report cache).
+    per-profile :meth:`~PowerGatingPolicy.evaluate` returns at that
+    point — for consumers of the object API (e.g. the report cache).
     """
 
     def __init__(
@@ -601,30 +495,42 @@ class GridEnergyReports:
         self.n_points, self.n_profiles = overhead_time_s.shape
         # Oracle-built reports (fallback path) returned verbatim.
         self._reports: list[list[EnergyReport]] | None = None
+        # Per point, the row's cells as Python floats: one ``tolist()``
+        # per array instead of a numpy scalar read per report field.
+        self._rows: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
+    def _row(self, point: int) -> tuple:
+        row = self._rows.get(point)
+        if row is None:
+            row = (
+                self.baseline_time_s[point].tolist(),
+                self.overhead_time_s[point].tolist(),
+                [self.dynamic_energy_j[c][point].tolist() for c in Component.all()],
+                [self.static_energy_j[c][point].tolist() for c in STATIC_ENERGY_ORDER],
+                [self.gating_events[c][point].tolist() for c in GATING_EVENT_ORDER],
+                self.peak_power_w[point].tolist(),
+            )
+            self._rows[point] = row
+        return row
+
     def report(self, point: int, profile: int) -> EnergyReport:
         """Materialize the report of one (parameter point, profile) cell."""
         if self._reports is not None:
             return self._reports[point][profile]
+        baseline, overhead, dynamic, static, events, peak = self._row(point)
         report = EnergyReport(
             policy=self.policy,
-            baseline_time_s=float(self.baseline_time_s[point, profile]),
-            overhead_time_s=float(self.overhead_time_s[point, profile]),
+            baseline_time_s=baseline[profile],
+            overhead_time_s=overhead[profile],
         )
-        for component in Component.all():
-            report.dynamic_energy_j[component] = float(
-                self.dynamic_energy_j[component][point, profile]
-            )
-        for component in STATIC_ENERGY_ORDER:
-            report.static_energy_j[component] = float(
-                self.static_energy_j[component][point, profile]
-            )
-        for component in GATING_EVENT_ORDER:
-            report.gating_events[component] = float(
-                self.gating_events[component][point, profile]
-            )
-        report.peak_power_w = float(self.peak_power_w[point, profile])
+        for component, values in zip(Component.all(), dynamic):
+            report.dynamic_energy_j[component] = values[profile]
+        for component, values in zip(STATIC_ENERGY_ORDER, static):
+            report.static_energy_j[component] = values[profile]
+        for component, values in zip(GATING_EVENT_ORDER, events):
+            report.gating_events[component] = values[profile]
+        report.peak_power_w = peak[profile]
         return report
 
     def reports(self, point: int) -> list[EnergyReport]:
@@ -633,18 +539,6 @@ class GridEnergyReports:
             return list(self._reports[point])
         return [self.report(point, profile) for profile in range(self.n_profiles)]
 
-    #: Array attributes gathered lazily on the oracle-backed fallback.
-    _ARRAY_FIELDS = frozenset(
-        {
-            "baseline_time_s",
-            "overhead_time_s",
-            "static_energy_j",
-            "dynamic_energy_j",
-            "gating_events",
-            "peak_power_w",
-        }
-    )
-
     @classmethod
     def from_reports(
         cls, policy: PolicyName, reports_per_point: list[list[EnergyReport]]
@@ -652,44 +546,33 @@ class GridEnergyReports:
         """Wrap oracle-built per-point report lists in the grid API.
 
         :meth:`report` hands back the original objects; the column
-        arrays are gathered from their scalars — lazily, on first
-        attribute access, since the fallback path's consumers usually
-        only want the reports — so array-native consumers see the same
-        values either way.
+        arrays are gathered from their scalars, so array-native
+        consumers see the same values either way.
         """
-        grid = cls.__new__(cls)
-        grid.policy = policy
-        grid._reports = [list(row) for row in reports_per_point]
-        grid.n_points = len(grid._reports)
-        grid.n_profiles = len(grid._reports[0]) if grid._reports else 0
-        return grid
 
-    def __getattr__(self, name: str):
-        # Only fires for attributes never set: the lazily-gathered array
-        # fields of a from_reports-built instance.
-        if name in GridEnergyReports._ARRAY_FIELDS:
-            reports = self.__dict__.get("_reports")
-            if reports is not None:
-                value = self._gather_field(name)
-                self.__dict__[name] = value
-                return value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _gather_field(self, name: str):
         def gather(read) -> np.ndarray:
             return np.asarray(
-                [[read(report) for report in row] for row in self._reports],
+                [[read(report) for report in row] for row in reports_per_point],
                 dtype=np.float64,
             )
 
-        if name in ("baseline_time_s", "overhead_time_s", "peak_power_w"):
-            return gather(lambda report: getattr(report, name))
-        return {
-            c: gather(lambda report, c=c: getattr(report, name).get(c, 0.0))
-            for c in Component.all()
-        }
+        def per_component(field: str) -> dict[Component, np.ndarray]:
+            return {
+                c: gather(lambda report: getattr(report, field).get(c, 0.0))
+                for c in Component.all()
+            }
+
+        grid = cls(
+            policy,
+            baseline_time_s=gather(lambda report: report.baseline_time_s),
+            overhead_time_s=gather(lambda report: report.overhead_time_s),
+            static_energy_j=per_component("static_energy_j"),
+            dynamic_energy_j=per_component("dynamic_energy_j"),
+            gating_events=per_component("gating_events"),
+            peak_power_w=gather(lambda report: report.peak_power_w),
+        )
+        grid._reports = [list(row) for row in reports_per_point]
+        return grid
 
 
 class PowerGatingPolicy:
@@ -705,6 +588,16 @@ class PowerGatingPolicy:
 
     def __init__(self, parameters: GatingParameters | None = None):
         self.parameters = parameters or DEFAULT_PARAMETERS
+
+    def _fast_kernels(self) -> bool:
+        """Whether the columnar and grid kernels may price this policy.
+
+        Only the five stock classes qualify: their hooks are mirrored
+        term by term by the vectorized kernels.  Any subclass is priced
+        by the object path, per profile and per grid point, so whatever
+        it overrides applies everywhere.
+        """
+        return type(self) in _STOCK_CLASSES
 
     # ------------------------------------------------------------------ #
     # Idle-period accounting
@@ -732,7 +625,7 @@ class PowerGatingPolicy:
 
         The detection window is resolved through
         :meth:`_detection_window_s`, so a subclass overriding that hook
-        affects the object path and the columnar path alike.
+        changes the (object-path) accounting it is priced by.
         """
         software = self._uses_software_gating(component)
         return idle_gating_coefficients(
@@ -743,26 +636,6 @@ class PowerGatingPolicy:
             chip,
             software=software,
             window_s=None if software else self._detection_window_s(component, chip),
-        )
-
-    def _idle_memo_key(
-        self, component: Component, static_power_w: float, chip, token
-    ) -> tuple:
-        """Memo key covering every input of the base idle accounting.
-
-        The resolved detection window is part of the key so subclasses
-        customizing :meth:`_detection_window_s` never share entries with
-        the stock policies.
-        """
-        software = self._uses_software_gating(component)
-        return (
-            "idle",
-            component,
-            static_power_w,
-            self._timing_variant(component),
-            software,
-            None if software else self._detection_window_s(component, chip),
-            token,
         )
 
     def _idle_energy(
@@ -798,13 +671,7 @@ class PowerGatingPolicy:
         return accounting
 
     def _idle_energy_columnar(
-        self,
-        component: Component,
-        gap_s: np.ndarray,
-        num_gaps: np.ndarray,
-        static_power_w: float,
-        chip,
-        table: ProfileTable | None = None,
+        self, component: Component, table: ProfileTable, static_power_w: float, chip
     ) -> _IdleAccounting:
         """Vectorized :meth:`_idle_energy` over a profile's gap table.
 
@@ -816,58 +683,48 @@ class PowerGatingPolicy:
         (e.g. ReGate-Base/HW/Full on the HBM controller) share one
         computation.
         """
-        accounting = _IdleAccounting()
         if not self.gating_enabled:
-            accounting.energy_j = static_power_w * self._total_idle_s(
-                component, gap_s, num_gaps, table
-            )
-            return accounting
+            key = ("total_idle", component)
+            total = table.memo.get(key)
+            if total is None:
+                gap_s, _, num_gaps = table.gap_table(component)
+                total = seq_sum(gap_s * num_gaps)
+                table.memo[key] = total
+            return _IdleAccounting(energy_j=static_power_w * total)
 
-        memo_key = self._idle_memo_key(
-            component, static_power_w, chip, parameters_token(self.parameters)
+        # Every input of the accounting; a profile table belongs to one
+        # chip, so the chip is implied.
+        memo_key = (
+            "idle",
+            component,
+            static_power_w,
+            self._timing_variant(component),
+            self._uses_software_gating(component),
+            parameters_token(self.parameters),
         )
-        if table is not None:
-            cached = table.memo.get(memo_key)
-            if cached is not None:
-                return _IdleAccounting(*cached)
+        cached = table.memo.get(memo_key)
+        if cached is not None:
+            return _IdleAccounting(*cached)
 
+        gap_s, _, num_gaps = table.gap_table(component)
         coeff = self._idle_coefficients(component, static_power_w, chip)
         energy_values, gated_mask = _idle_gap_values(
             coeff, static_power_w, gap_s, num_gaps
         )
-        accounting.energy_j = seq_sum(energy_values)
-        accounting.gated_gaps = seq_sum(np.where(gated_mask, num_gaps, 0.0))
+        accounting = _IdleAccounting(
+            energy_j=seq_sum(energy_values),
+            gated_gaps=seq_sum(np.where(gated_mask, num_gaps, 0.0)),
+        )
         if not coeff.software:
             accounting.exposed_wake_cycles = seq_sum(
                 np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0)
             )
-        if table is not None:
-            table.memo[memo_key] = (
-                accounting.energy_j,
-                accounting.gated_gaps,
-                accounting.exposed_wake_cycles,
-            )
+        table.memo[memo_key] = (
+            accounting.energy_j,
+            accounting.gated_gaps,
+            accounting.exposed_wake_cycles,
+        )
         return accounting
-
-    @staticmethod
-    def _total_idle_s(
-        component: Component,
-        gap_s: np.ndarray,
-        num_gaps: np.ndarray,
-        table: ProfileTable | None,
-    ) -> float:
-        """Memoized ``sum(gap_s * num_gaps)`` of one component."""
-        if table is None:
-            return seq_sum(gap_s * num_gaps)
-        key = ("total_idle", component)
-        total = table.memo.get(key)
-        if total is None:
-            total = seq_sum(gap_s * num_gaps)
-            table.memo[key] = total
-        return total
-
-    def _ideal_idle_energy(self, gaps: list[GapProfile]) -> _IdleAccounting:
-        return _IdleAccounting(energy_j=0.0)
 
     # ------------------------------------------------------------------ #
     # Active-period accounting
@@ -985,41 +842,25 @@ class PowerGatingPolicy:
     ) -> EnergyReport:
         """Compute the full energy report of this policy for one profile.
 
-        The per-gap / per-operator accounting runs on the columnar fast
-        path by default (vectorized over the profile's memoized
-        :class:`~repro.simulator.columnar.ProfileTable`) and on the
-        original object-path loops when the fast path is disabled or a
-        subclass overrides only the object-path hooks; both paths
-        produce bit-identical reports.
+        The one-profile kernel.  A stock policy (one of the five classes
+        :func:`get_policy` returns) runs its per-gap / per-operator
+        accounting on the columnar fast path, vectorized over the
+        profile's memoized
+        :class:`~repro.simulator.columnar.ProfileTable`.  Every other
+        subclass, and every policy while the fast path is disabled, runs
+        the object-path loops — the readable oracle — so a subclass's
+        overridden hooks always apply.  Both paths produce bit-identical
+        reports for the stock policies.
         """
         power_model = power_model or ChipPowerModel.for_chip(profile.chip)
         chip = profile.chip
-        table = (
-            profile._fast_table() if _columnar_dispatch_safe(type(self)) else None
-        )
+        table = profile._fast_table() if self._fast_kernels() else None
         fast = table is not None
-
-        token = parameters_token(self.parameters) if fast else None
-        # The hoisted memo lookup below replicates the base columnar
-        # idle accounting's key; it must not short-circuit a subclass
-        # override (e.g. Ideal), which memoizes under its own keys.
-        base_idle = (
-            type(self)._idle_energy_columnar
-            is PowerGatingPolicy._idle_energy_columnar
-        )
 
         def idle_accounting(component: Component) -> _IdleAccounting:
             if fast:
-                if base_idle and self.gating_enabled:
-                    memo_key = self._idle_memo_key(
-                        component, static[component], chip, token
-                    )
-                    cached = table.memo.get(memo_key)
-                    if cached is not None:
-                        return _IdleAccounting(*cached)
-                gap_s, _, num_total = table.gap_table(component)
                 return self._idle_energy_columnar(
-                    component, gap_s, num_total, static[component], chip, table
+                    component, table, static[component], chip
                 )
             return self._idle_energy(
                 component, profile.gap_profiles(component), static[component], chip
@@ -1151,34 +992,19 @@ class PowerGatingPolicy:
     def _peak_power_columnar(
         self, profile: WorkloadProfile, table: ProfileTable, power_model: ChipPowerModel
     ) -> float:
-        """Vectorized :meth:`_peak_power` over the profile table."""
-        if not bool((table.latency_s > 0.0).any()):
-            return 0.0
-        values = self._peak_power_values(table, profile.chip, power_model)
-        return float(np.max(values, initial=0.0))
+        """Vectorized :meth:`_peak_power` over the profile table.
 
-    def _peak_power_values(
-        self, store, chip, power_model: ChipPowerModel
-    ) -> np.ndarray:
-        """Masked per-operator total power array (zero where latency is 0).
-
-        The single definition of the peak-power accounting, shared by
-        the per-profile columnar path and the packed multi-profile path
-        (``store`` is a :class:`ProfileTable` or :class:`PackedProfiles`
-        — both expose the same array attributes and a ``memo``); only
-        the reduction differs between them.  Intermediates are cached on
-        the store and shared by every policy whose accounting for a
-        component is identical (e.g. ReGate-Base/HW/Full on the HBM
-        controller).
+        Intermediates are cached on the table and shared by every policy
+        whose accounting for a component is identical (e.g.
+        ReGate-Base/HW/Full on the HBM controller).
         """
-        latency = store.latency_s
+        latency = table.latency_s
         mask = latency > 0.0
+        if not bool(mask.any()):
+            return 0.0
+        chip = profile.chip
         off_leak = self.parameters.leakage.logic_off
-        dynamic_w = _peak_dynamic_w(store)
-
-        def active_fraction(component: Component) -> np.ndarray:
-            return _peak_active_fraction(store, component)
-
+        dynamic_w = _peak_dynamic_w(table)
         token = parameters_token(self.parameters)
 
         def contribution(component: Component) -> np.ndarray | float:
@@ -1187,38 +1013,39 @@ class PowerGatingPolicy:
                 return base
             if component is Component.SRAM:
                 key = ("peak_sram", base, self.software_managed, token)
-                value = store.memo.get(key)
+                value = table.memo.get(key)
                 if value is None:
-                    value = base * self._sram_factor_array(chip, store)
-                    store.memo[key] = value
+                    value = base * self._sram_factor_array(chip, table)
+                    table.memo[key] = value
                 return value
             if component is Component.SA and self.spatial_sa_gating:
                 key = ("peak_sa_spatial", base, token)
-                value = store.memo.get(key)
+                value = table.memo.get(key)
                 if value is None:
-                    factor = self._spatial_factor_array(chip, store)
-                    fraction = active_fraction(component)
+                    factor = self._spatial_factor_array(chip, table)
+                    fraction = _peak_active_fraction(table, component)
                     value = base * (
                         fraction * factor + (1 - fraction) * off_leak
                     )
-                    store.memo[key] = value
+                    table.memo[key] = value
                 return value
             idle_leak = 0.0 if self.name is PolicyName.IDEAL else off_leak
             key = ("peak_temporal", component, base, idle_leak, token)
-            value = store.memo.get(key)
+            value = table.memo.get(key)
             if value is None:
-                fraction = active_fraction(component)
+                fraction = _peak_active_fraction(table, component)
                 value = base * (fraction + (1 - fraction) * idle_leak)
-                store.memo[key] = value
+                table.memo[key] = value
             return value
 
         static_w = np.zeros_like(latency)
         for component in Component.all():
             static_w = static_w + contribution(component)
-        return np.where(mask, dynamic_w + static_w, 0.0)
+        values = np.where(mask, dynamic_w + static_w, 0.0)
+        return float(np.max(values, initial=0.0))
 
     # ------------------------------------------------------------------ #
-    # Batched multi-profile evaluation (serving-style deployments)
+    # Multi-profile evaluation (profiles × gating-parameter points)
     # ------------------------------------------------------------------ #
     def batch_evaluate(
         self,
@@ -1228,203 +1055,13 @@ class PowerGatingPolicy:
         """Evaluate this policy across a batch of profiles at once.
 
         Bit-identical to ``[self.evaluate(p, power_model) for p in
-        profiles]``, but the per-gap / per-operator accounting runs in
-        single NumPy calls over the packed (offset-indexed) arrays of
-        the whole batch — the API a serving-style deployment uses to
-        price one gating design across a fleet of workload profiles.
-
-        Accepts a pre-built :class:`PackedProfiles` so several policies
-        can share one packing.  Falls back to the per-profile loop when
-        the fast path is off, profiles span multiple chips (packs are
-        single-chip; plain lists are grouped internally), or a subclass
-        customizes the accounting hooks or ``evaluate`` itself.
+        profiles]``: the batch is priced as a one-point
+        :meth:`grid_evaluate` at ``self.parameters``, which accepts a
+        pre-built :class:`PackedProfiles` or :class:`ChipMajorPacks` so
+        several policies can share one packing.
         """
-        if isinstance(profiles, PackedProfiles):
-            if not _packed_dispatch_safe(type(self)):
-                return [
-                    self.evaluate(profile, power_model)
-                    for profile in profiles.profiles
-                ]
-            model = power_model or ChipPowerModel.for_chip(profiles.chip)
-            return self._evaluate_packed(profiles, model)
-        if isinstance(profiles, ChipMajorPacks):
-            if not _packed_dispatch_safe(type(self)):
-                return [
-                    self.evaluate(profile, power_model)
-                    for profile in profiles.profiles
-                ]
-            reports: list[EnergyReport | None] = [None] * profiles.n_profiles
-            for pack, columns in zip(profiles.packs, profiles.pack_indices):
-                model = power_model or ChipPowerModel.for_chip(pack.chip)
-                for index, report in zip(columns, self._evaluate_packed(pack, model)):
-                    reports[index] = report
-            return reports
-        profiles = list(profiles)
-        if not _packed_dispatch_safe(type(self)) or not columnar.fast_path_enabled():
-            return [self.evaluate(profile, power_model) for profile in profiles]
-        reports: list[EnergyReport | None] = [None] * len(profiles)
-        groups: dict[int, list[int]] = {}
-        for index, profile in enumerate(profiles):
-            groups.setdefault(id(profile.chip), []).append(index)
-        for indices in groups.values():
-            packed = PackedProfiles.pack([profiles[i] for i in indices])
-            if packed is None or len(indices) == 1:
-                for i in indices:
-                    reports[i] = self.evaluate(profiles[i], power_model)
-                continue
-            model = power_model or ChipPowerModel.for_chip(packed.chip)
-            for i, report in zip(indices, self._evaluate_packed(packed, model)):
-                reports[i] = report
-        return reports
+        return self.grid_evaluate(profiles, [self.parameters], power_model).reports(0)
 
-    def _evaluate_packed(
-        self, pack: PackedProfiles, power_model: ChipPowerModel
-    ) -> list[EnergyReport]:
-        """Packed counterpart of :meth:`evaluate` (same scalar assembly)."""
-        chip = pack.chip
-        static = power_model.static_power_by_component()
-        pack.base_totals()
-        total_time = pack.total_time_s().tolist()
-        dynamic_totals = {
-            component: pack.dynamic_total_j(component).tolist()
-            for component in Component.all()
-        }
-        active_totals = {
-            component: pack.active_total_s(component).tolist()
-            for component in (Component.VU, Component.HBM, Component.ICI)
-        }
-
-        sa_idle = self._idle_energy_packed(Component.SA, pack, static[Component.SA], chip)
-        vu_idle = self._idle_energy_packed(Component.VU, pack, static[Component.VU], chip)
-        hbm_idle = self._idle_energy_packed(
-            Component.HBM, pack, static[Component.HBM], chip
-        )
-        ici_idle = self._idle_energy_packed(
-            Component.ICI, pack, static[Component.ICI], chip
-        )
-        sa_active_j = self._sa_active_energy_packed(
-            pack, static[Component.SA]
-        ).tolist()
-        sram_j = self._sram_energy_packed(pack, static[Component.SRAM]).tolist()
-        peak_w = self._peak_power_packed(pack, power_model).tolist()
-        n_ops = pack.n_ops.tolist()
-        total_static_power = sum(static.values())
-
-        idle_lists = {
-            component: tuple(array.tolist() for array in accounting)
-            for component, accounting in (
-                (Component.SA, sa_idle),
-                (Component.VU, vu_idle),
-                (Component.HBM, hbm_idle),
-                (Component.ICI, ici_idle),
-            )
-        }
-        reports: list[EnergyReport] = []
-        for b in range(pack.n_profiles):
-            report = EnergyReport(
-                policy=self.name,
-                baseline_time_s=total_time[b],
-                overhead_time_s=0.0,
-            )
-            exposed_cycles = 0.0
-            for component in Component.all():
-                report.dynamic_energy_j[component] = dynamic_totals[component][b]
-            report.static_energy_j[Component.OTHER] = (
-                static[Component.OTHER] * total_time[b]
-            )
-            sa_energy, sa_gated, sa_exposed = idle_lists[Component.SA]
-            report.static_energy_j[Component.SA] = sa_active_j[b] + sa_energy[b]
-            report.gating_events[Component.SA] = sa_gated[b]
-            exposed_cycles += sa_exposed[b]
-
-            vu_energy, vu_gated, vu_exposed = idle_lists[Component.VU]
-            report.static_energy_j[Component.VU] = (
-                static[Component.VU] * active_totals[Component.VU][b] + vu_energy[b]
-            )
-            report.gating_events[Component.VU] = vu_gated[b]
-            exposed_cycles += vu_exposed[b]
-
-            for component in (Component.HBM, Component.ICI):
-                energy, gated, _ = idle_lists[component]
-                report.static_energy_j[component] = (
-                    static[component] * active_totals[component][b] + energy[b]
-                )
-                report.gating_events[component] = gated[b]
-
-            report.static_energy_j[Component.SRAM] = sram_j[b]
-            report.gating_events[Component.SRAM] = float(n_ops[b])
-
-            report.overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
-            if report.overhead_time_s > 0:
-                extra = total_static_power * report.overhead_time_s
-                report.static_energy_j[Component.OTHER] += extra
-            report.peak_power_w = peak_w[b]
-            reports.append(report)
-        return reports
-
-    def _idle_energy_packed(
-        self,
-        component: Component,
-        pack: PackedProfiles,
-        static_power_w: float,
-        chip,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Packed :meth:`_idle_energy_columnar`: per-profile arrays of
-        ``(energy_j, gated_gaps, exposed_wake_cycles)``."""
-        gap_s, num_gaps = pack.gap_table(component)
-        zeros = np.zeros(pack.n_profiles, dtype=np.float64)
-        if not self.gating_enabled:
-            energy = static_power_w * pack.seg_sums(gap_s * num_gaps)
-            return energy, zeros, zeros
-        coeff = self._idle_coefficients(component, static_power_w, chip)
-        energy_values, gated_mask = _idle_gap_values(
-            coeff, static_power_w, gap_s, num_gaps
-        )
-        gated_values = np.where(gated_mask, num_gaps, 0.0)
-        if coeff.software:
-            energy, gated = pack.seg_sums_multi((energy_values, gated_values))
-            return energy, gated, zeros
-        energy, gated, exposed = pack.seg_sums_multi(
-            (
-                energy_values,
-                gated_values,
-                np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0),
-            )
-        )
-        return energy, gated, exposed
-
-    def _sa_active_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        """Packed :meth:`_sa_active_energy_columnar` (per-profile array)."""
-        if not self.spatial_sa_gating:
-            return static_power_w * pack.active_total_s(Component.SA)
-        active = pack.weighted_active(Component.SA)
-        factor = self._spatial_factor_array(pack.chip, pack)
-        return pack.seg_sums(
-            np.where(active > 0.0, static_power_w * active * factor, 0.0)
-        )
-
-    def _sram_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        """Packed :meth:`_sram_energy_columnar` (per-profile array)."""
-        if not self.gating_enabled:
-            return static_power_w * pack.total_time_s()
-        duration = pack.weighted_latency()
-        factor = self._sram_factor_array(pack.chip, pack)
-        return pack.seg_sums(static_power_w * duration * factor)
-
-    def _peak_power_packed(
-        self, pack: PackedProfiles, power_model: ChipPowerModel
-    ) -> np.ndarray:
-        """Packed :meth:`_peak_power_columnar` (per-profile array)."""
-        values = self._peak_power_values(pack, pack.chip, power_model)
-        return pack.seg_max(values)
-
-    # ------------------------------------------------------------------ #
-    # Grid-batched evaluation (profiles × gating-parameter points)
-    # ------------------------------------------------------------------ #
     def grid_evaluate(
         self,
         profiles: "list[WorkloadProfile] | PackedProfiles | ChipMajorPacks",
@@ -1433,54 +1070,43 @@ class PowerGatingPolicy:
     ) -> GridEnergyReports:
         """Evaluate this policy over all profiles × all parameter points.
 
-        The sensitivity-sweep kernel: one call prices a whole (profile
-        batch × gating-parameter grid) in a handful of vectorized NumPy
+        The multi-profile kernel: one call prices a whole (profile batch
+        × gating-parameter grid) in a handful of vectorized NumPy
         operations, with the parameter axis riding along as extra rows
         of the packed segment reductions.  Bit-identical to the
-        per-point oracle ::
+        per-profile oracle ::
 
-            [type(self)(parameters).batch_evaluate(profiles, power_model)
+            [[type(self)(parameters).evaluate(profile, power_model)
+              for profile in profiles]
              for parameters in parameter_grid]
 
         ``self.parameters`` never influences the result — every point's
         coefficients come from the grid.  Accepts a pre-built
         :class:`PackedProfiles` (single chip), a :class:`ChipMajorPacks`
         (chip-heterogeneous batch) or a plain profile list, so one
-        packing can be shared by every policy of a sweep.  Falls back to
-        looping ``batch_evaluate`` per point when the fast path is off
-        or a subclass customizes the accounting hooks, ``evaluate`` or
-        ``__init__`` (the per-point policies are then shallow copies of
-        ``self`` with ``parameters`` swapped, so a custom constructor
-        signature can never mis-bind a grid point's parameters).
+        packing can be shared by every policy of a sweep.
+
+        Only the stock policies run the kernel (see
+        :meth:`_fast_kernels`); other subclasses, and plain lists while
+        the fast path is off, are priced by :meth:`evaluate` per profile
+        and per point, on shallow copies of ``self`` with
+        ``parameters`` swapped (so a custom constructor signature can
+        never mis-bind a grid point's parameters).
         """
         ptable = ParameterTable.of(parameter_grid)
-        cls = type(self)
-        packs: list[PackedProfiles] | None = None
-        pack_columns: list[list[int]] | None = None
-        if isinstance(profiles, PackedProfiles):
-            if _grid_dispatch_safe(cls):
-                packs = [profiles]
-                pack_columns = [list(range(profiles.n_profiles))]
-        elif isinstance(profiles, ChipMajorPacks):
-            if _grid_dispatch_safe(cls):
-                packs = profiles.packs
-                pack_columns = profiles.pack_indices
-        else:
+        fast = self._fast_kernels()
+        batch = profiles
+        if not isinstance(batch, (PackedProfiles, ChipMajorPacks)):
             profiles = list(profiles)
-            if _grid_dispatch_safe(cls):
-                multi = ChipMajorPacks.pack(profiles)
-                if multi is not None:
-                    packs = multi.packs
-                    pack_columns = multi.pack_indices
-        if packs is None:
+            batch = ChipMajorPacks.pack(profiles) if fast else None
+        if batch is None or not fast:
+            listed = profiles if isinstance(profiles, list) else profiles.profiles
             per_point = [
-                self._policy_for_point(parameters).batch_evaluate(
-                    profiles, power_model
-                )
-                for parameters in ptable.parameters
+                [policy.evaluate(profile, power_model) for profile in listed]
+                for policy in map(self._policy_for_point, ptable.parameters)
             ]
             return GridEnergyReports.from_reports(self.name, per_point)
-
+        packs = [batch] if isinstance(batch, PackedProfiles) else batch.packs
         parts = [
             self._evaluate_grid_pack(
                 pack,
@@ -1491,20 +1117,15 @@ class PowerGatingPolicy:
         ]
         if len(parts) == 1:
             return parts[0]
-        return self._merge_grid_parts(parts, pack_columns, ptable)
+        return self._merge_grid_parts(parts, batch.pack_indices, ptable)
 
     def _policy_for_point(self, parameters: GatingParameters) -> "PowerGatingPolicy":
         """This policy re-parameterized for one grid point.
 
-        Stock constructors get a fresh ``type(self)(parameters)`` — the
-        documented oracle.  A subclass with a customized ``__init__``
-        (unknown signature; its first positional may not be
-        ``parameters``) gets a shallow copy of ``self`` with only
-        ``parameters`` swapped, so subclass state carries over and a
-        grid point's parameters can never bind to the wrong argument.
+        A shallow copy of ``self`` with only ``parameters`` swapped, so
+        subclass state carries over and a grid point's parameters can
+        never bind to the wrong constructor argument.
         """
-        if _first_definer(type(self), "__init__") is PowerGatingPolicy:
-            return type(self)(parameters)
         clone = copy.copy(self)
         clone.parameters = parameters
         return clone
@@ -1547,11 +1168,12 @@ class PowerGatingPolicy:
     def _evaluate_grid_pack(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> GridEnergyReports:
-        """Grid counterpart of :meth:`_evaluate_packed` (array assembly).
+        """Grid counterpart of :meth:`evaluate`'s scalar assembly.
 
-        Every scalar assembly step of the packed path reappears here as
-        one elementwise operation over ``(n_points, n_profiles)`` arrays
-        — same operations, same order, bit-identical doubles.
+        Every scalar assembly step of the per-profile path reappears
+        here as one elementwise operation over ``(n_points,
+        n_profiles)`` arrays — same operations, same order,
+        bit-identical doubles.
         """
         chip = pack.chip
         static = power_model.static_power_by_component()
@@ -1577,17 +1199,14 @@ class PowerGatingPolicy:
 
         # exposed_cycles = 0.0 + SA + VU, as in the scalar assembly.
         exposed_cycles = sa_idle[2] + vu_idle[2]
-        overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
-        overhead_time_s = np.broadcast_to(overhead_time_s, shape)
+        overhead_time_s = _grid_view(chip.cycles_to_seconds(exposed_cycles), shape)
 
         other_j = static[Component.OTHER] * total_time
         total_static_power = sum(static.values())
         extra_j = total_static_power * overhead_time_s
         static_energy = {
             Component.OTHER: np.where(
-                overhead_time_s > 0.0,
-                other_j + extra_j,
-                np.broadcast_to(other_j, shape),
+                overhead_time_s > 0.0, other_j + extra_j, other_j
             ),
             Component.SA: sa_active_j + sa_idle[0],
             Component.VU: (
@@ -1602,28 +1221,30 @@ class PowerGatingPolicy:
                 static[Component.ICI] * pack.active_total_s(Component.ICI)
                 + ici_idle[0]
             ),
-            Component.SRAM: np.broadcast_to(sram_j, shape),
+            Component.SRAM: sram_j,
         }
         gating_events = {
-            Component.SA: np.broadcast_to(sa_idle[1], shape),
-            Component.VU: np.broadcast_to(vu_idle[1], shape),
-            Component.HBM: np.broadcast_to(hbm_idle[1], shape),
-            Component.ICI: np.broadcast_to(ici_idle[1], shape),
-            Component.SRAM: np.broadcast_to(pack.n_ops, shape),
+            Component.SA: sa_idle[1],
+            Component.VU: vu_idle[1],
+            Component.HBM: hbm_idle[1],
+            Component.ICI: ici_idle[1],
+            Component.SRAM: pack.n_ops,
         }
         return GridEnergyReports(
             self.name,
-            baseline_time_s=np.broadcast_to(total_time, shape),
+            baseline_time_s=_grid_view(total_time, shape),
             overhead_time_s=overhead_time_s,
             static_energy_j={
-                c: np.broadcast_to(static_energy[c], shape) for c in STATIC_ENERGY_ORDER
+                c: _grid_view(static_energy[c], shape) for c in STATIC_ENERGY_ORDER
             },
             dynamic_energy_j={
-                c: np.broadcast_to(pack.dynamic_total_j(c), shape)
+                c: _grid_view(pack.dynamic_total_j(c), shape)
                 for c in Component.all()
             },
-            gating_events=gating_events,
-            peak_power_w=np.broadcast_to(peak_w, shape),
+            gating_events={
+                c: _grid_view(gating_events[c], shape) for c in GATING_EVENT_ORDER
+            },
+            peak_power_w=_grid_view(peak_w, shape),
         )
 
     def _idle_coefficient_columns(
@@ -1635,45 +1256,30 @@ class PowerGatingPolicy:
     ) -> IdleCoefficientColumns:
         """Per-point idle coefficients as aligned ``(n_points, 1)`` columns.
 
-        Policies with stock coefficient hooks get the vectorized
-        derivation (:func:`grid_idle_coefficient_columns`), which is
-        elementwise-identical to the scalar function; a subclass that
-        redefines any coefficient hook falls back to deriving each
-        point's scalars through a fresh per-point policy instance —
-        exactly the objects the per-point oracle consumes.  Either way
-        the columns are memoized on the parameter table per (policy
-        class, component, static power, chip).  The chip spec itself
-        (frozen, hashable) is part of the key — an ``id()`` key could
-        alias a recycled address to stale chip-frequency-dependent
-        coefficients.
+        The vectorized derivation (:func:`grid_idle_coefficient_columns`)
+        is elementwise-identical to the scalar
+        :meth:`_idle_coefficients`.  The columns are memoized on the
+        parameter table per (policy class, component, static power,
+        chip).  The chip spec itself (frozen, hashable) is part of the
+        key — an ``id()`` key could alias a recycled address to stale
+        chip-frequency-dependent coefficients.
         """
         key = ("idle_coeffs", type(self), component, static_power_w, chip)
         cached = ptable.memo.get(key)
         if cached is None:
-            cls = type(self)
-            if _coefficient_columns_safe(cls):
-                cached = grid_idle_coefficient_columns(
-                    ptable,
-                    component,
-                    self._timing_variant(component),
-                    static_power_w,
-                    chip,
-                    software=self._uses_software_gating(component),
-                    min_window_cycles=(
-                        MIN_VU_DETECTION_WINDOW_CYCLES
-                        if component is Component.VU
-                        else 0.0
-                    ),
-                )
-            else:
-                cached = IdleCoefficientColumns.from_coefficients(
-                    [
-                        cls(parameters)._idle_coefficients(
-                            component, static_power_w, chip
-                        )
-                        for parameters in ptable.parameters
-                    ]
-                )
+            cached = grid_idle_coefficient_columns(
+                ptable,
+                component,
+                self._timing_variant(component),
+                static_power_w,
+                chip,
+                software=self._uses_software_gating(component),
+                min_window_cycles=(
+                    MIN_VU_DETECTION_WINDOW_CYCLES
+                    if component is Component.VU
+                    else 0.0
+                ),
+            )
             ptable.memo[key] = cached
         return cached
 
@@ -1685,7 +1291,7 @@ class PowerGatingPolicy:
         static_power_w: float,
         chip,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid :meth:`_idle_energy_packed`: ``(n_points, n_profiles)``
+        """Grid :meth:`_idle_energy_columnar`: ``(n_points, n_profiles)``
         arrays of ``(energy_j, gated_gaps, exposed_wake_cycles)``."""
         gap_s, num_gaps = pack.gap_table(component)
         n_points = ptable.n_points
@@ -1693,7 +1299,7 @@ class PowerGatingPolicy:
         zeros = np.zeros(shape)
         if not self.gating_enabled:
             energy = static_power_w * pack.seg_sums(gap_s * num_gaps)
-            return np.broadcast_to(energy, shape), zeros, zeros
+            return _grid_view(energy, shape), zeros, zeros
         coeffs = self._idle_coefficient_columns(
             component, ptable, static_power_w, chip
         )
@@ -1768,11 +1374,10 @@ class PowerGatingPolicy:
     def _sa_active_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sa_active_energy_packed` (points × profiles)."""
-        shape = (ptable.n_points, pack.n_profiles)
+        """Grid :meth:`_sa_active_energy_columnar` (points × profiles)."""
         if not self.spatial_sa_gating:
             energy = static_power_w * pack.active_total_s(Component.SA)
-            return np.broadcast_to(energy, shape)
+            return _grid_view(energy, (ptable.n_points, pack.n_profiles))
         active = pack.weighted_active(Component.SA)
         factor = self._spatial_factor_grid(pack, ptable)
         return pack.seg_sums_matrix(
@@ -1782,10 +1387,10 @@ class PowerGatingPolicy:
     def _sram_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sram_energy_packed` (points × profiles)."""
-        shape = (ptable.n_points, pack.n_profiles)
+        """Grid :meth:`_sram_energy_columnar` (points × profiles)."""
         if not self.gating_enabled:
-            return np.broadcast_to(static_power_w * pack.total_time_s(), shape)
+            energy = static_power_w * pack.total_time_s()
+            return _grid_view(energy, (ptable.n_points, pack.n_profiles))
         duration = pack.weighted_latency()
         factor = self._sram_factor_grid(pack, ptable)
         return pack.seg_sums_matrix(static_power_w * duration * factor)
@@ -1793,7 +1398,7 @@ class PowerGatingPolicy:
     def _peak_power_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> np.ndarray:
-        """Grid :meth:`_peak_power_packed` (points × profiles)."""
+        """Grid :meth:`_peak_power_columnar` (points × profiles)."""
         latency = pack.latency_s
         mask = latency > 0.0
         dynamic_w = _peak_dynamic_w(pack)
@@ -1838,7 +1443,7 @@ class PowerGatingPolicy:
         if values.ndim == 1:
             # Every contribution was parameter-independent (e.g. NoPG).
             maxes = pack.seg_max_matrix(values[None, :])[0]
-            return np.broadcast_to(maxes, (ptable.n_points, pack.n_profiles))
+            return _grid_view(maxes, (ptable.n_points, pack.n_profiles))
         return pack.seg_max_matrix(values)
 
 
@@ -1888,13 +1493,12 @@ class IdealPolicy(PowerGatingPolicy):
         return _IdleAccounting(energy_j=0.0, gated_gaps=sum(g.num_gaps for g in gaps))
 
     def _idle_energy_columnar(
-        self, component, gap_s, num_gaps, static_power_w, chip, table=None
+        self, component, table: ProfileTable, static_power_w: float, chip
     ) -> _IdleAccounting:
-        if table is None:
-            return _IdleAccounting(energy_j=0.0, gated_gaps=seq_sum(num_gaps))
         key = ("ideal_gated_gaps", component)
         gated = table.memo.get(key)
         if gated is None:
+            _, _, num_gaps = table.gap_table(component)
             gated = seq_sum(num_gaps)
             table.memo[key] = gated
         return _IdleAccounting(energy_j=0.0, gated_gaps=gated)
@@ -1918,13 +1522,7 @@ class IdealPolicy(PowerGatingPolicy):
         if cached is not None:
             return cached
         active = table.weighted_active(Component.SA)
-        active_share = table.memo.get("spatial_active_share")
-        if active_share is None:
-            model = SpatialGatingModel(profile.chip.sa_width, self.parameters)
-            active_share, _, _ = model.shares_arrays(
-                table.dims_m, table.dims_k, table.dims_n, table.has_dims
-            )
-            table.memo["spatial_active_share"] = active_share
+        active_share = self._active_share(table, profile.chip)
         energy = seq_sum(
             np.where(active > 0.0, static_power_w * active * active_share, 0.0)
         )
@@ -1954,71 +1552,53 @@ class IdealPolicy(PowerGatingPolicy):
         table.memo[memo_key] = energy
         return energy
 
-    # -- packed (batch) counterparts ------------------------------------- #
-    def _idle_energy_packed(
-        self, component, pack: PackedProfiles, static_power_w: float, chip
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, num_gaps = pack.gap_table(component)
-        zeros = np.zeros(pack.n_profiles, dtype=np.float64)
-        key = ("ideal_gated_gaps", component)
-        gated = pack.memo.get(key)
-        if gated is None:
-            gated = pack.seg_sums(num_gaps)
-            pack.memo[key] = gated
-        return zeros, gated, zeros
-
-    def _sa_active_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        active = pack.weighted_active(Component.SA)
-        active_share = pack.memo.get("spatial_active_share")
-        if active_share is None:
-            model = SpatialGatingModel(pack.chip.sa_width, self.parameters)
-            active_share, _, _ = model.shares_arrays(
-                pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims
+    def _active_share(self, store, chip) -> np.ndarray:
+        """Memoized per-operator active-PE share of a table or pack."""
+        share = store.memo.get("spatial_active_share")
+        if share is None:
+            model = SpatialGatingModel(chip.sa_width, self.parameters)
+            share, _, _ = model.shares_arrays(
+                store.dims_m, store.dims_k, store.dims_n, store.has_dims
             )
-            pack.memo["spatial_active_share"] = active_share
-        return pack.seg_sums(
-            np.where(active > 0.0, static_power_w * active * active_share, 0.0)
-        )
-
-    def _sram_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        capacity = pack.chip.sram_bytes
-        duration = pack.weighted_latency()
-        used = np.minimum(1.0, pack.sram_demand_bytes / capacity)
-        return pack.seg_sums(static_power_w * duration * used)
+            store.memo["spatial_active_share"] = share
+        return share
 
     # -- grid (profiles × parameter points) counterparts ------------------ #
     # The Ideal roofline's idle/SA/SRAM accounting is independent of the
     # gating parameters, so each grid hook computes its per-profile
-    # values once and broadcasts them along the parameter axis — exactly
-    # the values the per-point packed hooks produce at every point.
+    # values once and repeats them along the parameter axis — exactly
+    # the values the per-profile hooks produce at every point.
     def _idle_energy_grid(
         self, component, pack: PackedProfiles, ptable, static_power_w: float, chip
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, num_gaps = pack.gap_table(component)
         shape = (ptable.n_points, pack.n_profiles)
         zeros = np.zeros(shape)
         key = ("ideal_gated_gaps", component)
         gated = pack.memo.get(key)
         if gated is None:
+            _, num_gaps = pack.gap_table(component)
             gated = pack.seg_sums(num_gaps)
             pack.memo[key] = gated
-        return zeros, np.broadcast_to(gated, shape), zeros
+        return zeros, _grid_view(gated, shape), zeros
 
     def _sa_active_energy_grid(
         self, pack: PackedProfiles, ptable, static_power_w: float
     ) -> np.ndarray:
-        energy = self._sa_active_energy_packed(pack, static_power_w)
-        return np.broadcast_to(energy, (ptable.n_points, pack.n_profiles))
+        active = pack.weighted_active(Component.SA)
+        active_share = self._active_share(pack, pack.chip)
+        energy = pack.seg_sums(
+            np.where(active > 0.0, static_power_w * active * active_share, 0.0)
+        )
+        return _grid_view(energy, (ptable.n_points, pack.n_profiles))
 
     def _sram_energy_grid(
         self, pack: PackedProfiles, ptable, static_power_w: float
     ) -> np.ndarray:
-        energy = self._sram_energy_packed(pack, static_power_w)
-        return np.broadcast_to(energy, (ptable.n_points, pack.n_profiles))
+        capacity = pack.chip.sram_bytes
+        duration = pack.weighted_latency()
+        used = np.minimum(1.0, pack.sram_demand_bytes / capacity)
+        energy = pack.seg_sums(static_power_w * duration * used)
+        return _grid_view(energy, (ptable.n_points, pack.n_profiles))
 
 
 _POLICIES: dict[PolicyName, type[PowerGatingPolicy]] = {
@@ -2028,6 +1608,9 @@ _POLICIES: dict[PolicyName, type[PowerGatingPolicy]] = {
     PolicyName.REGATE_FULL: ReGateFullPolicy,
     PolicyName.IDEAL: IdealPolicy,
 }
+
+
+_STOCK_CLASSES = frozenset(_POLICIES.values())
 
 
 def list_policies() -> list[PolicyName]:

@@ -1,5 +1,7 @@
 """Tests for BETs, idle detection, SA spatial gating and SRAM gating."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.gating.bet import (
     DEFAULT_PARAMETERS,
     FIGURE21_LEAKAGE_POINTS,
     FIGURE22_DELAY_MULTIPLIERS,
+    ComponentTiming,
     GatingParameters,
     LeakageRatios,
     TABLE3_TIMINGS,
@@ -49,8 +52,33 @@ class TestTable3:
         assert leak.sram_off == 0.002
 
     def test_leakage_ratio_validation(self):
-        with pytest.raises(ValueError):
-            LeakageRatios(logic_off=1.5)
+        nan = float("nan")
+        invalid = (
+            ("logic_off", lambda: LeakageRatios(logic_off=1.5)),
+            ("delay_cycles", lambda: DEFAULT_PARAMETERS.with_delay_multiplier(nan)),
+            ("delay_cycles", lambda: DEFAULT_PARAMETERS.with_delay_multiplier(-2.0)),
+            ("delay_cycles", lambda: ComponentTiming(float("inf"), 10.0)),
+            ("bet_cycles", lambda: ComponentTiming(1.0, -1.0)),
+            (
+                "detection_window_bet_fraction",
+                lambda: replace(DEFAULT_PARAMETERS, detection_window_bet_fraction=nan),
+            ),
+            (
+                "detection_window_bet_fraction",
+                lambda: replace(DEFAULT_PARAMETERS, detection_window_bet_fraction=1.5),
+            ),
+            (
+                "pe_weight_register_share",
+                lambda: replace(DEFAULT_PARAMETERS, pe_weight_register_share=nan),
+            ),
+            (
+                "pe_weight_register_share",
+                lambda: replace(DEFAULT_PARAMETERS, pe_weight_register_share=-0.1),
+            ),
+        )
+        for field, build in invalid:
+            with pytest.raises(ValueError, match=field):
+                build()
 
     def test_delay_multiplier_scales_bet(self):
         scaled = DEFAULT_PARAMETERS.with_delay_multiplier(2.0)

@@ -5,16 +5,17 @@ the tree: **exact equality with its oracles, not approximation**.
 These tests hold, across workloads × chips × policies × the Figure
 21/22 parameter grids:
 
-* ``grid_evaluate`` reports equal per-point ``batch_evaluate`` reports
-  with ``==`` (exact float comparison on every cell);
+* ``grid_evaluate`` reports equal per-profile ``evaluate`` reports at
+  every parameter point with ``==`` (exact float comparison on every
+  cell) — the independent one-profile kernel, not the grid itself;
 * both equal the object-path ``evaluate`` oracle with the fast path
   disabled;
 * the grid's column arrays are byte-for-byte identical to arrays
   gathered from the per-point oracle's reports;
 * chip-heterogeneous batches (:class:`ChipMajorPacks`) reproduce the
   per-profile reports in the caller's order;
-* custom subclasses and a disabled fast path fall back to the
-  per-point oracle.
+* custom subclasses and a disabled fast path fall back to per-profile
+  ``evaluate`` at every point.
 
 The suite is written to pass with ``REPRO_FAST_PATH=0`` as well (CI
 runs it both ways): every fast-path expectation pins the switch with
@@ -74,9 +75,9 @@ def single_chip(fleet):
 
 
 def _per_point_oracle(policy_name, profiles, grid=PARAMETER_GRID):
-    """The documented oracle: one batch_evaluate per parameter point."""
+    """The documented oracle: per-profile ``evaluate`` at every point."""
     return [
-        get_policy(policy_name, parameters).batch_evaluate(profiles)
+        [get_policy(policy_name, parameters).evaluate(p) for p in profiles]
         for parameters in grid
     ]
 
@@ -131,7 +132,7 @@ class TestParameterTable:
 
 
 # ---------------------------------------------------------------------- #
-# Equivalence: grid == per-point batch == object-path evaluate
+# Equivalence: grid == per-profile evaluate == object-path evaluate
 # ---------------------------------------------------------------------- #
 class TestGridEquivalence:
     @pytest.mark.parametrize("policy_name", list_policies())
@@ -139,7 +140,7 @@ class TestGridEquivalence:
         with use_fast_path(True):
             packed = PackedProfiles.pack(single_chip)
             assert packed is not None
-            expected = _per_point_oracle(policy_name, packed)
+            expected = _per_point_oracle(policy_name, single_chip)
             observed = get_policy(policy_name).grid_evaluate(packed, PARAMETER_GRID)
             assert observed.n_points == len(PARAMETER_GRID)
             assert observed.n_profiles == len(single_chip)
@@ -172,7 +173,7 @@ class TestGridEquivalence:
             packed = PackedProfiles.pack(single_chip)
             oracle = GridEnergyReports.from_reports(
                 get_policy(policy_name).name,
-                _per_point_oracle(policy_name, packed),
+                _per_point_oracle(policy_name, single_chip),
             )
             observed = get_policy(policy_name).grid_evaluate(packed, PARAMETER_GRID)
         for component in Component.all():
@@ -213,7 +214,7 @@ class TestGridEquivalence:
             packed = PackedProfiles.pack(single_chip)
             table = ParameterTable(PARAMETER_GRID)
             for policy_name in list_policies():
-                expected = _per_point_oracle(policy_name, packed)
+                expected = _per_point_oracle(policy_name, single_chip)
                 observed = get_policy(policy_name).grid_evaluate(packed, table)
                 for index in range(len(PARAMETER_GRID)):
                     assert observed.reports(index) == expected[index]
