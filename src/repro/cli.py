@@ -65,9 +65,16 @@ def _cmd_chips(_: argparse.Namespace) -> str:
 
 
 def _input_error(error: Exception) -> SystemExit:
-    """Print ``error: <message>`` (no KeyError repr quotes); exit 2."""
-    print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-    return SystemExit(2)
+    """Print ``error: <message>`` (no KeyError repr quotes); exit 2.
+
+    The returned exit carries the same line as its message, for callers
+    of :func:`main` that catch it in-process.
+    """
+    message = f"error: {error.args[0] if error.args else error}"
+    print(message, file=sys.stderr)
+    exit_ = SystemExit(message)
+    exit_.code = 2
+    return exit_
 
 
 def _parse_policies(names: list[str] | None) -> tuple[PolicyName, ...]:
@@ -171,6 +178,7 @@ def _spec_from_args(args: argparse.Namespace):
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.experiments import ShardRunner, SimulationCache, SweepRunner
+    from repro.experiments.cache import CacheFileError
 
     try:
         if args.parallel is not None and args.parallel < 0:
@@ -186,29 +194,33 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     except ValueError as error:
         raise _input_error(error)
     spec = _spec_from_args(args)
-    cache = (
-        SimulationCache(args.cache, shared_dir=args.shared_cache)
-        if args.cache or args.shared_cache
-        else None
-    )
     lines = [f"sweep grid    : {spec.describe()}"]
-    if shard is not None:
-        index, count = shard
-        runner = ShardRunner(spec, count, cache=cache, max_workers=args.parallel)
-        artifact = runner.run(index)
-        path = artifact.write(args.shard_dir)
-        result = artifact.result()
-        lines += [
-            f"shard         : {index}/{count} "
-            f"({len(runner.plan[index].point_indices)} of "
-            f"{spec.num_points} points; plan {runner.plan.digest})",
-            f"shard written : {path}",
-            f"result rows   : {len(result)}",
-        ]
-    else:
-        runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
-        result = runner.run()
-        lines.append(f"result rows   : {len(result)}")
+    try:
+        cache = (
+            SimulationCache(args.cache, shared_dir=args.shared_cache)
+            if args.cache or args.shared_cache
+            else None
+        )
+        if shard is not None:
+            index, count = shard
+            runner = ShardRunner(spec, count, cache=cache, max_workers=args.parallel)
+            artifact = runner.run(index)
+            path = artifact.write(args.shard_dir)
+            result = artifact.result()
+            lines += [
+                f"shard         : {index}/{count} "
+                f"({len(runner.plan[index].point_indices)} of "
+                f"{spec.num_points} points; plan {runner.plan.digest})",
+                f"shard written : {path}",
+                f"result rows   : {len(result)}",
+            ]
+        else:
+            runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
+            result = runner.run()
+            lines.append(f"result rows   : {len(result)}")
+    except CacheFileError as error:
+        # Refused at load, or at flush if the file changed meanwhile.
+        raise _input_error(error)
     if cache is not None:
         stats = cache.stats()
         store = ", ".join(
@@ -249,27 +261,20 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_merge_shards(args: argparse.Namespace) -> str:
-    from repro.experiments.sharding import (
-        ShardError,
-        merge_artifacts,
-        read_artifacts,
-    )
+    from repro.experiments.sharding import ShardError, read_and_merge
 
     try:
         # Lenient by default: a corrupt artifact from a crashed worker
         # is skipped (and listed below) instead of aborting the merge;
-        # --strict restores abort-on-first-corrupt.
-        artifacts, skipped = read_artifacts(args.paths, strict=args.strict)
-        if not artifacts:
-            raise ShardError("no readable shard artifacts to merge")
-        merged = merge_artifacts(artifacts)
-        missing = sorted(
-            set(range(merged.shard_count)) - set(merged.shard_indices)
+        # --strict restores abort-on-first-corrupt.  Partial merges are
+        # allowed when writing an artifact: the combined artifact merges
+        # again later with the rest.
+        merged, skipped = read_and_merge(
+            args.paths, require_complete=not args.output, strict=args.strict
         )
+        path = None
         if args.output:
-            # Partial merges are allowed when writing an artifact: the
-            # combined artifact merges again later with the rest.  The
-            # skipped-artifact list rides along in the manifest so
+            # The skipped-artifact list rides along in the manifest so
             # re-runs can consume it without having to scrape this
             # command's stderr.
             extra = (
@@ -283,14 +288,6 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
                 else None
             )
             path = merged.write(args.output, extra_manifest=extra)
-        else:
-            if missing:
-                raise ShardError(
-                    f"missing shard(s) {missing} of {merged.shard_count}; "
-                    "pass every artifact (or merge partially via "
-                    "merge_artifacts/`repro merge-shards --output`)"
-                )
-            path = None
     except ShardError as error:
         raise SystemExit(f"error: {error}")
     result = merged.result()
@@ -300,11 +297,11 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
         f"shards merged : {covered}/{merged.shard_count}",
         f"result rows   : {len(result)} ({len(merged.points)} points)",
     ]
-    if missing:
+    if merged.missing:
         # Name the holes so a partial-run operator knows what to
         # re-run, instead of diffing covered/N by hand.
         lines.append(
-            f"missing shards: {missing} (re-run these, then re-merge)"
+            f"missing shards: {merged.missing} (re-run these, then re-merge)"
         )
     for skipped_path, reason in skipped:
         lines.append(f"skipped       : {skipped_path} ({reason})")
@@ -366,11 +363,13 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     try:
         if args.arrival == "trace" or args.trace:
             if not args.trace:
-                raise SystemExit("--arrival trace needs --trace FILE")
+                raise TraceError("--arrival trace needs --trace FILE")
             trace = load_trace(args.trace, args.workload or ())
+            if not len(trace):
+                raise TraceError(f"trace {args.trace} holds no requests")
         else:
             if not args.workload:
-                raise SystemExit(
+                raise TraceError(
                     f"{args.arrival} arrivals need at least one -w/--workload"
                 )
             rates: list[float] | float = args.rate or 10.0
@@ -388,7 +387,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                     amplitude=args.amplitude,
                 )
     except TraceError as error:
-        raise SystemExit(f"error: {error}")
+        raise _input_error(error)
 
     model = ServiceModel(policies=_parse_policies(args.policy))
     try:

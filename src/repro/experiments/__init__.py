@@ -52,7 +52,6 @@ from repro.experiments.runner import (
     assemble_packed_rows,
     rows_from_result,
     run_point,
-    run_points,
     run_points_packed,
     run_sweep,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "report_key",
     "rows_from_result",
     "run_point",
-    "run_points",
     "run_points_packed",
     "run_sweep",
     "shard_key",

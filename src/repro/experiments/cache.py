@@ -16,7 +16,7 @@ Three artifact classes are cached, each under a stable key from
   kept in memory and optionally on disk in *packed* form (one shared
   column tuple plus one value tuple per row — see :data:`PackedRows`).
   A warm row cache lets a repeated sweep complete without a single
-  simulator call.  Legacy dict-list disk entries are still readable.
+  simulator call.
 
 :func:`simulate_cached` is a drop-in replacement for
 :func:`repro.core.regate.simulate_workload` that consults a
@@ -136,25 +136,49 @@ def atomic_replace(path: str | Path, writer) -> None:
             os.unlink(tmp)
 
 
+class CacheFileError(ValueError):
+    """A ``--cache`` path names a file that is not a JSON-object cache."""
+
+
 class JsonFileStore:
     """A ``{key: JSON value}`` mapping persisted to one JSON file.
 
     Writes are atomic (temp file + rename) so a crashed sweep never
-    leaves a truncated cache behind; a corrupt or missing file simply
-    starts the store empty.
+    leaves a truncated cache behind.  A missing or blank file starts the
+    store empty, and so does a damaged cache (text that opens with
+    ``{`` but does not parse).  Any other file that is not a JSON object
+    (a CSV passed by mistake, a JSON list) raises :class:`CacheFileError`
+    at load and again at flush, and is never overwritten.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._data: dict[str, Any] = {}
+        self._data: dict[str, Any] = self._read()
         self._dirty = False
-        if self.path.exists():
-            try:
-                loaded = json.loads(self.path.read_text())
-                if isinstance(loaded, dict):
-                    self._data = loaded
-            except (OSError, json.JSONDecodeError):
-                self._data = {}
+
+    def _read(self) -> dict[str, Any]:
+        """The entries on disk (``{}`` for a missing, blank or damaged file)."""
+        try:
+            text = self.path.read_text()
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as error:
+            raise CacheFileError(
+                f"cache file {self.path} is unreadable ({error})"
+            ) from error
+        try:
+            loaded = json.loads(text)
+        except ValueError:
+            stripped = text.lstrip()
+            if not stripped or stripped[0] == "{":
+                return {}  # blank, or a damaged cache: rewritten at flush
+            loaded = None
+        if not isinstance(loaded, dict):
+            raise CacheFileError(
+                f"cache file {self.path} is not a JSON object; refusing to "
+                "overwrite it"
+            )
+        return loaded
 
     def __len__(self) -> int:
         return len(self._data)
@@ -182,13 +206,7 @@ class JsonFileStore:
         if not self._dirty:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            try:
-                on_disk = json.loads(self.path.read_text())
-                if isinstance(on_disk, dict):
-                    self._data = {**on_disk, **self._data}
-            except (OSError, json.JSONDecodeError):
-                pass
+        self._data = {**self._read(), **self._data}
         atomic_replace(
             self.path,
             lambda handle: handle.write(json.dumps(self._data).encode("utf-8")),
@@ -640,20 +658,8 @@ class SimulationCache:
 
     @staticmethod
     def _decode_rows(payload: Any) -> PackedRows:
-        """Decode a disk row entry (packed dict, or a legacy dict list)."""
-        if isinstance(payload, dict):
-            return tuple(payload["columns"]), payload["values"]
-        return pack_rows(list(payload))
-
-    def get_rows(self, key: str) -> list[dict[str, Any]] | None:
-        """Row dicts of one sweep point (compatibility view)."""
-        packed = self.get_rows_packed(key)
-        if packed is None:
-            return None
-        return unpack_rows(packed)
-
-    def put_rows(self, key: str, rows: list[dict[str, Any]]) -> None:
-        self.put_rows_packed(key, pack_rows(rows))
+        """Decode a disk row entry (a ``{"columns", "values"}`` dict)."""
+        return tuple(payload["columns"]), payload["values"]
 
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
@@ -1007,6 +1013,7 @@ def simulate_cached_many(
 
 
 __all__ = [
+    "CacheFileError",
     "CacheGcReport",
     "JsonFileStore",
     "PackedRows",

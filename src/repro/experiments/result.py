@@ -4,9 +4,8 @@ A :class:`SweepResult` is a small, dependency-free data frame with a
 fixed column order and three interchangeable backing stores:
 
 * a **column store** — one array or list per column
-  (:meth:`from_series`; shard merges feed this directly, with float
-  columns that may be memory-mapped views into ``.repro-shard``
-  artifacts).  ``iter_csv``/``write_csv`` and ``filter`` operate
+  (:meth:`from_series`; shard artifacts and merges feed this
+  directly).  ``iter_csv``/``write_csv`` and ``filter`` operate
   straight on the columns — no row tuple or dict is materialized;
 * a **packed store** — one value tuple per row (the runner's
   array-native assembly and the row cache feed this directly), with the
@@ -197,10 +196,9 @@ class SweepResult:
         """Build a column-store result (one array or list per column).
 
         Unlike :meth:`from_columns`, the columns are kept **as given**
-        — float columns may be ndarrays (including memory-mapped views
-        into shard artifacts) and are only converted to plain scalars
-        when a consumer actually asks for rows.  Exports and filters
-        run directly over the columns.
+        — float columns may be ndarrays, only converted to plain
+        scalars when a consumer actually asks for rows.  Exports and
+        filters run directly over the columns.
         """
         columns = tuple(columns)
         lengths = {len(series[name]) for name in columns}
@@ -277,8 +275,7 @@ class SweepResult:
 
         On a column-store table the filter runs column-wise (vectorized
         comparison for array columns) and the kept rows stay columnar —
-        no row dict is materialized, and array columns are only sliced,
-        keeping memory-mapped inputs out of core.
+        no row dict is materialized.
         """
         self._check_columns(*equals)
         if self._series is not None and self._rows is None:
@@ -349,8 +346,8 @@ class SweepResult:
     def _column_chunks(self) -> Iterator[tuple[int, list[Any]]]:
         """``(rows, columns)`` per chunk of at most ``_CSV_CHUNK_ROWS`` rows.
 
-        Array columns are sliced, not converted, so memory-mapped shard
-        columns are pulled in one bounded window at a time.
+        Array columns are sliced, not converted: each chunk's cells are
+        rendered from a view of the backing array.
         """
         count = len(self)
         for start in range(0, count, _CSV_CHUNK_ROWS):

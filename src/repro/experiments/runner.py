@@ -428,13 +428,6 @@ def run_points_packed(
     return [pack_rows(run_point(point, cache)) for point in points]
 
 
-def run_points(
-    points: list[SweepPoint], cache: SimulationCache | None = None
-) -> list[list[dict[str, Any]]]:
-    """Evaluate many sweep points into row dicts (compatibility view)."""
-    return [unpack_rows(packed) for packed in run_points_packed(points, cache)]
-
-
 # Per-worker-process cache: shares workload profiles between the points a
 # worker handles without any cross-process communication.
 _WORKER_CACHE: SimulationCache | None = None
@@ -612,7 +605,6 @@ __all__ = [
     "pack_rows",
     "rows_from_result",
     "run_point",
-    "run_points",
     "run_points_packed",
     "run_sweep",
     "unpack_rows",

@@ -1,11 +1,10 @@
 """Sharded sweep execution: deterministic planning, portable shard
 artifacts and byte-identical merging.
 
-The ROADMAP's production target is grids of millions of points — more
-than one machine should price.  This module splits a
-:class:`~repro.experiments.spec.SweepSpec` into ``n`` independently
-executable **shards** whose merged result is *byte-identical* to a
-monolithic :class:`~repro.experiments.runner.SweepRunner` run:
+This module splits a :class:`~repro.experiments.spec.SweepSpec` into
+``n`` independently executable **shards** — one per process or machine
+— whose merged result is *byte-identical* to a monolithic
+:class:`~repro.experiments.runner.SweepRunner` run:
 
 * :class:`ShardPlan` — a pure function of ``(spec, shard_count)``: the
   grid's points are ordered chip-major (the
@@ -21,21 +20,18 @@ monolithic :class:`~repro.experiments.runner.SweepRunner` run:
   existing packed :class:`~repro.experiments.runner.SweepRunner`
   pipeline (row cache, grid-batched policy kernel, optional process
   pool) and captures the packed rows as a :class:`ShardArtifact`.
-* :class:`ShardArtifact` — a self-describing ``.repro-shard`` directory:
-  ``manifest.json`` (spec digest, shard indices, code version, per-point
-  row accounting), ``columns.npy`` (every float column stacked into one
-  ``float64`` matrix, one row per column — written with :func:`np.save`
-  so readers can map it with ``mmap_mode="r"``) and ``columns.json``
+* :class:`ShardArtifact` — one in-memory column store (a ``float64``
+  array per all-float column, a list per other column), serialized as a
+  self-describing ``.repro-shard`` directory: ``manifest.json`` (spec
+  digest, shard indices, code version, per-point row accounting,
+  content digests), ``columns.npy`` (every float column stacked into
+  one ``float64`` matrix, one row per column) and ``columns.json``
   (string/int columns).  Both stores round-trip every cell exactly, so
   a merged table's CSV bytes equal the monolithic run's.
 * :func:`merge_artifacts` / :meth:`SweepResult.merge_shards
   <repro.experiments.result.SweepResult.merge_shards>` — reassembles
-  artifacts into one columnar result **out of core**: read artifacts
-  keep their float columns memory-mapped, and the merge streams one
-  output column at a time (per-point slices off the maps), so peak
-  resident memory is bounded by the merged table plus one shard's
-  object columns — never by ``shards × columns``.  No row tuple or row
-  dict is ever materialized.  Merging is associative and idempotent:
+  artifacts into one columnar result by concatenating each column over
+  coalesced row runs.  Merging is associative and idempotent:
   artifacts are deduplicated by key, partial merges write ordinary
   ``.repro-shard`` artifacts that merge again later, and foreign
   (different spec/version), duplicate-but-different and missing shards
@@ -69,7 +65,7 @@ from repro.experiments.spec import SweepPoint, SweepSpec
 
 #: On-disk artifact schema (bumped when the layout changes shape).
 #: Schema 2 replaced the ``columns.npz`` zip store with a single
-#: ``columns.npy`` matrix so float columns memory-map on read.
+#: ``columns.npy`` matrix.
 SHARD_SCHEMA = 2
 #: Directory-name suffix identifying a shard artifact.
 SHARD_SUFFIX = ".repro-shard"
@@ -293,22 +289,12 @@ def _decode_object_column(entry: Any) -> list:
 
 
 class ShardArtifact:
-    """The packed rows of one or more shards, (de)serializable as a
+    """The rows of one or more shards, (de)serializable as a
     self-describing ``.repro-shard`` directory.
 
-    Backed by one of two interchangeable stores:
-
-    * a **row store** (``values=``) — one value tuple per row,
-      point-major, what :meth:`from_blocks` captures off the runner;
-    * a **column store** (``series=``) — one array/list per column;
-      artifacts loaded with :meth:`read` keep their float columns as
-      views into the memory-mapped ``columns.npy`` matrix, so a loaded
-      artifact costs pages only for the cells actually touched.
-
-    The first access to :attr:`values` materializes the column store
-    into row tuples (and drops it), so callers that mutate
-    ``artifact.values`` in place see their mutations honored by
-    :meth:`write` exactly as before.
+    Backed by one in-memory column store, :attr:`series`: a ``float64``
+    array for every all-float column and a list for every other column,
+    each in stored (point-major) row order.
     """
 
     def __init__(
@@ -318,33 +304,23 @@ class ShardArtifact:
         shard_indices: tuple[int, ...],
         columns: tuple[str, ...],
         points: list[tuple[int, str, int]],
-        values: "list[tuple[Any, ...]] | None" = None,
+        series: dict[str, Any],
         version: str = __version__,
         path: Path | None = None,
-        *,
-        series: "dict[str, Any] | None" = None,
     ):
-        if (values is None) == (series is None):
-            raise TypeError("pass exactly one of values= or series=")
         self.spec_digest = spec_digest
         self.shard_count = shard_count
         self.shard_indices = tuple(shard_indices)
         self.columns = tuple(columns)
         #: ``(point index, point cache key, row count)`` in stored row order.
         self.points = points
+        #: Column name -> ``float64`` array (all-float columns) or list.
+        self.series = series
         #: Package version that wrote the artifact (current version for
         #: freshly built ones).
         self.version = version
         #: Where the artifact was read from, for error messages.
         self.path = path
-        self._values = values
-        self._series = series
-        #: Backing float-column matrix (row i = numeric column i) when
-        #: the artifact was read from disk; lets the merge copy all
-        #: float columns of a row run in one slice.  Dropped whenever
-        #: the series store is (mutations go through ``values``).
-        self._matrix: "np.ndarray | None" = None
-        self._matrix_columns: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
         return (
@@ -363,48 +339,16 @@ class ShardArtifact:
 
     @property
     def row_count(self) -> int:
-        if self._values is not None:
-            return len(self._values)
         return sum(rows for _index, _key, rows in self.points)
 
     @property
-    def values(self) -> list[tuple[Any, ...]]:
-        """All rows, point-major, aligned with :attr:`points`.
-
-        Column-store artifacts materialize (and drop) their store on
-        first access; in-place mutations are therefore visible to
-        :meth:`write` and the merge's duplicate detection.
-        """
-        if self._values is None:
-            series = self._series
-            ordered = [
-                series[name].tolist()
-                if isinstance(series[name], np.ndarray)
-                else series[name]
-                for name in self.columns
-            ]
-            self._values = [tuple(row) for row in zip(*ordered)] if ordered else []
-            self._series = None
-            self._matrix = None
-        return self._values
-
-    @values.setter
-    def values(self, rows: "Sequence[tuple[Any, ...]]") -> None:
-        self._values = list(rows)
-        self._series = None
-        self._matrix = None
+    def missing(self) -> list[int]:
+        """Shard indices of the plan this artifact does not cover."""
+        return sorted(set(range(self.shard_count)) - set(self.shard_indices))
 
     def column(self, name: str) -> Any:
-        """One column's cells in stored row order.
-
-        Column-store artifacts hand back the backing array/list itself
-        (float columns stay memory-mapped: zero-copy); row-store
-        artifacts gather the column positionally.
-        """
-        if self._series is not None:
-            return self._series[name]
-        position = self.columns.index(name)
-        return [row[position] for row in self._values]
+        """One column's cells in stored row order (the backing array/list)."""
+        return self.series[name]
 
     @property
     def artifact_name(self) -> str:
@@ -439,65 +383,28 @@ class ShardArtifact:
                     f"version?): {tuple(block_columns)} vs {columns}"
                 )
             points.append((point.index, point.cache_key, len(block_values)))
-            values.extend(tuple(row) for row in block_values)
+            values.extend(block_values)
+        series: dict[str, Any] = {}
+        for name, cells in zip(columns, zip(*values)):
+            # set(map(type, ...)) runs the exact type scan in C.
+            if set(map(type, cells)) == {float}:
+                series[name] = np.asarray(cells, dtype=np.float64)
+            else:
+                series[name] = list(cells)
         return cls(
             spec_digest=shard.spec_digest,
             shard_count=shard.count,
             shard_indices=(shard.index,),
             columns=columns,
             points=points,
-            values=values,
+            series=series,
         )
 
     def result(self) -> SweepResult:
-        """This artifact's rows as a packed :class:`SweepResult`.
-
-        Column-store artifacts stay columnar (float columns remain
-        memory-mapped views); row-store artifacts stay packed.
-        """
-        if self._series is not None:
-            return SweepResult.from_series(
-                self.columns, {name: self._series[name] for name in self.columns}
-            )
-        return SweepResult.from_packed(self.columns, self.values)
+        """This artifact's rows as a column-store :class:`SweepResult`."""
+        return SweepResult.from_series(self.columns, self.series)
 
     # ------------------------------------------------------------------ #
-    def _column_store(self) -> "tuple[dict[str, Any], list[str]]":
-        """``(series, numeric column names)`` of this artifact's cells.
-
-        Row-store artifacts gather their columns here (floats become
-        ``float64`` arrays — an exact round trip); column-store
-        artifacts return their backing store as-is, where a numeric
-        column *is* an ndarray.
-        """
-        if self._series is not None:
-            series = self._series
-            numeric = [
-                name
-                for name in self.columns
-                if isinstance(series[name], np.ndarray)
-            ]
-            return series, numeric
-        transposed = list(zip(*self._values)) if self._values else []
-        gathered = {
-            name: list(transposed[position]) if transposed else []
-            for position, name in enumerate(self.columns)
-        }
-        numeric = [
-            name
-            for name, cells in gathered.items()
-            # set(map(type, ...)) runs the exact type scan in C.
-            if cells and set(map(type, cells)) == {float}
-        ]
-        numeric_set = set(numeric)
-        series = {
-            name: np.asarray(cells, dtype=np.float64)
-            if name in numeric_set
-            else cells
-            for name, cells in gathered.items()
-        }
-        return series, numeric
-
     def write(
         self,
         target: str | Path,
@@ -509,12 +416,12 @@ class ShardArtifact:
         ending in ``.repro-shard``) or a parent directory, in which case
         the canonical :attr:`artifact_name` is used.  Float columns go
         to ``columns.npy`` as one stacked ``float64`` matrix (row ``i``
-        = numeric column ``i``; exact round trip, mappable on read);
-        everything else to ``columns.json``, dictionary-encoded where
-        possible (sweep metadata columns repeat a handful of distinct
-        strings/ints, so codes serialize and parse far faster than the
-        cells); the manifest is written last so a crashed writer never
-        leaves a manifest describing missing column files.
+        = numeric column ``i``; exact round trip); everything else to
+        ``columns.json``, dictionary-encoded where possible (sweep
+        metadata columns repeat a handful of distinct strings/ints, so
+        codes serialize and parse far faster than the cells); the
+        manifest is written last so a crashed writer never leaves a
+        manifest describing missing column files.
 
         ``extra_manifest`` merges additional keys into the manifest —
         annotations like the skipped-artifact list a lenient partial
@@ -526,20 +433,17 @@ class ShardArtifact:
             target / self.artifact_name
         )
         path.mkdir(parents=True, exist_ok=True)
-        series, numeric = self._column_store()
+        series = self.series
+        numeric = [
+            name for name in self.columns if isinstance(series[name], np.ndarray)
+        ]
         objects = {
-            name: _encode_object_column(
-                series[name]
-                if isinstance(series[name], list)
-                else list(series[name])
-            )
+            name: _encode_object_column(series[name])
             for name in self.columns
-            if name not in set(numeric)
+            if not isinstance(series[name], np.ndarray)
         }
         if numeric:
-            matrix = np.ascontiguousarray(
-                np.stack([np.asarray(series[name]) for name in numeric])
-            )
+            matrix = np.stack([series[name] for name in numeric])
             atomic_replace(
                 path / NUMERIC_NAME, lambda handle: np.save(handle, matrix)
             )
@@ -582,13 +486,7 @@ class ShardArtifact:
 
     @classmethod
     def read(cls, path: str | Path) -> "ShardArtifact":
-        """Deserialize one ``.repro-shard`` directory.
-
-        Float columns are **memory-mapped** (``np.load(...,
-        mmap_mode="r")`` on the column matrix), not copied: reading an
-        artifact costs the manifest plus its object columns, and merge/
-        export pull in only the mapped pages they actually touch.
-        """
+        """Deserialize one ``.repro-shard`` directory into memory."""
         path = Path(path)
         manifest = load_manifest(path)
         if manifest.get("schema") != SHARD_SCHEMA:
@@ -607,17 +505,14 @@ class ShardArtifact:
             objects = json.loads((path / OBJECT_NAME).read_text())
             series: dict[str, Any] = {}
             if numeric:
-                matrix = np.load(
-                    path / NUMERIC_NAME, mmap_mode="r", allow_pickle=False
-                )
+                matrix = np.load(path / NUMERIC_NAME, allow_pickle=False)
                 if matrix.shape != (len(numeric), row_count):
                     raise ShardError(
                         f"{path}: column matrix shape {matrix.shape} disagrees "
                         f"with the manifest "
                         f"({len(numeric)} column(s) x {row_count} row(s))"
                     )
-                for position, name in enumerate(numeric):
-                    series[name] = matrix[position]
+                series.update(zip(numeric, matrix))
             numeric_set = set(numeric)
             for name in columns:
                 if name not in numeric_set:
@@ -638,7 +533,7 @@ class ShardArtifact:
             raise ShardError(
                 f"{path}: per-point row accounting disagrees with row_count"
             )
-        artifact = cls(
+        return cls(
             spec_digest=manifest["spec_digest"],
             shard_count=manifest["shard_count"],
             shard_indices=tuple(manifest["shard_indices"]),
@@ -648,10 +543,6 @@ class ShardArtifact:
             version=manifest.get("version", "unknown"),
             path=path,
         )
-        if numeric:
-            artifact._matrix = matrix
-            artifact._matrix_columns = tuple(numeric)
-        return artifact
 
 
 # ---------------------------------------------------------------------- #
@@ -698,24 +589,14 @@ class ShardRunner:
 # ---------------------------------------------------------------------- #
 # Merging
 # ---------------------------------------------------------------------- #
-def _slices_equal(a: Any, b: Any) -> bool:
-    """Cell-exact equality of two column slices (array, list or mixed)."""
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return bool(np.array_equal(a, b))
-    a_cells = a.tolist() if isinstance(a, np.ndarray) else list(a)
-    b_cells = b.tolist() if isinstance(b, np.ndarray) else list(b)
-    return a_cells == b_cells
-
-
 def _blocks_equal(
     a: ShardArtifact, a_offset: int, b: ShardArtifact, b_offset: int, rows: int
 ) -> bool:
-    """Whether two artifacts' row blocks agree, compared column-wise
-    (no row tuple materialization)."""
+    """Whether two artifacts' row blocks agree, compared column-wise."""
     return all(
-        _slices_equal(
-            a.column(name)[a_offset : a_offset + rows],
-            b.column(name)[b_offset : b_offset + rows],
+        np.array_equal(
+            a.series[name][a_offset : a_offset + rows],
+            b.series[name][b_offset : b_offset + rows],
         )
         for name in a.columns
     )
@@ -729,7 +610,7 @@ def _artifacts_equal(a: ShardArtifact, b: ShardArtifact) -> bool:
 
 
 def merge_artifacts(artifacts: Sequence[ShardArtifact]) -> ShardArtifact:
-    """Merge shard artifacts into one combined artifact, out of core.
+    """Merge shard artifacts into one combined artifact.
 
     Deduplicates identical artifacts by key (idempotent) and is
     independent of input order and grouping (associative: merging
@@ -738,15 +619,10 @@ def merge_artifacts(artifacts: Sequence[ShardArtifact]) -> ShardArtifact:
     Raises :class:`ShardError` on foreign artifacts (different spec
     digest or shard count) and on duplicated-but-different shards or
     points; missing shards are allowed here (partial merge) and only
-    rejected by :func:`merge_shard_paths`.
+    rejected by :func:`read_and_merge`.
 
-    The merge streams **one output column at a time**: each point
-    contributes a slice of its owning artifact's column (for artifacts
-    loaded with :meth:`ShardArtifact.read`, a view into the mapped
-    column matrix), and the slices concatenate straight into the output
-    column.  Peak resident memory is the merged table plus the object
-    columns of the inputs — no row tuple is ever materialized and no
-    shard's float columns are ever copied wholesale into RAM.
+    Each output column is the concatenation of its slices over the
+    coalesced row runs, in point-index order.
     """
     if not artifacts:
         raise ShardError("no shard artifacts to merge")
@@ -839,7 +715,7 @@ def merge_artifacts(artifacts: Sequence[ShardArtifact]) -> ShardArtifact:
     # owned by the same artifact at contiguous offsets (the common case
     # — each artifact stores its points sorted by index) collapse into
     # one slice, so the column loop below does O(runs), not O(points),
-    # reads per column.
+    # slices per column.
     runs: list[tuple[ShardArtifact, int, int]] = []
     for point_index in ordered:
         artifact, offset, rows, _cache_key = blocks[point_index]
@@ -852,49 +728,23 @@ def merge_artifacts(artifacts: Sequence[ShardArtifact]) -> ShardArtifact:
                 continue
         runs.append((artifact, offset, rows))
     series: dict[str, Any] = {}
-    # Matrix fast path: when every run's artifact came off disk with the
-    # same float-column layout, copy all float columns of each run in
-    # one 2-D slice and split the merged matrix back into row views —
-    # O(runs) mapped reads total instead of O(runs x float columns).
-    # Same elements, same concatenation order, so bit-identical to the
-    # per-column path below (which still handles the object columns and
-    # any artifact without a backing matrix).
-    matrix_layout: tuple[str, ...] | None = None
-    matrix_slices: "list[np.ndarray] | None" = []
-    for artifact, offset, rows in runs:
-        matrix = artifact._matrix
-        if matrix is None or (
-            matrix_layout is not None
-            and artifact._matrix_columns != matrix_layout
-        ):
-            matrix_slices = None
-            break
-        matrix_layout = artifact._matrix_columns
-        matrix_slices.append(matrix[:, offset : offset + rows])
-    if matrix_slices and matrix_layout:
-        merged_matrix = np.concatenate(matrix_slices, axis=1)
-        for position, name in enumerate(matrix_layout):
-            series[name] = merged_matrix[position]
     for name in columns:
-        if name in series:
-            continue
-        per_artifact: dict[int, Any] = {}
-        slices: list[Any] = []
-        for artifact, offset, rows in runs:
-            column = per_artifact.get(id(artifact))
-            if column is None:
-                column = artifact.column(name)
-                per_artifact[id(artifact)] = column
-            slices.append(column[offset : offset + rows])
-        if slices and all(isinstance(piece, np.ndarray) for piece in slices):
+        slices = [
+            artifact.series[name][offset : offset + rows]
+            for artifact, offset, rows in runs
+        ]
+        if all(isinstance(piece, np.ndarray) for piece in slices):
             series[name] = np.concatenate(slices)
         else:
-            cells: list[Any] = []
-            for piece in slices:
-                cells.extend(
+            # A column that is all-float in some inputs but not in
+            # others merges as a list of plain cells.
+            series[name] = [
+                cell
+                for piece in slices
+                for cell in (
                     piece.tolist() if isinstance(piece, np.ndarray) else piece
                 )
-            series[name] = cells
+            ]
     return ShardArtifact(
         spec_digest=first.spec_digest,
         shard_count=first.shard_count,
@@ -969,35 +819,41 @@ def read_artifacts(
     return artifacts, skipped
 
 
+def read_and_merge(
+    paths: Iterable[str | Path],
+    require_complete: bool = True,
+    strict: bool = True,
+) -> "tuple[ShardArtifact, list[tuple[Path, str]]]":
+    """Read and merge artifacts from disk: ``(merged, skipped)``.
+
+    ``skipped`` lists the ``(path, reason)`` of every artifact a lenient
+    read (``strict=False``) passed over — see :func:`read_artifacts`.
+    With ``require_complete`` every shard of the plan must be present:
+    missing indices raise :class:`ShardError` by name (a skipped
+    artifact therefore surfaces as its shard being missing).
+    """
+    artifacts, skipped = read_artifacts(paths, strict=strict)
+    if not artifacts:
+        raise ShardError("no readable shard artifacts to merge")
+    merged = merge_artifacts(artifacts)
+    if require_complete and merged.missing:
+        raise ShardError(
+            f"missing shard(s) {merged.missing} of {merged.shard_count}; pass "
+            "every artifact (or merge partially via merge_artifacts/"
+            "`repro merge-shards --output`)"
+        )
+    return merged, skipped
+
+
 def merge_shard_paths(
     paths: Iterable[str | Path],
     require_complete: bool = True,
     strict: bool = True,
 ) -> ShardArtifact:
-    """Read and merge artifacts from disk (see :func:`merge_artifacts`).
-
-    With ``require_complete`` (the default, and what
+    """The merged artifact of :func:`read_and_merge` (what
     :meth:`SweepResult.merge_shards
-    <repro.experiments.result.SweepResult.merge_shards>` uses) every
-    shard of the plan must be present — missing indices raise
-    :class:`ShardError` by name.  ``strict=False`` skips unreadable
-    artifacts instead of aborting (see :func:`read_artifacts`); combined
-    with ``require_complete`` a skip surfaces as the skipped shard being
-    reported missing.
-    """
-    artifacts, _skipped = read_artifacts(paths, strict=strict)
-    if not artifacts:
-        raise ShardError("no readable shard artifacts to merge")
-    merged = merge_artifacts(artifacts)
-    if require_complete:
-        missing = sorted(set(range(merged.shard_count)) - set(merged.shard_indices))
-        if missing:
-            raise ShardError(
-                f"missing shard(s) {missing} of {merged.shard_count}; pass "
-                "every artifact (or merge partially via merge_artifacts/"
-                "`repro merge-shards --output`)"
-            )
-    return merged
+    <repro.experiments.result.SweepResult.merge_shards>` uses)."""
+    return read_and_merge(paths, require_complete, strict)[0]
 
 
 __all__ = [
@@ -1014,6 +870,7 @@ __all__ = [
     "load_manifest",
     "merge_artifacts",
     "merge_shard_paths",
+    "read_and_merge",
     "read_artifacts",
     "resolve_artifact_paths",
     "spec_digest",

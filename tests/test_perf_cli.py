@@ -92,7 +92,7 @@ class TestPerfSuite:
 
     def test_multi_machine_shard_is_gated(self, tiny_payload):
         """The scale-out pair is a real speedup now (N=8 machines modelled,
-        fused simulate→price per shard, streamed out-of-core merge) and
+        fused simulate→price per shard, columnar merge) and
         must trip the gate when it regresses, like every other benchmark."""
         from repro.analysis.perf import MULTI_MACHINE_SHARDS, UNGATED_BENCHMARKS
 

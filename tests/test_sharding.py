@@ -318,10 +318,7 @@ class TestMergeValidation:
     def test_duplicate_but_different_shard_rejected(self, shard_artifacts, tmp_path):
         paths, _oracle = shard_artifacts
         tampered = ShardArtifact.read(paths[1])
-        row = list(tampered.values[0])
-        column = tampered.columns.index("total_energy_j")
-        row[column] = row[column] * 2.0
-        tampered.values[0] = tuple(row)
+        tampered.series["total_energy_j"][0] *= 2.0
         tampered_path = tampered.write(tmp_path)
         with pytest.raises(ShardError, match="duplicate shard data"):
             merge_shard_paths([*paths, tampered_path])
@@ -445,7 +442,7 @@ class TestSharedCache:
         second = ShardRunner(spec, 2, cache=SimulationCache(shared_dir=shared))
         warm = second.run(0)
         assert NPUSimulator.simulate_calls == 0
-        assert warm.values == cold.values
+        assert warm.result() == cold.result()
 
     def test_shared_profile_roundtrip_is_bit_identical(self, tmp_path):
         """Rows recomputed from a *reloaded* shared profile equal the
@@ -465,7 +462,7 @@ class TestSharedCache:
             spec, 1, cache=SimulationCache(shared_dir=profiles_only)
         ).run(0)
         assert NPUSimulator.simulate_calls == 0
-        assert reloaded.values == baseline.values
+        assert reloaded.result() == baseline.result()
 
     def test_corrupted_entries_fall_back_to_miss(self, tmp_path):
         spec = SPECS["gating_grid"]
@@ -485,7 +482,7 @@ class TestSharedCache:
         rerun = ShardRunner(spec, 1, cache=cache).run(0)
         assert NPUSimulator.simulate_calls > 0  # misses, not crashes
         baseline = ShardRunner(spec, 1, cache=SimulationCache()).run(0)
-        assert rerun.values == baseline.values
+        assert rerun.result() == baseline.result()
 
     def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
         """Two processes racing on one entry: every read is a complete

@@ -312,24 +312,16 @@ class TestPackedRowPipeline:
             assert entry["columns"] == list(ROW_COLUMNS)
             assert all(len(row) == len(ROW_COLUMNS) for row in entry["values"])
 
-    def test_legacy_dict_row_entries_still_readable(self, small_spec, tmp_path):
-        """A disk cache written by the previous (dict-per-row) format."""
-        import json
+    def test_flush_refuses_a_file_replaced_by_a_non_object(self, tmp_path):
+        from repro.experiments.cache import CacheFileError, JsonFileStore
 
         path = tmp_path / "cache.json"
-        cache = SimulationCache(path)
-        cold = run_sweep(small_spec, cache=cache)
-        payload = json.loads(path.read_text())
-        for key, value in list(payload.items()):
-            if key.startswith("rows:"):
-                payload[key] = [
-                    dict(zip(value["columns"], row)) for row in value["values"]
-                ]
-        path.write_text(json.dumps(payload))
-        NPUSimulator.reset_simulate_calls()
-        warm = run_sweep(small_spec, cache=SimulationCache(path))
-        assert NPUSimulator.simulate_calls == 0
-        assert warm.to_csv() == cold.to_csv()
+        store = JsonFileStore(path)
+        store.put("rows:k", {"columns": ["x"], "values": [[1.0]]})
+        path.write_text("[1, 2]")
+        with pytest.raises(CacheFileError, match="not a JSON object"):
+            store.flush()
+        assert path.read_text() == "[1, 2]"
 
 
 class TestColumnarSweepResult:
