@@ -324,14 +324,17 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
 def _cmd_cache_gc(args: argparse.Namespace) -> str:
     from repro.experiments.cache import SharedCacheDir
 
-    report = SharedCacheDir(args.dir).gc(
-        max_age_days=args.max_age_days,
-        max_bytes=args.max_bytes,
-        dry_run=args.dry_run,
-        # Auditing (--dry-run) always checks entry integrity; destructive
-        # runs only pay the full read with an explicit --verify.
-        verify=args.verify or args.dry_run,
-    )
+    try:
+        report = SharedCacheDir(args.dir).gc(
+            max_age_days=args.max_age_days,
+            max_bytes=args.max_bytes,
+            dry_run=args.dry_run,
+            # Auditing (--dry-run) always checks entry integrity;
+            # destructive runs only pay the full read with --verify.
+            verify=args.verify or args.dry_run,
+        )
+    except ValueError as error:  # includes CacheFileError
+        raise _input_error(error)
     lines = [report.describe()]
     if args.dry_run:
         for path, reason in report.removed:
@@ -417,7 +420,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             plans = scaler.plan_fleet(trace)
         report = simulate_serving(trace, plans, model, max_wait_s=args.max_wait)
     except (ServingError, TraceError) as error:
-        raise SystemExit(f"error: {error}")
+        raise _input_error(error)
 
     counts = trace.request_counts()
     lines = [
@@ -437,7 +440,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                 trace, plans, model, load_factors=factors, max_wait_s=args.max_wait
             )
         except TraceError as error:
-            raise SystemExit(f"error: {error}")
+            raise _input_error(error)
         lines += ["", curve_table(points)]
         payload["curve"] = [
             {

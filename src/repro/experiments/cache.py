@@ -10,13 +10,15 @@ Three artifact classes are cached, each under a stable key from
   entry store on a shared filesystem so concurrent shard runs reuse
   each other's simulate misses.
 * **Energy reports** — one per (profile, policy, gating parameters);
-  JSON-serializable, kept in memory and optionally on disk.
+  memory-only.  Every number a sweep persists from a report is already
+  in its rows, and a report can only be re-priced from a profile, which
+  a JSON cache file does not hold.
 * **Sweep rows** — the flat tables produced by
   :class:`~repro.experiments.runner.SweepRunner`; JSON-serializable,
   kept in memory and optionally on disk in *packed* form (one shared
   column tuple plus one value tuple per row — see :data:`PackedRows`).
   A warm row cache lets a repeated sweep complete without a single
-  simulator call.
+  simulator call.  Rows are the only layer a JSON cache file persists.
 
 :func:`simulate_cached` is a drop-in replacement for
 :func:`repro.core.regate.simulate_workload` that consults a
@@ -31,6 +33,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import pickle
 import tempfile
@@ -49,7 +52,6 @@ from repro.core.results import SimulationResult
 from repro.gating.bet import GatingParameters, parameters_token
 from repro.gating.policies import get_policy
 from repro.gating.report import EnergyReport, PolicyName
-from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
 from repro.simulator.engine import NPUSimulator, WorkloadProfile
 from repro.workloads.registry import WorkloadSpec, get_workload
@@ -84,35 +86,6 @@ def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------- #
-# Energy-report (de)serialization
-# ---------------------------------------------------------------------- #
-def report_to_dict(report: EnergyReport) -> dict[str, Any]:
-    """JSON-serializable rendering of an :class:`EnergyReport`."""
-    return {
-        "policy": report.policy.value,
-        "baseline_time_s": report.baseline_time_s,
-        "overhead_time_s": report.overhead_time_s,
-        "static_energy_j": {c.value: e for c, e in report.static_energy_j.items()},
-        "dynamic_energy_j": {c.value: e for c, e in report.dynamic_energy_j.items()},
-        "gating_events": {c.value: e for c, e in report.gating_events.items()},
-        "peak_power_w": report.peak_power_w,
-    }
-
-
-def report_from_dict(payload: dict[str, Any]) -> EnergyReport:
-    """Inverse of :func:`report_to_dict`."""
-    return EnergyReport(
-        policy=PolicyName(payload["policy"]),
-        baseline_time_s=payload["baseline_time_s"],
-        overhead_time_s=payload["overhead_time_s"],
-        static_energy_j={Component(c): e for c, e in payload["static_energy_j"].items()},
-        dynamic_energy_j={Component(c): e for c, e in payload["dynamic_energy_j"].items()},
-        gating_events={Component(c): e for c, e in payload["gating_events"].items()},
-        peak_power_w=payload["peak_power_w"],
-    )
-
-
-# ---------------------------------------------------------------------- #
 # Disk store
 # ---------------------------------------------------------------------- #
 def atomic_replace(path: str | Path, writer) -> None:
@@ -137,7 +110,11 @@ def atomic_replace(path: str | Path, writer) -> None:
 
 
 class CacheFileError(ValueError):
-    """A ``--cache`` path names a file that is not a JSON-object cache."""
+    """A cache path names something that is not a usable cache.
+
+    Raised for a ``--cache`` file that is not a JSON object and for a
+    ``--shared-cache`` path that exists but is not a directory.
+    """
 
 
 class JsonFileStore:
@@ -149,10 +126,15 @@ class JsonFileStore:
     ``{`` but does not parse).  Any other file that is not a JSON object
     (a CSV passed by mistake, a JSON list) raises :class:`CacheFileError`
     at load and again at flush, and is never overwritten.
+
+    With a ``key_prefix``, only keys starting with it are loaded and
+    merged back, so entries under any other prefix (a layer an older
+    release persisted) are dropped the next time the file is written.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, key_prefix: str = ""):
         self.path = Path(path)
+        self.key_prefix = key_prefix
         self._data: dict[str, Any] = self._read()
         self._dirty = False
 
@@ -178,6 +160,12 @@ class JsonFileStore:
                 f"cache file {self.path} is not a JSON object; refusing to "
                 "overwrite it"
             )
+        if self.key_prefix:
+            return {
+                key: value
+                for key, value in loaded.items()
+                if key.startswith(self.key_prefix)
+            }
         return loaded
 
     def __len__(self) -> int:
@@ -269,7 +257,6 @@ class SharedCacheDir:
     One file per entry, grouped by layer::
 
         <root>/profiles/<key>.pkl   # pickled portable WorkloadProfiles
-        <root>/reports/<key>.json   # EnergyReport payloads
         <root>/rows/<key>.json      # packed sweep-row payloads
 
     Every write goes to a temp file in the destination directory and is
@@ -288,6 +275,13 @@ class SharedCacheDir:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # A missing directory is created on the first write; an existing
+        # non-directory would make every write fail silently.
+        if self.root.exists() and not self.root.is_dir():
+            raise CacheFileError(
+                f"shared cache {self.root} is not a directory; refusing to "
+                "use it"
+            )
         #: Entries found present-but-unreadable by this instance's reads
         #: (a missing file is an ordinary miss and is not counted).
         self.corrupt_entries = 0
@@ -315,7 +309,7 @@ class SharedCacheDir:
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_replace(path, writer)
 
-    # -- JSON entries (reports, rows) ---------------------------------- #
+    # -- JSON entries (rows) ------------------------------------------- #
     def get_json(self, layer: str, key: str) -> Any:
         path = self._path(layer, key, ".json")
         try:
@@ -411,10 +405,23 @@ class SharedCacheDir:
         additionally reads every surviving entry and dooms the
         corrupt/unreadable ones (tallied in
         :attr:`CacheGcReport.corrupt_files`), regardless of age/size.
+        A negative or non-finite limit raises :class:`ValueError` before
+        any file is touched (``-1`` would otherwise evict everything and
+        ``nan`` nothing); ``0`` is a valid limit.
         """
+        for flag, limit in (
+            ("--max-age-days", max_age_days),
+            ("--max-bytes", max_bytes),
+        ):
+            if limit is not None and not (math.isfinite(limit) and limit >= 0):
+                raise ValueError(
+                    f"{flag} expects a finite value >= 0, got {limit}"
+                )
         now = time.time() if now is None else now
         report = CacheGcReport(root=self.root, dry_run=dry_run)
         entries: list[tuple[float, int, Path]] = []  # (mtime, size, path)
+        # ``reports/`` is no longer written; directories from older
+        # releases may still hold one, and gc collects it like the rest.
         for layer in ("profiles", "reports", "rows"):
             layer_dir = self.root / layer
             if not layer_dir.is_dir():
@@ -487,19 +494,21 @@ class SharedCacheDir:
 class SimulationCache:
     """In-memory (and optionally on-disk) memoization of simulations.
 
+    Energy reports are always memory-only; only sweep rows (and, in a
+    shared directory, profiles) persist.
+
     Parameters
     ----------
     path:
-        Optional JSON file backing the report and sweep-row layers.
-        Profiles are memory-only (they hold live graph objects) unless
-        ``shared_dir`` is given.
+        Optional JSON file backing the sweep-row layer.  Profiles are
+        memory-only (they hold live graph objects) unless ``shared_dir``
+        is given.
     shared_dir:
-        Optional :class:`SharedCacheDir` root (or an instance).  All
-        three layers — including *profiles*, the expensive simulate
-        output — are then written through to one-file-per-entry stores
-        published by atomic rename, so concurrent shard runs on a
-        shared filesystem reuse each other's simulate misses across
-        processes, machines and runs.
+        Optional :class:`SharedCacheDir` root (or an instance).  Rows
+        and *profiles*, the expensive simulate output, are then written
+        through to one-file-per-entry stores published by atomic rename,
+        so concurrent shard runs on a shared filesystem reuse each
+        other's simulate misses across processes, machines and runs.
     """
 
     def __init__(
@@ -511,10 +520,12 @@ class SimulationCache:
         self._reports: dict[str, EnergyReport] = {}
         # Reports held as zero-argument suppliers (grid cells priced by
         # the fused sweep path); materialized into ``_reports`` on first
-        # probe.  Memory-only — persistent layers always materialize.
+        # probe.
         self._lazy_reports: dict[str, Callable[[], EnergyReport]] = {}
         self._rows: dict[str, PackedRows] = {}
-        self._store = JsonFileStore(path) if path is not None else None
+        self._store = (
+            JsonFileStore(path, key_prefix="rows:") if path is not None else None
+        )
         if shared_dir is not None and not isinstance(shared_dir, SharedCacheDir):
             shared_dir = SharedCacheDir(shared_dir)
         self._shared = shared_dir
@@ -563,20 +574,6 @@ class SimulationCache:
                 # so it enters the memory layer without a defensive copy.
                 report = supplier()
                 self._reports[key] = report
-        if report is None and self._store is not None:
-            payload = self._store.get("report:" + key)
-            if payload is not None:
-                report = report_from_dict(payload)
-                self._reports[key] = report
-        if report is None and self._shared is not None:
-            payload = self._shared.get_json("reports", key)
-            if payload is not None:
-                try:
-                    report = report_from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    report = None  # foreign/corrupt payload -> miss
-                else:
-                    self._reports[key] = report
         self._count(report is not None)
         if report is None:
             return None
@@ -584,28 +581,19 @@ class SimulationCache:
 
     def put_report(self, key: str, report: EnergyReport) -> None:
         self._reports[key] = self._copy_report(report)
-        if self._store is not None:
-            self._store.put("report:" + key, report_to_dict(report))
-        if self._shared is not None:
-            self._shared.put_json("reports", key, report_to_dict(report))
 
     def put_report_lazy(
         self, key: str, supplier: Callable[[], EnergyReport]
     ) -> None:
         """Cache a report as a deferred supplier (fused sweep path).
 
-        Memory-only caches keep the zero-argument supplier and
-        materialize it on the first :meth:`get_report` probe, so a
-        sweep that never re-reads a cell (the common cold-run case)
-        skips building and copying its per-report dicts entirely.
-        Persistent layers need the serializable payload now, so they
-        materialize immediately — identical observable semantics.
+        The zero-argument supplier is materialized on the first
+        :meth:`get_report` probe, so a sweep that never re-reads a cell
+        (the common cold-run case) skips building and copying its
+        per-report dicts entirely.
         """
-        if self._store is not None or self._shared is not None:
-            self.put_report(key, supplier())
-        else:
-            self._lazy_reports[key] = supplier
-            self._reports.pop(key, None)
+        self._lazy_reports[key] = supplier
+        self._reports.pop(key, None)
 
     # -- sweep rows ---------------------------------------------------- #
     # Rows live in the cache in *packed* form: one shared column tuple
@@ -1023,8 +1011,6 @@ __all__ = [
     "materialize_cell",
     "pack_rows",
     "portable_profile",
-    "report_from_dict",
-    "report_to_dict",
     "simulate_cached",
     "simulate_cached_cells",
     "simulate_cached_many",

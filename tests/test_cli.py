@@ -203,6 +203,42 @@ def test_serve_trace_arrivals_without_a_file_exit_with_one_error_line():
     _assert_one_error_line(["serve", "--arrival", "trace"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-age-days", "-1"],
+        ["--max-bytes", "-1"],
+        ["--max-age-days", "nan"],
+        ["--max-age-days", "inf"],
+        ["--max-age-days", "-1", "--dry-run"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_cache_gc_bad_limit_exits_with_one_error_line(tmp_path, flags):
+    entries = [tmp_path / "rows" / "a.json", tmp_path / "profiles" / "b.pkl"]
+    for entry in entries:
+        entry.parent.mkdir()
+        entry.write_bytes(b"{}")
+    _assert_one_error_line(["cache", "gc", str(tmp_path), *flags])
+    assert all(entry.read_bytes() == b"{}" for entry in entries)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
+         "--batch-size", "1", "--shared-cache"],
+        ["cache", "gc"],
+    ],
+    ids=["sweep", "cache gc"],
+)
+def test_shared_cache_that_is_a_file_exits_with_one_error_line(tmp_path, argv):
+    path = tmp_path / "shared"
+    path.write_bytes(b"not a directory\n")
+    _assert_one_error_line([*argv, str(path)])
+    assert path.read_bytes() == b"not a directory\n"
+
+
 def test_imports_leave_out_database_and_network_modules():
     """The CLI, sweep and serving entry points pay no startup cost for
     SQLite, an HTTP server or a URL client."""

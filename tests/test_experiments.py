@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -16,7 +14,6 @@ from repro.experiments import (
     simulate_cached,
     stable_hash,
 )
-from repro.experiments.cache import report_from_dict, report_to_dict
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.gating.report import PolicyName
 from repro.hardware.chips import get_chip
@@ -56,23 +53,6 @@ class TestStableHash:
         assert rendered["policy"] == {"__enum__": "PolicyName", "value": "Ideal"}
         assert rendered["value"] == repr(0.1)
         assert rendered["flag"] is True
-
-
-class TestReportSerialization:
-    def test_roundtrip(self, prefill_profile_small, power_model_d):
-        from repro.gating.policies import get_policy
-
-        report = get_policy(PolicyName.REGATE_FULL).evaluate(
-            prefill_profile_small, power_model_d
-        )
-        clone = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-        assert clone.policy is report.policy
-        assert clone.total_energy_j == report.total_energy_j
-        assert clone.static_energy_j == report.static_energy_j
-        assert clone.dynamic_energy_j == report.dynamic_energy_j
-        assert clone.gating_events == report.gating_events
-        assert clone.peak_power_w == report.peak_power_w
-        assert clone.total_time_s == report.total_time_s
 
 
 class TestJsonFileStore:

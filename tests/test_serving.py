@@ -705,7 +705,7 @@ class TestServeCli:
             ],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert done.returncode != 0
+        assert done.returncode == 2
         assert "Traceback" not in done.stderr
         lines = done.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr

@@ -143,6 +143,77 @@ class TestCaching:
         assert first[0]["total_energy_j"] != second[0]["total_energy_j"]
 
 
+class TestRowsOnlyPersistence:
+    """Persistent caches hold sweep rows only; energy reports stay in memory."""
+
+    @staticmethod
+    def _keys(path):
+        import json
+
+        return set(json.loads(path.read_text()))
+
+    def test_serial_and_parallel_write_the_same_row_keys(self, small_spec, tmp_path):
+        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+        run_sweep(small_spec, cache=SimulationCache(serial))
+        run_sweep(small_spec, cache=SimulationCache(parallel), max_workers=2)
+        keys = self._keys(serial)
+        assert keys == self._keys(parallel)
+        assert len(keys) == small_spec.num_points
+        assert all(key.startswith("rows:") for key in keys)
+
+    def test_legacy_report_entries_are_ignored_then_dropped(
+        self, small_spec, tmp_path
+    ):
+        import json
+
+        path = tmp_path / "cache.json"
+        cold = run_sweep(small_spec, cache=SimulationCache(path))
+        # Entries an older release wrote next to the rows.
+        payload = json.loads(path.read_text())
+        for index in range(3):
+            payload[f"report:legacy{index}"] = {"policy": "NoPG", "peak_power_w": 1.0}
+        path.write_text(json.dumps(payload))
+
+        NPUSimulator.reset_simulate_calls()
+        cache = SimulationCache(path)
+        warm = run_sweep(small_spec, cache=cache)
+        assert NPUSimulator.simulate_calls == 0
+        assert cache.row_hits == small_spec.num_points and cache.row_misses == 0
+        assert warm.to_csv() == cold.to_csv()
+
+        wider = SweepSpec(
+            workloads=small_spec.workloads,
+            chips=small_spec.chips,
+            batch_sizes=(1, 2),
+        )
+        run_sweep(wider, cache=SimulationCache(path))  # adds rows, flushes
+        keys = self._keys(path)
+        assert len(keys) == wider.num_points
+        assert all(key.startswith("rows:") for key in keys)
+
+    def test_shared_cache_writes_no_reports_and_gc_collects_old_ones(
+        self, tmp_path
+    ):
+        import os
+        import time
+
+        from repro.cli import main
+
+        shared = tmp_path / "shared"
+        assert main(["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
+                     "--batch-size", "1", "--shared-cache", str(shared)]) == 0
+        assert sorted(entry.name for entry in shared.iterdir()) == [
+            "profiles", "rows",
+        ]
+        legacy = shared / "reports" / "legacy.json"
+        legacy.parent.mkdir()
+        legacy.write_text("{}")
+        stamp = time.time() - 60
+        os.utime(legacy, (stamp, stamp))
+        assert main(["cache", "gc", str(shared), "--max-age-days", "0"]) == 0
+        assert not legacy.exists()
+
+
 class TestSweepResultHelpers:
     @pytest.fixture()
     def table(self, small_spec):
