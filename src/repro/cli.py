@@ -289,7 +289,7 @@ def _cmd_merge_shards(args: argparse.Namespace) -> str:
             )
             path = merged.write(args.output, extra_manifest=extra)
     except ShardError as error:
-        raise SystemExit(f"error: {error}")
+        raise _input_error(error)
     result = merged.result()
     covered = len(merged.shard_indices)
     lines = [
@@ -491,7 +491,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
                 top=args.profile_top,
             )
         except KeyError as error:
-            raise SystemExit(error.args[0])
+            raise _input_error(error)
         return (
             f"{result.name}: object {result.object_s * 1000:.2f} ms, "
             f"columnar {result.columnar_s * 1000:.2f} ms, "
@@ -521,7 +521,7 @@ def _cmd_perf(args: argparse.Namespace) -> str:
     try:
         payload = run_perf_suite(grid=args.grid, repeat=args.repeat)
     except KeyError as error:
-        raise SystemExit(error.args[0])
+        raise _input_error(error)
     lines = [format_report(payload)]
     if args.output:
         write_payload(payload, args.output)

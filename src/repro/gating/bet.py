@@ -155,6 +155,13 @@ class GatingParameters:
         # instance's content behind the identity-keyed caches.
         object.__setattr__(self, "timings", _FrozenTimings(self.timings))
 
+    def __getstate__(self) -> dict:
+        # The memoized one-point table (ParameterTable.point) is
+        # process-local: its tokens must never travel with a pickle or copy.
+        state = dict(self.__dict__)
+        state.pop("_point_table", None)
+        return state
+
     # ------------------------------------------------------------------ #
     _COMPONENT_KEYS = {
         Component.SA: "sa_full",
@@ -219,10 +226,10 @@ class GatingParameters:
 class IdleGatingCoefficients:
     """Scalar idle-gating terms of one (policy, component, chip) triple.
 
-    These are the per-gap coefficients of the idle-energy accounting in
-    :mod:`repro.gating.policies`; both the object-path loop and the
-    columnar fast path consume the same instance, so the two paths use
-    bit-identical scalars by construction.
+    These are the per-gap coefficients of the object-path idle-energy
+    loop in :mod:`repro.gating.policies`; the grid kernel derives the
+    same values, one point per row, with
+    :func:`grid_idle_coefficient_columns`.
     """
 
     window_s: float  # idle-detection window (0 for software gating)
@@ -280,9 +287,8 @@ class IdleCoefficientColumns:
 
     One entry per gating-parameter point, shaped ``(n_points, 1)`` so the
     grid kernel can broadcast them against a packed per-operator axis.
-    The grid kernel derives them with
-    :func:`grid_idle_coefficient_columns`; :meth:`from_coefficients`
-    stacks per-point scalar instances instead.
+    Derived by :func:`grid_idle_coefficient_columns`, elementwise equal
+    to the scalar :func:`idle_gating_coefficients` of each point.
     """
 
     window_s: np.ndarray
@@ -291,29 +297,6 @@ class IdleCoefficientColumns:
     transition_j: np.ndarray
     delay_cycles: np.ndarray
     software: bool  # policy/component property: uniform across points
-
-    @classmethod
-    def from_coefficients(
-        cls, coefficients: Sequence[IdleGatingCoefficients]
-    ) -> "IdleCoefficientColumns":
-        softwares = {coeff.software for coeff in coefficients}
-        if len(softwares) != 1:
-            raise ValueError(
-                "idle coefficients of one (policy, component) must agree on "
-                "software management across parameter points"
-            )
-
-        def column(values: Iterable[float]) -> np.ndarray:
-            return np.asarray(list(values), dtype=np.float64)[:, None]
-
-        return cls(
-            window_s=column(c.window_s for c in coefficients),
-            threshold_s=column(c.threshold_s for c in coefficients),
-            off_leakage=column(c.off_leakage for c in coefficients),
-            transition_j=column(c.transition_j for c in coefficients),
-            delay_cycles=column(c.delay_cycles for c in coefficients),
-            software=softwares.pop(),
-        )
 
 
 def grid_idle_coefficient_columns(
@@ -454,6 +437,26 @@ class ParameterTable:
             }
             self.memo["bet_cycles"] = cached
         return cached
+
+    @classmethod
+    def point(cls, parameters: GatingParameters) -> "ParameterTable":
+        """The memoized one-point table of one parameters instance.
+
+        The table that prices :meth:`PowerGatingPolicy.evaluate
+        <repro.gating.policies.PowerGatingPolicy.evaluate>`, built once
+        per instance so its derived columns are shared by every policy
+        and profile priced at that instance.  It is kept on the instance
+        itself rather than in an ``id()``-keyed memo: the table
+        references the instance, so such a memo would keep every
+        instance alive and its ``weakref.finalize`` eviction would never
+        run.  As an attribute, the pair is one reference cycle that is
+        collected together, and no later instance can ever see it.
+        """
+        table = parameters.__dict__.get("_point_table")
+        if table is None:
+            table = cls((parameters,))
+            object.__setattr__(parameters, "_point_table", table)
+        return table
 
     @classmethod
     def of(

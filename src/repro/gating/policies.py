@@ -22,6 +22,7 @@ energy of power-state transitions, and the exposed wake-up delays:
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from repro.gating.bet import (
     ParameterTable,
     grid_idle_coefficient_columns,
     idle_gating_coefficients,
-    parameters_token,
 )
 from repro.gating.report import EnergyReport, PolicyName
 from repro.gating.sa_gating import SpatialGatingModel
@@ -60,25 +60,23 @@ class _IdleAccounting:
 
 
 def _idle_gap_values(
-    coeff: "IdleGatingCoefficients | IdleCoefficientColumns",
+    coeff: IdleCoefficientColumns,
     static_power_w: float,
     gap_s: np.ndarray,
     num_gaps: np.ndarray,
+    idle_s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-gap ``(energy_j, gated-mask)`` arrays of the idle accounting.
 
-    The single definition of the gated-gap energy expressions, shared by
-    the per-profile columnar path and the grid path so they can never
-    drift apart; only the reduction differs between them.  ``coeff`` is
-    either one scalar
-    :class:`IdleGatingCoefficients` or, on the grid path, an
-    :class:`~repro.gating.bet.IdleCoefficientColumns` whose
-    ``(n_points, 1)`` columns broadcast against the per-operator axis —
-    elementwise, every point sees exactly the scalar expressions.
+    The vectorized form of the object path's per-gap loop
+    (:meth:`PowerGatingPolicy._idle_energy`): the ``(n_points, 1)``
+    coefficient columns broadcast against the packed per-operator axis,
+    so elementwise every point sees exactly the scalar expressions.
+    ``idle_s`` is ``gap_s * num_gaps``.
     """
     valid = (gap_s > 0.0) & (num_gaps > 0.0)
     below = gap_s <= coeff.threshold_s
-    ungated_j = static_power_w * (gap_s * num_gaps)
+    ungated_j = static_power_w * idle_s
     gated_s = gap_s - coeff.window_s
     per_gap = (
         static_power_w * coeff.window_s
@@ -107,20 +105,20 @@ def _grid_view(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.broadcast_to(values, shape)
 
 
-def _safe_latency(store) -> np.ndarray:
-    """Memoized division-safe latency array of a table/pack ``store``."""
-    safe = store.memo.get("safe_latency")
+def _safe_latency(pack: "PackedProfiles") -> np.ndarray:
+    """Memoized division-safe latency array of a pack."""
+    safe = pack.memo.get("safe_latency")
     if safe is None:
-        safe = np.where(store.latency_s > 0.0, store.latency_s, 1.0)
-        store.memo["safe_latency"] = safe
+        safe = np.where(pack.latency_s > 0.0, pack.latency_s, 1.0)
+        pack.memo["safe_latency"] = safe
     return safe
 
 
-def _peak_dynamic_w(store) -> np.ndarray:
+def _peak_dynamic_w(pack: "PackedProfiles") -> np.ndarray:
     """Memoized per-operator dynamic power array (peak-power accounting)."""
-    dynamic_w = store.memo.get("peak_dynamic_w")
+    dynamic_w = pack.memo.get("peak_dynamic_w")
     if dynamic_w is None:
-        dynamic = store.dynamic
+        dynamic = pack.dynamic
         # Mirrors sum(op.dynamic_energy_j.values()) over the
         # insertion order SA, VU, SRAM, HBM, ICI, OTHER.
         dynamic_j = (
@@ -131,19 +129,47 @@ def _peak_dynamic_w(store) -> np.ndarray:
             + dynamic[Component.ICI]
             + dynamic[Component.OTHER]
         )
-        dynamic_w = dynamic_j / _safe_latency(store)
-        store.memo["peak_dynamic_w"] = dynamic_w
+        dynamic_w = dynamic_j / _safe_latency(pack)
+        pack.memo["peak_dynamic_w"] = dynamic_w
     return dynamic_w
 
 
-def _peak_active_fraction(store, component: Component) -> np.ndarray:
+def _peak_active_fraction(pack: "PackedProfiles", component: Component) -> np.ndarray:
     """Memoized per-operator active-time fraction of one component."""
     key = ("active_fraction", component)
-    fraction = store.memo.get(key)
+    fraction = pack.memo.get(key)
     if fraction is None:
-        fraction = np.minimum(1.0, store.active[component] / _safe_latency(store))
-        store.memo[key] = fraction
+        fraction = np.minimum(1.0, pack.active[component] / _safe_latency(pack))
+        pack.memo[key] = fraction
     return fraction
+
+
+def _spatial_shares(pack: "PackedProfiles") -> tuple[np.ndarray, ...]:
+    """Memoized per-operator ``(active, weight_only, off)`` PE shares.
+
+    Parameter-independent (only the matmul shapes and the SA width
+    matter), so ReGate-HW, ReGate-Full and Ideal share one computation
+    per pack.
+    """
+    shares = pack.memo.get("spatial_shares")
+    if shares is None:
+        model = SpatialGatingModel(pack.chip.sa_width, DEFAULT_PARAMETERS)
+        shares = model.shares_arrays(
+            pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims
+        )
+        pack.memo["spatial_shares"] = shares
+    return shares
+
+
+#: Components with per-operator idle gaps: the policies account their
+#: idle time and read their per-profile active seconds.
+_IDLE_COMPONENTS = (Component.SA, Component.VU, Component.HBM, Component.ICI)
+
+
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-table arrays; a one-profile pack shares its table's
+    (never mutated) array instead of copying it."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class PackedProfiles:
@@ -168,36 +194,34 @@ class PackedProfiles:
         if len(chips) != 1:
             raise ValueError("PackedProfiles requires profiles of a single chip")
         self.profiles = profiles
-        self.tables = tables
         self.chip = profiles[0].chip
         lengths = [table.n_ops for table in tables]
-        bounds = np.zeros(len(tables) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        self.starts = bounds[:-1]
-        self.ends = bounds[1:]
+        bounds = [0, *itertools.accumulate(lengths)]
+        #: ``(start, end)`` of every profile's segment in the packed arrays.
+        self.segments = list(zip(bounds[:-1], bounds[1:]))
         self.n_profiles = len(tables)
         self.n_ops = np.asarray(lengths, dtype=np.float64)
-        self.count = np.concatenate([t.count for t in tables])
-        self.latency_s = np.concatenate([t.latency_s for t in tables])
-        self.sa_mapped = np.concatenate([t.sa_mapped for t in tables])
-        self.active = {
-            c: np.concatenate([t.active[c] for t in tables]) for c in Component.all()
-        }
+        self.count = _join([t.count for t in tables])
+        self.latency_s = _join([t.latency_s for t in tables])
+        self.sa_mapped = _join([t.sa_mapped for t in tables])
+        self.sram_demand_bytes = _join([t.sram_demand_bytes for t in tables])
+        self.num_weight_tiles = _join([t.num_weight_tiles for t in tables])
+        self.num_output_tiles = _join([t.num_output_tiles for t in tables])
+        self.num_dma_bursts = _join([t.num_dma_bursts for t in tables])
+        self.dims_m = _join([t.dims_m for t in tables])
+        self.dims_k = _join([t.dims_k for t in tables])
+        self.dims_n = _join([t.dims_n for t in tables])
+        self.has_dims = _join([t.has_dims for t in tables])
+        self.active = {c: _join([t.active[c] for t in tables]) for c in Component.all()}
         self.dynamic = {
-            c: np.concatenate([t.dynamic[c] for t in tables]) for c in Component.all()
+            c: _join([t.dynamic[c] for t in tables]) for c in Component.all()
         }
-        self.sram_demand_bytes = np.concatenate(
-            [t.sram_demand_bytes for t in tables]
-        )
-        self.num_weight_tiles = np.concatenate([t.num_weight_tiles for t in tables])
-        self.num_output_tiles = np.concatenate([t.num_output_tiles for t in tables])
-        self.num_dma_bursts = np.concatenate([t.num_dma_bursts for t in tables])
-        self.dims_m = np.concatenate([t.dims_m for t in tables])
-        self.dims_k = np.concatenate([t.dims_k for t in tables])
-        self.dims_n = np.concatenate([t.dims_n for t in tables])
-        self.has_dims = np.concatenate([t.has_dims for t in tables])
+        #: Per component, the ``(gap_s, num_gaps, idle_s)`` idle-gap
+        #: arrays: gap length, gaps per iteration and their product.
+        self.gaps = {c: self._gap_arrays(c) for c in _IDLE_COMPONENTS}
         #: Cross-policy scratchpad (packed analogue of ``ProfileTable.memo``).
         self.memo: dict = {}
+        self._reduce_totals(tables)
 
     @classmethod
     def pack(cls, profiles: list[WorkloadProfile]) -> "PackedProfiles | None":
@@ -214,15 +238,29 @@ class PackedProfiles:
             return None
         return cls(list(profiles), tables)
 
+    @classmethod
+    def single(cls, profile: WorkloadProfile) -> "PackedProfiles | None":
+        """The memoized one-profile pack of ``profile`` (``None`` off the fast path).
+
+        Built once per profile table and kept in its memo, so the five
+        policies evaluated on one profile share the pack and every
+        derived array on it (:meth:`PowerGatingPolicy.evaluate`).
+        """
+        table = profile._fast_table()
+        if table is None:
+            return None
+        pack = table.memo.get("pack")
+        if pack is None:
+            pack = table.memo["pack"] = cls([profile], [table])
+        return pack
+
     # ------------------------------------------------------------------ #
     def seg_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-profile strictly-sequential sums of a packed array."""
-        out = np.empty(self.n_profiles, dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[index] = seq_sum(values[starts[index]:ends[index]])
-        return out
+        return np.asarray(
+            [seq_sum(values[start:end]) for start, end in self.segments],
+            dtype=np.float64,
+        )
 
     def seg_sums_matrix(self, stacked: np.ndarray) -> np.ndarray:
         """Per-profile sequential sums of every row of a ``(R, n_ops)`` matrix.
@@ -235,119 +273,95 @@ class PackedProfiles:
         grid reduces in one pass (the parameter axis rides along as
         extra rows).
         """
-        out = np.empty((stacked.shape[0], self.n_profiles), dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            start, end = starts[index], ends[index]
+        out = np.zeros((stacked.shape[0], self.n_profiles), dtype=np.float64)
+        for index, (start, end) in enumerate(self.segments):
             if end > start:
                 out[:, index] = stacked[:, start:end].cumsum(axis=1)[:, -1]
-            else:
-                out[:, index] = 0.0
         return out
 
     def seg_max_matrix(self, values: np.ndarray) -> np.ndarray:
         """Per-profile row-wise max of a ``(R, n_ops)`` matrix (0 floor)."""
         out = np.empty((values.shape[0], self.n_profiles), dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[:, index] = np.max(
-                values[:, starts[index]:ends[index]], axis=1, initial=0.0
-            )
+        for index, (start, end) in enumerate(self.segments):
+            out[:, index] = values[:, start:end].max(axis=1, initial=0.0)
         return out
 
-    def base_totals(self) -> None:
-        """Fill the policy-independent reduction memos in one fused pass.
+    def _reduce_totals(self, tables: list[ProfileTable]) -> None:
+        """Reduce the per-profile totals every policy reads, in one fused pass.
 
-        Busy time, per-component active seconds and dynamic energies of
-        every profile reduce together (11 rows, one pass); all five
-        policies evaluated on the pack read the same memo entries.
+        Busy time, the active seconds of the gap components, the dynamic
+        energy of every component, and each gap component's idle seconds
+        and gap count reduce together (19 rows, one pass), from the same
+        products the object path sums.
         """
-        if "total_time_s" in self.memo:
-            return
         components = Component.all()
-        active_components = (Component.SA, Component.VU, Component.HBM, Component.ICI)
-        rows = (
-            (self.weighted_latency(),)
-            + tuple(self.weighted_active(c) for c in active_components)
-            + tuple(self.dynamic[c] * self.count for c in components)
+        #: Per-operator ``latency * count`` and SA ``active * count``.
+        self.weighted_latency = self.latency_s * self.count
+        self.weighted_sa_active = self.active[Component.SA] * self.count
+        totals = self.seg_sums_matrix(
+            np.vstack(
+                (
+                    self.weighted_latency,
+                    self.weighted_sa_active,
+                    *(self.active[c] * self.count for c in _IDLE_COMPONENTS[1:]),
+                    *(self.dynamic[c] * self.count for c in components),
+                    *(self.gaps[c][2] for c in _IDLE_COMPONENTS),
+                    *(self.gaps[c][1] for c in _IDLE_COMPONENTS),
+                )
+            )
         )
-        totals = self.seg_sums_matrix(np.vstack(rows))
-        self.memo["total_time_s"] = totals[0]
-        for offset, component in enumerate(active_components):
-            self.memo[("active_total", component)] = totals[1 + offset]
-        for offset, component in enumerate(components):
-            self.memo[("dynamic_total", component)] = totals[5 + offset]
+        #: Per-profile busy time, active seconds and dynamic energies.
+        self.total_time_s = totals[0]
+        self.active_total_s = dict(zip(_IDLE_COMPONENTS, totals[1:5]))
+        self.dynamic_total_j = dict(zip(components, totals[5:11]))
+        #: Per-profile idle seconds and gap counts of the gap components.
+        self.idle_total_s = dict(zip(_IDLE_COMPONENTS, totals[11:15]))
+        self.gap_count = dict(zip(_IDLE_COMPONENTS, totals[15:19]))
         # Share the reductions with the per-table aggregate caches: the
         # sweep's row assembly reads the same totals per profile, and
         # the fused pass produced bit-identical doubles.
-        for index, table in enumerate(self.tables):
+        for table, column in zip(tables, totals[:11].T.tolist()):
             if table._total_time_s is None:
-                table._total_time_s = float(totals[0][index])
-            for offset, component in enumerate(active_components):
-                table._active_totals.setdefault(
-                    component, float(totals[1 + offset][index])
-                )
+                table._total_time_s = column[0]
+            for offset, component in enumerate(_IDLE_COMPONENTS):
+                table._active_totals.setdefault(component, column[1 + offset])
             for offset, component in enumerate(components):
-                table._dynamic_totals.setdefault(
-                    component, float(totals[5 + offset][index])
-                )
+                table._dynamic_totals.setdefault(component, column[5 + offset])
 
-    # -- packed analogues of the per-table derived arrays ---------------- #
-    def weighted_latency(self) -> np.ndarray:
-        cached = self.memo.get("weighted_latency")
-        if cached is None:
-            cached = self.latency_s * self.count
-            self.memo["weighted_latency"] = cached
-        return cached
+    def grid_totals(
+        self, shape: tuple[int, int]
+    ) -> tuple[np.ndarray, dict[Component, np.ndarray], np.ndarray]:
+        """Parameter-independent report columns as ``shape`` grid arrays.
 
-    def weighted_active(self, component: Component) -> np.ndarray:
-        key = ("weighted_active", component)
+        ``(baseline_time_s, dynamic_energy_j, n_ops)``, memoized per
+        grid shape: every policy priced on the pack reports the same
+        busy time, dynamic energies and SRAM gating events.
+        """
+        key = ("grid_totals", shape)
         cached = self.memo.get(key)
         if cached is None:
-            cached = self.active[component] * self.count
+            cached = (
+                _grid_view(self.total_time_s, shape),
+                {
+                    c: _grid_view(self.dynamic_total_j[c], shape)
+                    for c in Component.all()
+                },
+                _grid_view(self.n_ops, shape),
+            )
             self.memo[key] = cached
         return cached
 
-    def total_time_s(self) -> np.ndarray:
-        """Per-profile busy time (packed ``ProfileTable.total_time_s``)."""
-        cached = self.memo.get("total_time_s")
-        if cached is None:
-            cached = self.seg_sums(self.weighted_latency())
-            self.memo["total_time_s"] = cached
-        return cached
-
-    def active_total_s(self, component: Component) -> np.ndarray:
-        key = ("active_total", component)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.seg_sums(self.weighted_active(component))
-            self.memo[key] = cached
-        return cached
-
-    def dynamic_total_j(self, component: Component) -> np.ndarray:
-        key = ("dynamic_total", component)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.seg_sums(self.dynamic[component] * self.count)
-            self.memo[key] = cached
-        return cached
-
-    def gap_table(self, component: Component) -> tuple[np.ndarray, np.ndarray]:
-        """Packed ``(gap_s, num_gaps_total)`` of one component.
+    def _gap_arrays(
+        self, component: Component
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Packed ``(gap_s, num_gaps, idle_s)`` of one gap component.
 
         Elementwise-identical to concatenating each table's
-        :meth:`~repro.simulator.columnar.ProfileTable.gap_table` (the
+        :meth:`~repro.simulator.columnar.ProfileTable.gap_table`: the
         burst model lives in one shared helper,
-        :func:`repro.simulator.columnar.gap_arrays`), and computed once
-        per pack for all policies.
+        :func:`repro.simulator.columnar.gap_arrays`.
         """
-        key = ("gap_table", component)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        family = columnar.gap_arrays(
+        gap_s, num_per_invocation = columnar.gap_arrays(
             component,
             latency=self.latency_s,
             active=self.active[component],
@@ -356,14 +370,8 @@ class PackedProfiles:
             num_output_tiles=self.num_output_tiles,
             num_dma_bursts=self.num_dma_bursts,
         )
-        if family is None:
-            zeros = np.zeros_like(self.latency_s)
-            table = (zeros, zeros)
-        else:
-            gap_s, num_per_invocation = family
-            table = (gap_s, num_per_invocation * self.count)
-        self.memo[key] = table
-        return table
+        num_gaps = num_per_invocation * self.count
+        return gap_s, num_gaps, gap_s * num_gaps
 
 
 class ChipMajorPacks:
@@ -495,43 +503,30 @@ class GridEnergyReports:
         self.n_points, self.n_profiles = overhead_time_s.shape
         # Oracle-built reports (fallback path) returned verbatim.
         self._reports: list[list[EnergyReport]] | None = None
-        # Per point, the row's cells as Python floats: one ``tolist()``
-        # per array instead of a numpy scalar read per report field.
-        self._rows: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
-    def _row(self, point: int) -> tuple:
-        row = self._rows.get(point)
-        if row is None:
-            row = (
-                self.baseline_time_s[point].tolist(),
-                self.overhead_time_s[point].tolist(),
-                [self.dynamic_energy_j[c][point].tolist() for c in Component.all()],
-                [self.static_energy_j[c][point].tolist() for c in STATIC_ENERGY_ORDER],
-                [self.gating_events[c][point].tolist() for c in GATING_EVENT_ORDER],
-                self.peak_power_w[point].tolist(),
-            )
-            self._rows[point] = row
-        return row
-
     def report(self, point: int, profile: int) -> EnergyReport:
         """Materialize the report of one (parameter point, profile) cell."""
         if self._reports is not None:
             return self._reports[point][profile]
-        baseline, overhead, dynamic, static, events, peak = self._row(point)
-        report = EnergyReport(
+        return EnergyReport(
             policy=self.policy,
-            baseline_time_s=baseline[profile],
-            overhead_time_s=overhead[profile],
+            baseline_time_s=self.baseline_time_s.item(point, profile),
+            overhead_time_s=self.overhead_time_s.item(point, profile),
+            static_energy_j={
+                c: self.static_energy_j[c].item(point, profile)
+                for c in STATIC_ENERGY_ORDER
+            },
+            dynamic_energy_j={
+                c: self.dynamic_energy_j[c].item(point, profile)
+                for c in Component.all()
+            },
+            gating_events={
+                c: self.gating_events[c].item(point, profile)
+                for c in GATING_EVENT_ORDER
+            },
+            peak_power_w=self.peak_power_w.item(point, profile),
         )
-        for component, values in zip(Component.all(), dynamic):
-            report.dynamic_energy_j[component] = values[profile]
-        for component, values in zip(STATIC_ENERGY_ORDER, static):
-            report.static_energy_j[component] = values[profile]
-        for component, values in zip(GATING_EVENT_ORDER, events):
-            report.gating_events[component] = values[profile]
-        report.peak_power_w = peak[profile]
-        return report
 
     def reports(self, point: int) -> list[EnergyReport]:
         """All profile reports of one parameter point (oracle order)."""
@@ -590,10 +585,10 @@ class PowerGatingPolicy:
         self.parameters = parameters or DEFAULT_PARAMETERS
 
     def _fast_kernels(self) -> bool:
-        """Whether the columnar and grid kernels may price this policy.
+        """Whether the grid kernel may price this policy.
 
         Only the five stock classes qualify: their hooks are mirrored
-        term by term by the vectorized kernels.  Any subclass is priced
+        term by term by the vectorized kernel.  Any subclass is priced
         by the object path, per profile and per grid point, so whatever
         it overrides applies everywhere.
         """
@@ -670,62 +665,6 @@ class PowerGatingPolicy:
                 accounting.exposed_wake_cycles += coeff.delay_cycles * gap.num_gaps
         return accounting
 
-    def _idle_energy_columnar(
-        self, component: Component, table: ProfileTable, static_power_w: float, chip
-    ) -> _IdleAccounting:
-        """Vectorized :meth:`_idle_energy` over a profile's gap table.
-
-        The arrays are zero-padded per operator; a zero gap contributes
-        an exact ``+0.0`` to every sequential reduction, so the result
-        is bit-identical to the object path's filtered gap list.  The
-        result is memoized on the table keyed by the full coefficient
-        set — policies with identical gating behavior for a component
-        (e.g. ReGate-Base/HW/Full on the HBM controller) share one
-        computation.
-        """
-        if not self.gating_enabled:
-            key = ("total_idle", component)
-            total = table.memo.get(key)
-            if total is None:
-                gap_s, _, num_gaps = table.gap_table(component)
-                total = seq_sum(gap_s * num_gaps)
-                table.memo[key] = total
-            return _IdleAccounting(energy_j=static_power_w * total)
-
-        # Every input of the accounting; a profile table belongs to one
-        # chip, so the chip is implied.
-        memo_key = (
-            "idle",
-            component,
-            static_power_w,
-            self._timing_variant(component),
-            self._uses_software_gating(component),
-            parameters_token(self.parameters),
-        )
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return _IdleAccounting(*cached)
-
-        gap_s, _, num_gaps = table.gap_table(component)
-        coeff = self._idle_coefficients(component, static_power_w, chip)
-        energy_values, gated_mask = _idle_gap_values(
-            coeff, static_power_w, gap_s, num_gaps
-        )
-        accounting = _IdleAccounting(
-            energy_j=seq_sum(energy_values),
-            gated_gaps=seq_sum(np.where(gated_mask, num_gaps, 0.0)),
-        )
-        if not coeff.software:
-            accounting.exposed_wake_cycles = seq_sum(
-                np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0)
-            )
-        table.memo[memo_key] = (
-            accounting.energy_j,
-            accounting.gated_gaps,
-            accounting.exposed_wake_cycles,
-        )
-        return accounting
-
     # ------------------------------------------------------------------ #
     # Active-period accounting
     # ------------------------------------------------------------------ #
@@ -745,45 +684,6 @@ class PowerGatingPolicy:
             energy += static_power_w * active * factor
         return energy
 
-    def _sa_active_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        """Vectorized :meth:`_sa_active_energy` over the profile table."""
-        if not self.spatial_sa_gating:
-            return static_power_w * table.active_total_s(Component.SA)
-        memo_key = (
-            "sa_active_energy",
-            static_power_w,
-            self.parameters.leakage.logic_off,
-            self.parameters.pe_weight_register_share,
-        )
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        active = table.weighted_active(Component.SA)
-        factor = self._spatial_factor_array(profile.chip, table)
-        energy = seq_sum(
-            np.where(active > 0.0, static_power_w * active * factor, 0.0)
-        )
-        table.memo[memo_key] = energy
-        return energy
-
-    def _spatial_factor_array(self, chip, table: ProfileTable) -> np.ndarray:
-        """Memoized per-operator spatial static-power factor array."""
-        memo_key = (
-            "spatial_factor",
-            self.parameters.leakage.logic_off,
-            self.parameters.pe_weight_register_share,
-        )
-        factor = table.memo.get(memo_key)
-        if factor is None:
-            model = SpatialGatingModel(chip.sa_width, self.parameters)
-            factor = model.static_power_factor_array(
-                table.dims_m, table.dims_k, table.dims_n, table.has_dims
-            )
-            table.memo[memo_key] = factor
-        return factor
-
     def _sram_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
         """SRAM leakage: used capacity stays on, unused is slept/gated."""
         if not self.gating_enabled:
@@ -798,81 +698,39 @@ class PowerGatingPolicy:
             energy += static_power_w * duration * factor
         return energy
 
-    def _sram_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        """Vectorized :meth:`_sram_energy` over the profile table."""
-        if not self.gating_enabled:
-            return static_power_w * table.total_time_s()
-        leak = (
-            self.parameters.leakage.sram_off
-            if self.software_managed
-            else self.parameters.sleep_leakage()
-        )
-        memo_key = ("sram_energy", static_power_w, self.software_managed, leak)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        duration = table.weighted_latency()
-        factor = self._sram_factor_array(profile.chip, table)
-        energy = seq_sum(static_power_w * duration * factor)
-        table.memo[memo_key] = energy
-        return energy
-
-    def _sram_factor_array(self, chip, table: ProfileTable) -> np.ndarray:
-        """Memoized per-operator SRAM leakage-factor array."""
-        leak = (
-            self.parameters.leakage.sram_off
-            if self.software_managed
-            else self.parameters.sleep_leakage()
-        )
-        memo_key = ("sram_factor", self.software_managed, leak)
-        factor = table.memo.get(memo_key)
-        if factor is None:
-            model = SramGatingModel(chip, self.parameters)
-            factor = model.leakage_factor_for_demand_array(
-                table.sram_demand_bytes, self.software_managed
-            )
-            table.memo[memo_key] = factor
-        return factor
-
     # ------------------------------------------------------------------ #
     def evaluate(
         self, profile: WorkloadProfile, power_model: ChipPowerModel | None = None
     ) -> EnergyReport:
         """Compute the full energy report of this policy for one profile.
 
-        The one-profile kernel.  A stock policy (one of the five classes
-        :func:`get_policy` returns) runs its per-gap / per-operator
-        accounting on the columnar fast path, vectorized over the
-        profile's memoized
-        :class:`~repro.simulator.columnar.ProfileTable`.  Every other
+        A stock policy (one of the five classes :func:`get_policy`
+        returns) on the fast path prices the profile as a one-point grid:
+        :meth:`_evaluate_grid_pack` over the profile's memoized
+        one-profile :class:`PackedProfiles` (:meth:`PackedProfiles.single`)
+        at the memoized one-point :class:`ParameterTable` of
+        ``self.parameters`` (:meth:`ParameterTable.point`).  Every other
         subclass, and every policy while the fast path is disabled, runs
-        the object-path loops — the readable oracle — so a subclass's
-        overridden hooks always apply.  Both paths produce bit-identical
-        reports for the stock policies.
+        the object-path loops below — the readable oracle — so a
+        subclass's overridden hooks always apply.  Both paths produce
+        bit-identical reports for the stock policies.
         """
         power_model = power_model or ChipPowerModel.for_chip(profile.chip)
+        if self._fast_kernels():
+            pack = PackedProfiles.single(profile)
+            if pack is not None:
+                ptable = ParameterTable.point(self.parameters)
+                return self._evaluate_grid_pack(pack, ptable, power_model).report(0, 0)
+
         chip = profile.chip
-        table = profile._fast_table() if self._fast_kernels() else None
-        fast = table is not None
+        static = power_model.static_power_by_component()
 
         def idle_accounting(component: Component) -> _IdleAccounting:
-            if fast:
-                return self._idle_energy_columnar(
-                    component, table, static[component], chip
-                )
             return self._idle_energy(
                 component, profile.gap_profiles(component), static[component], chip
             )
 
-        total_time_s = table.total_time_s() if fast else profile.total_time_s
-
-        def active_s(component: Component) -> float:
-            if fast:
-                return table.active_total_s(component)
-            return profile.active_s(component)
-
+        total_time_s = profile.total_time_s
         report = EnergyReport(
             policy=self.name,
             baseline_time_s=total_time_s,
@@ -881,13 +739,7 @@ class PowerGatingPolicy:
         exposed_cycles = 0.0
 
         for component in Component.all():
-            report.dynamic_energy_j[component] = (
-                table.dynamic_total_j(component)
-                if fast
-                else profile.dynamic_energy_j(component)
-            )
-
-        static = power_model.static_power_by_component()
+            report.dynamic_energy_j[component] = profile.dynamic_energy_j(component)
 
         # Never-gated logic leaks for the whole execution.
         report.static_energy_j[Component.OTHER] = (
@@ -897,11 +749,7 @@ class PowerGatingPolicy:
         # Systolic arrays: active-time leakage (possibly spatially gated)
         # plus idle-time leakage under the temporal gating scheme.
         sa_idle = idle_accounting(Component.SA)
-        sa_active_j = (
-            self._sa_active_energy_columnar(profile, table, static[Component.SA])
-            if fast
-            else self._sa_active_energy(profile, static[Component.SA])
-        )
+        sa_active_j = self._sa_active_energy(profile, static[Component.SA])
         report.static_energy_j[Component.SA] = sa_active_j + sa_idle.energy_j
         report.gating_events[Component.SA] = sa_idle.gated_gaps
         exposed_cycles += sa_idle.exposed_wake_cycles
@@ -909,7 +757,7 @@ class PowerGatingPolicy:
         # Vector units.
         vu_idle = idle_accounting(Component.VU)
         report.static_energy_j[Component.VU] = (
-            static[Component.VU] * active_s(Component.VU) + vu_idle.energy_j
+            static[Component.VU] * profile.active_s(Component.VU) + vu_idle.energy_j
         )
         report.gating_events[Component.VU] = vu_idle.gated_gaps
         exposed_cycles += vu_idle.exposed_wake_cycles
@@ -920,19 +768,15 @@ class PowerGatingPolicy:
         for component in (Component.HBM, Component.ICI):
             idle = idle_accounting(component)
             report.static_energy_j[component] = (
-                static[component] * active_s(component) + idle.energy_j
+                static[component] * profile.active_s(component) + idle.energy_j
             )
             report.gating_events[component] = idle.gated_gaps
 
         # SRAM capacity gating.
-        report.static_energy_j[Component.SRAM] = (
-            self._sram_energy_columnar(profile, table, static[Component.SRAM])
-            if fast
-            else self._sram_energy(profile, static[Component.SRAM])
+        report.static_energy_j[Component.SRAM] = self._sram_energy(
+            profile, static[Component.SRAM]
         )
-        report.gating_events[Component.SRAM] = float(
-            table.n_ops if fast else len(profile.profiles)
-        )
+        report.gating_events[Component.SRAM] = float(len(profile.profiles))
 
         report.overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
         # The exposed wake-up delays keep the whole chip powered a little
@@ -942,11 +786,7 @@ class PowerGatingPolicy:
             extra = total_static_power * report.overhead_time_s
             report.static_energy_j[Component.OTHER] += extra
 
-        report.peak_power_w = (
-            self._peak_power_columnar(profile, table, power_model)
-            if fast
-            else self._peak_power(profile, power_model)
-        )
+        report.peak_power_w = self._peak_power(profile, power_model)
         return report
 
     # ------------------------------------------------------------------ #
@@ -989,61 +829,6 @@ class PowerGatingPolicy:
             peak = max(peak, dynamic_w + static_w)
         return peak
 
-    def _peak_power_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, power_model: ChipPowerModel
-    ) -> float:
-        """Vectorized :meth:`_peak_power` over the profile table.
-
-        Intermediates are cached on the table and shared by every policy
-        whose accounting for a component is identical (e.g.
-        ReGate-Base/HW/Full on the HBM controller).
-        """
-        latency = table.latency_s
-        mask = latency > 0.0
-        if not bool(mask.any()):
-            return 0.0
-        chip = profile.chip
-        off_leak = self.parameters.leakage.logic_off
-        dynamic_w = _peak_dynamic_w(table)
-        token = parameters_token(self.parameters)
-
-        def contribution(component: Component) -> np.ndarray | float:
-            base = power_model.static_power_w(component)
-            if not self.gating_enabled or component is Component.OTHER:
-                return base
-            if component is Component.SRAM:
-                key = ("peak_sram", base, self.software_managed, token)
-                value = table.memo.get(key)
-                if value is None:
-                    value = base * self._sram_factor_array(chip, table)
-                    table.memo[key] = value
-                return value
-            if component is Component.SA and self.spatial_sa_gating:
-                key = ("peak_sa_spatial", base, token)
-                value = table.memo.get(key)
-                if value is None:
-                    factor = self._spatial_factor_array(chip, table)
-                    fraction = _peak_active_fraction(table, component)
-                    value = base * (
-                        fraction * factor + (1 - fraction) * off_leak
-                    )
-                    table.memo[key] = value
-                return value
-            idle_leak = 0.0 if self.name is PolicyName.IDEAL else off_leak
-            key = ("peak_temporal", component, base, idle_leak, token)
-            value = table.memo.get(key)
-            if value is None:
-                fraction = _peak_active_fraction(table, component)
-                value = base * (fraction + (1 - fraction) * idle_leak)
-                table.memo[key] = value
-            return value
-
-        static_w = np.zeros_like(latency)
-        for component in Component.all():
-            static_w = static_w + contribution(component)
-        values = np.where(mask, dynamic_w + static_w, 0.0)
-        return float(np.max(values, initial=0.0))
-
     # ------------------------------------------------------------------ #
     # Multi-profile evaluation (profiles × gating-parameter points)
     # ------------------------------------------------------------------ #
@@ -1056,11 +841,13 @@ class PowerGatingPolicy:
 
         Bit-identical to ``[self.evaluate(p, power_model) for p in
         profiles]``: the batch is priced as a one-point
-        :meth:`grid_evaluate` at ``self.parameters``, which accepts a
-        pre-built :class:`PackedProfiles` or :class:`ChipMajorPacks` so
-        several policies can share one packing.
+        :meth:`grid_evaluate` at the memoized point table of
+        ``self.parameters``, which accepts a pre-built
+        :class:`PackedProfiles` or :class:`ChipMajorPacks` so several
+        policies can share one packing.
         """
-        return self.grid_evaluate(profiles, [self.parameters], power_model).reports(0)
+        ptable = ParameterTable.point(self.parameters)
+        return self.grid_evaluate(profiles, ptable, power_model).reports(0)
 
     def grid_evaluate(
         self,
@@ -1070,8 +857,8 @@ class PowerGatingPolicy:
     ) -> GridEnergyReports:
         """Evaluate this policy over all profiles × all parameter points.
 
-        The multi-profile kernel: one call prices a whole (profile batch
-        × gating-parameter grid) in a handful of vectorized NumPy
+        The fast kernel: one call prices a whole (profile batch ×
+        gating-parameter grid) in a handful of vectorized NumPy
         operations, with the parameter axis riding along as extra rows
         of the packed segment reductions.  Bit-identical to the
         per-profile oracle ::
@@ -1168,18 +955,17 @@ class PowerGatingPolicy:
     def _evaluate_grid_pack(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> GridEnergyReports:
-        """Grid counterpart of :meth:`evaluate`'s scalar assembly.
+        """The grid kernel: :meth:`evaluate`'s object-path assembly, vectorized.
 
-        Every scalar assembly step of the per-profile path reappears
-        here as one elementwise operation over ``(n_points,
-        n_profiles)`` arrays — same operations, same order,
-        bit-identical doubles.
+        Every scalar assembly step of the object path reappears here as
+        one elementwise operation over ``(n_points, n_profiles)`` arrays
+        — same operations, same order, bit-identical doubles.
         """
         chip = pack.chip
         static = power_model.static_power_by_component()
         shape = (ptable.n_points, pack.n_profiles)
-        pack.base_totals()
-        total_time = pack.total_time_s()
+        baseline_time_s, dynamic_energy_j, sram_events = pack.grid_totals(shape)
+        total_time = pack.total_time_s
 
         sa_idle = self._idle_energy_grid(
             Component.SA, pack, ptable, static[Component.SA], chip
@@ -1199,52 +985,46 @@ class PowerGatingPolicy:
 
         # exposed_cycles = 0.0 + SA + VU, as in the scalar assembly.
         exposed_cycles = sa_idle[2] + vu_idle[2]
-        overhead_time_s = _grid_view(chip.cycles_to_seconds(exposed_cycles), shape)
+        overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
 
-        other_j = static[Component.OTHER] * total_time
+        # The object path adds the exposed-delay energy only when the
+        # overhead is positive; adding the exact 0.0 it is otherwise is
+        # the identity on the non-negative ``other`` energy.
         total_static_power = sum(static.values())
         extra_j = total_static_power * overhead_time_s
+        # Every term below is already a full grid array, and both dicts
+        # follow STATIC_ENERGY_ORDER / GATING_EVENT_ORDER.
         static_energy = {
-            Component.OTHER: np.where(
-                overhead_time_s > 0.0, other_j + extra_j, other_j
-            ),
+            Component.OTHER: static[Component.OTHER] * total_time + extra_j,
             Component.SA: sa_active_j + sa_idle[0],
             Component.VU: (
-                static[Component.VU] * pack.active_total_s(Component.VU)
+                static[Component.VU] * pack.active_total_s[Component.VU]
                 + vu_idle[0]
             ),
             Component.HBM: (
-                static[Component.HBM] * pack.active_total_s(Component.HBM)
+                static[Component.HBM] * pack.active_total_s[Component.HBM]
                 + hbm_idle[0]
             ),
             Component.ICI: (
-                static[Component.ICI] * pack.active_total_s(Component.ICI)
+                static[Component.ICI] * pack.active_total_s[Component.ICI]
                 + ici_idle[0]
             ),
             Component.SRAM: sram_j,
         }
-        gating_events = {
-            Component.SA: sa_idle[1],
-            Component.VU: vu_idle[1],
-            Component.HBM: hbm_idle[1],
-            Component.ICI: ici_idle[1],
-            Component.SRAM: pack.n_ops,
-        }
         return GridEnergyReports(
             self.name,
-            baseline_time_s=_grid_view(total_time, shape),
+            baseline_time_s=baseline_time_s,
             overhead_time_s=overhead_time_s,
-            static_energy_j={
-                c: _grid_view(static_energy[c], shape) for c in STATIC_ENERGY_ORDER
-            },
-            dynamic_energy_j={
-                c: _grid_view(pack.dynamic_total_j(c), shape)
-                for c in Component.all()
-            },
+            static_energy_j=static_energy,
+            dynamic_energy_j=dynamic_energy_j,
             gating_events={
-                c: _grid_view(gating_events[c], shape) for c in GATING_EVENT_ORDER
+                Component.SA: sa_idle[1],
+                Component.VU: vu_idle[1],
+                Component.HBM: hbm_idle[1],
+                Component.ICI: ici_idle[1],
+                Component.SRAM: sram_events,
             },
-            peak_power_w=_grid_view(peak_w, shape),
+            peak_power_w=peak_w,
         )
 
     def _idle_coefficient_columns(
@@ -1258,22 +1038,26 @@ class PowerGatingPolicy:
 
         The vectorized derivation (:func:`grid_idle_coefficient_columns`)
         is elementwise-identical to the scalar
-        :meth:`_idle_coefficients`.  The columns are memoized on the
-        parameter table per (policy class, component, static power,
-        chip).  The chip spec itself (frozen, hashable) is part of the
-        key — an ``id()`` key could alias a recycled address to stale
+        :meth:`_idle_coefficients` of a stock policy, whose coefficients
+        depend on the policy only through the timing variant and the
+        software flag.  The columns are memoized on the parameter table
+        by those two, the component, the static power and the chip.  The
+        chip spec itself (frozen, hashable) is part of the key — an
+        ``id()`` key could alias a recycled address to stale
         chip-frequency-dependent coefficients.
         """
-        key = ("idle_coeffs", type(self), component, static_power_w, chip)
+        variant = self._timing_variant(component)
+        software = self._uses_software_gating(component)
+        key = ("idle_coeffs", component, variant, software, static_power_w, chip)
         cached = ptable.memo.get(key)
         if cached is None:
             cached = grid_idle_coefficient_columns(
                 ptable,
                 component,
-                self._timing_variant(component),
+                variant,
                 static_power_w,
                 chip,
-                software=self._uses_software_gating(component),
+                software=software,
                 min_window_cycles=(
                     MIN_VU_DETECTION_WINDOW_CYCLES
                     if component is Component.VU
@@ -1291,58 +1075,68 @@ class PowerGatingPolicy:
         static_power_w: float,
         chip,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid :meth:`_idle_energy_columnar`: ``(n_points, n_profiles)``
-        arrays of ``(energy_j, gated_gaps, exposed_wake_cycles)``."""
-        gap_s, num_gaps = pack.gap_table(component)
+        """Grid form of :meth:`_idle_energy`: ``(n_points, n_profiles)``
+        arrays of ``(energy_j, gated_gaps, exposed_wake_cycles)``.
+
+        A gating policy's result is memoized on the pack by every input
+        of the accounting (component, static power, timing variant,
+        software flag, parameter points), so policies that gate a
+        component alike — ReGate-Base/HW/Full on the HBM and ICI
+        controllers — share one computation.
+        """
         n_points = ptable.n_points
         shape = (n_points, pack.n_profiles)
-        zeros = np.zeros(shape)
         if not self.gating_enabled:
-            energy = static_power_w * pack.seg_sums(gap_s * num_gaps)
+            zeros = np.zeros(shape)
+            energy = static_power_w * pack.idle_total_s[component]
             return _grid_view(energy, shape), zeros, zeros
+        variant = self._timing_variant(component)
+        software = self._uses_software_gating(component)
+        key = ("idle_grid", component, static_power_w, variant, software, ptable.tokens)
+        cached = pack.memo.get(key)
+        if cached is not None:
+            return cached
+        gap_s, num_gaps, idle_s = pack.gaps[component]
         coeffs = self._idle_coefficient_columns(
             component, ptable, static_power_w, chip
         )
         # The shared per-gap expressions, with the coefficient columns
         # broadcasting along the parameter axis.
         energy_values, gated_mask = _idle_gap_values(
-            coeffs, static_power_w, gap_s, num_gaps
+            coeffs, static_power_w, gap_s, num_gaps, idle_s
         )
         gated_values = np.where(gated_mask, num_gaps, 0.0)
-        if coeffs.software:
+        if software:
             sums = pack.seg_sums_matrix(np.vstack((energy_values, gated_values)))
-            return sums[:n_points], sums[n_points:], zeros
-        exposed_values = np.where(gated_mask, coeffs.delay_cycles * num_gaps, 0.0)
-        sums = pack.seg_sums_matrix(
-            np.vstack((energy_values, gated_values, exposed_values))
-        )
-        return (
-            sums[:n_points],
-            sums[n_points : 2 * n_points],
-            sums[2 * n_points :],
-        )
+            cached = sums[:n_points], sums[n_points:], np.zeros(shape)
+        else:
+            exposed_values = np.where(
+                gated_mask, coeffs.delay_cycles * num_gaps, 0.0
+            )
+            sums = pack.seg_sums_matrix(
+                np.concatenate((energy_values, gated_values, exposed_values))
+            )
+            cached = (
+                sums[:n_points],
+                sums[n_points : 2 * n_points],
+                sums[2 * n_points :],
+            )
+        pack.memo[key] = cached
+        return cached
 
     def _spatial_factor_grid(
         self, pack: PackedProfiles, ptable: ParameterTable
     ) -> np.ndarray:
-        """Grid :meth:`_spatial_factor_array`: ``(n_points, n_ops)``.
+        """Per-operator spatial static-power factors, ``(n_points, n_ops)``.
 
-        The PE-share split is parameter-independent (it only depends on
-        the matmul shapes and the SA width), so it is computed once per
-        pack; each point then applies its own leakage scalars — the same
-        left-to-right expression as the scalar factor.
+        Each point applies its own leakage scalars to the pack's PE
+        shares (:func:`_spatial_shares`) — the same left-to-right
+        expression as the scalar factor.
         """
         key = ("spatial_factor_grid", ptable.tokens)
         cached = pack.memo.get(key)
         if cached is None:
-            shares = pack.memo.get("spatial_shares")
-            if shares is None:
-                model = SpatialGatingModel(pack.chip.sa_width, self.parameters)
-                shares = model.shares_arrays(
-                    pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims
-                )
-                pack.memo["spatial_shares"] = shares
-            active, weight_only, off = shares
+            active, weight_only, off = _spatial_shares(pack)
             off_leak = ptable.logic_off[:, None]
             weight_share = ptable.pe_weight_register_share[:, None]
             w_on_leak = weight_share + (1.0 - weight_share) * off_leak
@@ -1353,7 +1147,12 @@ class PowerGatingPolicy:
     def _sram_factor_grid(
         self, pack: PackedProfiles, ptable: ParameterTable
     ) -> np.ndarray:
-        """Grid :meth:`_sram_factor_array`: ``(n_points, n_ops)``."""
+        """Per-operator SRAM leakage factors, ``(n_points, n_ops)``.
+
+        Mirrors the scalar ``on + sleep * sleep_leak + off * off_leak``
+        with the zero share dropped: adding ``0.0 * leak`` to a
+        non-negative float is exact, so every element is bit-identical.
+        """
         key = ("sram_factor_grid", self.software_managed, ptable.tokens)
         cached = pack.memo.get(key)
         if cached is None:
@@ -1374,31 +1173,49 @@ class PowerGatingPolicy:
     def _sa_active_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sa_active_energy_columnar` (points × profiles)."""
+        """Grid form of :meth:`_sa_active_energy` (points × profiles).
+
+        The spatially gated sum is memoized on the pack, so ReGate-HW
+        and ReGate-Full share it.
+        """
         if not self.spatial_sa_gating:
-            energy = static_power_w * pack.active_total_s(Component.SA)
+            energy = static_power_w * pack.active_total_s[Component.SA]
             return _grid_view(energy, (ptable.n_points, pack.n_profiles))
-        active = pack.weighted_active(Component.SA)
-        factor = self._spatial_factor_grid(pack, ptable)
-        return pack.seg_sums_matrix(
-            np.where(active > 0.0, static_power_w * active * factor, 0.0)
-        )
+        key = ("sa_active_grid", static_power_w, ptable.tokens)
+        cached = pack.memo.get(key)
+        if cached is None:
+            active = pack.weighted_sa_active
+            factor = self._spatial_factor_grid(pack, ptable)
+            cached = pack.seg_sums_matrix(
+                np.where(active > 0.0, static_power_w * active * factor, 0.0)
+            )
+            pack.memo[key] = cached
+        return cached
 
     def _sram_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sram_energy_columnar` (points × profiles)."""
+        """Grid form of :meth:`_sram_energy` (points × profiles).
+
+        The gated sum is memoized on the pack, so ReGate-Base and
+        ReGate-HW share it.
+        """
         if not self.gating_enabled:
-            energy = static_power_w * pack.total_time_s()
+            energy = static_power_w * pack.total_time_s
             return _grid_view(energy, (ptable.n_points, pack.n_profiles))
-        duration = pack.weighted_latency()
-        factor = self._sram_factor_grid(pack, ptable)
-        return pack.seg_sums_matrix(static_power_w * duration * factor)
+        key = ("sram_grid", static_power_w, self.software_managed, ptable.tokens)
+        cached = pack.memo.get(key)
+        if cached is None:
+            duration = pack.weighted_latency
+            factor = self._sram_factor_grid(pack, ptable)
+            cached = pack.seg_sums_matrix(static_power_w * duration * factor)
+            pack.memo[key] = cached
+        return cached
 
     def _peak_power_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> np.ndarray:
-        """Grid :meth:`_peak_power_columnar` (points × profiles)."""
+        """Grid form of :meth:`_peak_power` (points × profiles)."""
         latency = pack.latency_s
         mask = latency > 0.0
         dynamic_w = _peak_dynamic_w(pack)
@@ -1436,7 +1253,10 @@ class PowerGatingPolicy:
                 pack.memo[key] = value
             return value
 
-        static_w: np.ndarray = np.zeros_like(latency)
+        # 0.0 + x == x, so starting from a scalar leaves every element
+        # equal to the object path's per-operator sum, and scalar
+        # contributions (e.g. all of NoPG's) stay scalar additions.
+        static_w: np.ndarray | float = 0.0
         for component in Component.all():
             static_w = static_w + contribution(component)
         values = np.where(mask, dynamic_w + static_w, 0.0)
@@ -1492,17 +1312,6 @@ class IdealPolicy(PowerGatingPolicy):
     def _idle_energy(self, component, gaps, static_power_w, chip) -> _IdleAccounting:
         return _IdleAccounting(energy_j=0.0, gated_gaps=sum(g.num_gaps for g in gaps))
 
-    def _idle_energy_columnar(
-        self, component, table: ProfileTable, static_power_w: float, chip
-    ) -> _IdleAccounting:
-        key = ("ideal_gated_gaps", component)
-        gated = table.memo.get(key)
-        if gated is None:
-            _, _, num_gaps = table.gap_table(component)
-            gated = seq_sum(num_gaps)
-            table.memo[key] = gated
-        return _IdleAccounting(energy_j=0.0, gated_gaps=gated)
-
     def _sa_active_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
         model = SpatialGatingModel(profile.chip.sa_width, self.parameters)
         energy = 0.0
@@ -1514,21 +1323,6 @@ class IdealPolicy(PowerGatingPolicy):
             energy += static_power_w * active * shares.active
         return energy
 
-    def _sa_active_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        memo_key = ("ideal_sa_active_energy", static_power_w)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        active = table.weighted_active(Component.SA)
-        active_share = self._active_share(table, profile.chip)
-        energy = seq_sum(
-            np.where(active > 0.0, static_power_w * active * active_share, 0.0)
-        )
-        table.memo[memo_key] = energy
-        return energy
-
     def _sram_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
         capacity = profile.chip.sram_bytes
         energy = 0.0
@@ -1538,54 +1332,23 @@ class IdealPolicy(PowerGatingPolicy):
             energy += static_power_w * duration * used
         return energy
 
-    def _sram_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        memo_key = ("ideal_sram_energy", static_power_w)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        capacity = profile.chip.sram_bytes
-        duration = table.weighted_latency()
-        used = np.minimum(1.0, table.sram_demand_bytes / capacity)
-        energy = seq_sum(static_power_w * duration * used)
-        table.memo[memo_key] = energy
-        return energy
-
-    def _active_share(self, store, chip) -> np.ndarray:
-        """Memoized per-operator active-PE share of a table or pack."""
-        share = store.memo.get("spatial_active_share")
-        if share is None:
-            model = SpatialGatingModel(chip.sa_width, self.parameters)
-            share, _, _ = model.shares_arrays(
-                store.dims_m, store.dims_k, store.dims_n, store.has_dims
-            )
-            store.memo["spatial_active_share"] = share
-        return share
-
     # -- grid (profiles × parameter points) counterparts ------------------ #
     # The Ideal roofline's idle/SA/SRAM accounting is independent of the
     # gating parameters, so each grid hook computes its per-profile
     # values once and repeats them along the parameter axis — exactly
-    # the values the per-profile hooks produce at every point.
+    # the values the object-path hooks above produce at every point.
     def _idle_energy_grid(
         self, component, pack: PackedProfiles, ptable, static_power_w: float, chip
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shape = (ptable.n_points, pack.n_profiles)
         zeros = np.zeros(shape)
-        key = ("ideal_gated_gaps", component)
-        gated = pack.memo.get(key)
-        if gated is None:
-            _, num_gaps = pack.gap_table(component)
-            gated = pack.seg_sums(num_gaps)
-            pack.memo[key] = gated
-        return zeros, _grid_view(gated, shape), zeros
+        return zeros, _grid_view(pack.gap_count[component], shape), zeros
 
     def _sa_active_energy_grid(
         self, pack: PackedProfiles, ptable, static_power_w: float
     ) -> np.ndarray:
-        active = pack.weighted_active(Component.SA)
-        active_share = self._active_share(pack, pack.chip)
+        active = pack.weighted_sa_active
+        active_share = _spatial_shares(pack)[0]
         energy = pack.seg_sums(
             np.where(active > 0.0, static_power_w * active * active_share, 0.0)
         )
@@ -1595,7 +1358,7 @@ class IdealPolicy(PowerGatingPolicy):
         self, pack: PackedProfiles, ptable, static_power_w: float
     ) -> np.ndarray:
         capacity = pack.chip.sram_bytes
-        duration = pack.weighted_latency()
+        duration = pack.weighted_latency
         used = np.minimum(1.0, pack.sram_demand_bytes / capacity)
         energy = pack.seg_sums(static_power_w * duration * used)
         return _grid_view(energy, (ptable.n_points, pack.n_profiles))

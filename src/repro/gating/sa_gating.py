@@ -195,20 +195,6 @@ class SpatialGatingModel:
             np.where(has_dims, off / total, 0.0),
         )
 
-    def static_power_factor_array(
-        self,
-        m: np.ndarray,
-        k: np.ndarray,
-        n: np.ndarray,
-        has_dims: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`static_power_factor` over operator arrays."""
-        active, weight_only, off = self.shares_arrays(m, k, n, has_dims)
-        off_leak = self.parameters.leakage.logic_off
-        weight_share = self.parameters.pe_weight_register_share
-        w_on_leak = weight_share + (1.0 - weight_share) * off_leak
-        return active + weight_only * w_on_leak + off * off_leak
-
 
 __all__ = [
     "SpatialGatingModel",

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.compiler.allocation import SegmentLifetime, SramAllocator
 from repro.gating.bet import GatingParameters
 from repro.hardware.chips import NPUChipSpec
@@ -73,22 +71,6 @@ class SramGatingModel:
         """Average SRAM leakage factor for one operator."""
         shares = self.shares_for_demand(demand_bytes, software_managed)
         return shares.leakage_factor(self.parameters)
-
-    def leakage_factor_for_demand_array(
-        self, demand_bytes, software_managed: bool
-    ):
-        """Vectorized :meth:`leakage_factor_for_demand` (columnar path).
-
-        Mirrors ``on + sleep * sleep_leak + off * off_leak`` with the
-        zero share dropped — adding ``0.0 * leak`` to a non-negative
-        float is exact, so the result is bit-identical to the scalar.
-        """
-        capacity = self.chip.sram_bytes
-        used = np.minimum(1.0, np.maximum(0.0, demand_bytes / capacity))
-        unused = 1.0 - used
-        if software_managed:
-            return used + unused * self.parameters.leakage.sram_off
-        return used + unused * self.parameters.sleep_leakage()
 
     # ------------------------------------------------------------------ #
     def shares_from_lifetimes(

@@ -1,9 +1,8 @@
 """Per-batch service-time and energy model backing the serving layer.
 
 :class:`ServiceModel` is the bridge between the queueing simulation and
-the paper's NPU simulator: for every (workload, batch size) the pod
-actually forms, it runs :func:`repro.core.regate.simulate_workload`
-once (memoized) and exposes
+the paper's NPU simulator: every (workload, batch size) the pod
+actually forms is simulated once (memoized), and the model exposes
 
 * the batch service time in integer nanoseconds (the NoPG iteration
   time — gating's sub-percent wake-up overhead is accounted in energy,
@@ -16,17 +15,23 @@ once (memoized) and exposes
   utilization rises.
 
 Only batch sizes that actually occur are simulated: a trace that forms
-batches of sizes {1, 7, 8} costs three simulator calls per workload.
+batches of sizes {1, 7, 8} costs three simulations per workload.
+:meth:`ServiceModel.resolve` simulates a run's sizes together, pricing
+each policy for all of them with one grid-kernel call;
+:meth:`ServiceModel.result` simulates a single size on its own, through
+:func:`repro.core.regate.simulate_workload`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.carbon.operational import OperationalCarbonModel
 from repro.core.config import SimulationConfig
 from repro.core.regate import simulate_workload
 from repro.core.results import SimulationResult
+from repro.experiments.cache import SimulationCache, simulate_cached_many
 from repro.gating.report import PolicyName
 from repro.serving.arrivals import NS
 
@@ -61,22 +66,44 @@ class ServiceModel:
     )
 
     # ------------------------------------------------------------------ #
-    def result(self, pod: PodSpec, batch_size: int) -> SimulationResult:
-        """The (memoized) simulation of one batch size on one pod."""
+    def _key(self, pod: PodSpec, batch_size: int) -> tuple[str, str, int | None, int]:
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        key = (pod.workload, pod.chip, pod.num_chips, batch_size)
+        return (pod.workload, pod.chip, pod.num_chips, batch_size)
+
+    def _config(self, pod: PodSpec, batch_size: int) -> SimulationConfig:
+        return SimulationConfig(
+            chip=pod.chip,
+            num_chips=pod.num_chips,
+            batch_size=batch_size,
+            policies=self.policies,
+        )
+
+    def result(self, pod: PodSpec, batch_size: int) -> SimulationResult:
+        """The (memoized) simulation of one batch size on one pod."""
+        key = self._key(pod, batch_size)
         if key not in self._results:
             self._results[key] = simulate_workload(
-                pod.workload,
-                SimulationConfig(
-                    chip=pod.chip,
-                    num_chips=pod.num_chips,
-                    batch_size=batch_size,
-                    policies=self.policies,
-                ),
+                pod.workload, self._config(pod, batch_size)
             )
         return self._results[key]
+
+    def resolve(self, pairs: Iterable[tuple[PodSpec, int]]) -> None:
+        """Simulate every (pod, batch size) pair not yet memoized, in one pass.
+
+        The missing pairs go through one :func:`simulate_cached_many`
+        call, which prices each policy for all of them with one N×1
+        grid-kernel call, into the memo :meth:`result` reads.  The
+        results are bit-identical to simulating each pair on its own.
+        """
+        missing: dict[tuple, tuple[str, SimulationConfig]] = {}
+        for pod, batch_size in pairs:
+            key = self._key(pod, batch_size)
+            if key not in self._results and key not in missing:
+                missing[key] = (pod.workload, self._config(pod, batch_size))
+        if missing:
+            results = simulate_cached_many(list(missing.values()), SimulationCache())
+            self._results.update(zip(missing, results))
 
     # ------------------------------------------------------------------ #
     def service_ns(self, pod: PodSpec, batch_size: int) -> int:

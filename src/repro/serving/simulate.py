@@ -199,6 +199,17 @@ def simulate_serving(
         )
         for wid in range(len(trace.workloads))
     ]
+    # Every batch size this run prices, plus each pod's full batch (its
+    # idle power), simulated together before the per-pool lookups.
+    pods = [plans[name].pod for name in trace.workloads]
+    service_model.resolve(
+        [
+            (pod, size)
+            for pod, (distinct, _inverse, _counts) in zip(pods, histograms)
+            for size in distinct.tolist()
+        ]
+        + [(pod, max(1, pod.max_batch)) for pod in pods]
+    )
     service_ns = _batch_service_ns(batches, plans, service_model, histograms)
     replicas = {
         wid: plans[name].replicas for wid, name in enumerate(trace.workloads)

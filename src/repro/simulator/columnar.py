@@ -157,10 +157,7 @@ class ProfileTable:
     ``active``/``dynamic`` map each :class:`Component` to its per-
     invocation active seconds (clamped to the operator latency) and
     dynamic energy.  Derived aggregates (busy time, per-component
-    totals, idle-gap tables) are computed once on first use and cached —
-    this is what lets the five gating policies share one gap table per
-    component instead of rebuilding identical
-    :class:`~repro.simulator.engine.GapProfile` lists per policy.
+    totals, idle-gap tables) are computed once on first use and cached.
     """
 
     def __init__(
@@ -204,10 +201,9 @@ class ProfileTable:
         self._sa_spatial: float | None = None
         self._weighted_active: dict[Component, np.ndarray] = {}
         self._weighted_latency: np.ndarray | None = None
-        #: Cross-policy scratchpad: the gating policies memoize derived
-        #: arrays here (idle accounting, leakage-factor arrays) keyed by
-        #: everything their value depends on, so five policies evaluated
-        #: on one profile share the work instead of recomputing it.
+        #: Cross-policy scratchpad: the gating policies keep the
+        #: profile's one-profile ``PackedProfiles`` here, so five
+        #: policies evaluated on one profile share its derived arrays.
         self.memo: dict = {}
 
     # -- constructors --------------------------------------------------- #
@@ -332,8 +328,9 @@ class ProfileTable:
         idle gap for this component hold zeros in all three (adding a
         zero term to a running float sum is exact, so the zero-padded
         arrays reduce bit-identically to the object path's filtered gap
-        lists).  Computed once per profile and shared by every policy
-        evaluation — the memoization the sensitivity sweeps rely on.
+        lists).  Computed once per profile; the object path's idle
+        accounting reads it through
+        :meth:`~repro.simulator.engine.WorkloadProfile.gap_profiles`.
         """
         cached = self._gap_tables.get(component)
         if cached is not None:

@@ -239,6 +239,18 @@ def test_shared_cache_that_is_a_file_exits_with_one_error_line(tmp_path, argv):
     assert path.read_bytes() == b"not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["merge-shards", "{empty_dir}"],
+        ["perf", "--profile", "nosuch"],
+    ],
+    ids=["merge-shards without artifacts", "perf unknown profile"],
+)
+def test_bad_merge_or_perf_input_exits_with_one_error_line(tmp_path, argv):
+    _assert_one_error_line([arg.format(empty_dir=tmp_path) for arg in argv])
+
+
 def test_imports_leave_out_database_and_network_modules():
     """The CLI, sweep and serving entry points pay no startup cost for
     SQLite, an HTTP server or a URL client."""

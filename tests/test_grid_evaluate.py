@@ -7,7 +7,8 @@ These tests hold, across workloads × chips × policies × the Figure
 
 * ``grid_evaluate`` reports equal per-profile ``evaluate`` reports at
   every parameter point with ``==`` (exact float comparison on every
-  cell) — the independent one-profile kernel, not the grid itself;
+  cell) — ``evaluate`` runs the same kernel as a one-point grid on a
+  one-profile pack, so this checks the batching, not the formulas;
 * both equal the object-path ``evaluate`` oracle with the fast path
   disabled;
 * the grid's column arrays are byte-for-byte identical to arrays
@@ -24,6 +25,11 @@ runs it both ways): every fast-path expectation pins the switch with
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -33,7 +39,6 @@ from repro.gating.bet import (
     FIGURE21_LEAKAGE_POINTS,
     FIGURE22_DELAY_MULTIPLIERS,
     GatingParameters,
-    IdleCoefficientColumns,
     ParameterTable,
 )
 from repro.gating.policies import (
@@ -44,6 +49,7 @@ from repro.gating.policies import (
     get_policy,
     list_policies,
 )
+from repro.gating.report import PolicyName
 from repro.hardware.components import Component
 from repro.simulator.columnar import use_fast_path
 
@@ -116,19 +122,73 @@ class TestParameterTable:
         with pytest.raises(TypeError, match="GatingParameters"):
             ParameterTable((DEFAULT_PARAMETERS, "not parameters"))
 
-    def test_coefficient_columns_require_uniform_software_flag(self):
-        from repro.gating.bet import idle_gating_coefficients
-        from repro.hardware.chips import get_chip
 
-        chip = get_chip("NPU-D")
-        coefficients = [
-            idle_gating_coefficients(
-                DEFAULT_PARAMETERS, Component.VU, None, 1.0, chip, software=software
-            )
-            for software in (True, False)
-        ]
-        with pytest.raises(ValueError, match="software"):
-            IdleCoefficientColumns.from_coefficients(coefficients)
+# ---------------------------------------------------------------------- #
+# evaluate: a one-point grid on the profile's memoized one-profile pack
+# ---------------------------------------------------------------------- #
+class TestOnePointEvaluate:
+    @staticmethod
+    def _p1() -> GatingParameters:
+        return DEFAULT_PARAMETERS.with_delay_multiplier(3.0)
+
+    @pytest.mark.parametrize("policy_name", list_policies())
+    def test_memos_never_serve_another_parameter_set(self, policy_name):
+        """P1, then P2, then a P1-equal instance created after P1 was
+        collected: each fast ``evaluate`` equals the object-path oracle,
+        so neither the one-point table nor the pack memos hand back a
+        stale entry."""
+        with use_fast_path(True):
+            profile = simulate_workload("llama3-8b-prefill", chip="NPU-D").profile
+        assert profile.active_s(Component.SA) > 0.0  # spatial gating matters
+        packs = []
+
+        def check(parameters):
+            policy = get_policy(policy_name, parameters)
+            # The oracle first: it materializes the operator profiles,
+            # which rebuilds the table once; every fast call below then
+            # prices on one and the same pack.
+            with use_fast_path(False):
+                oracle = policy.evaluate(profile)
+            with use_fast_path(True):
+                fast = policy.evaluate(profile)
+                packs.append(PackedProfiles.single(profile))
+            assert fast == oracle
+            assert packs[-1] is packs[0]
+            return fast
+
+        p1 = self._p1()
+        first = check(p1)
+        p2 = DEFAULT_PARAMETERS.with_leakage(0.40, 0.50, 0.25)
+        second = check(p2)
+        if policy_name not in (PolicyName.NOPG, PolicyName.IDEAL):
+            assert second != first
+        collected = weakref.ref(p1)
+        del p1
+        gc.collect()
+        assert collected() is None, "the point-table memo keeps P1 alive"
+        assert check(self._p1()) == first
+
+    def test_point_table_is_memoized_per_instance_and_stays_local(self):
+        parameters = self._p1()
+        table = ParameterTable.point(parameters)
+        assert ParameterTable.point(parameters) is table
+        assert table.parameters == (parameters,)
+        equal = self._p1()
+        assert ParameterTable.point(equal) is not table
+        for clone in (copy.copy(parameters), pickle.loads(pickle.dumps(parameters))):
+            assert clone == parameters
+            assert "_point_table" not in vars(clone)
+
+    def test_single_pack_is_shared_by_every_policy(self, single_chip):
+        profile = single_chip[0]
+        with use_fast_path(True):
+            pack = PackedProfiles.single(profile)
+            assert pack is not None and pack.n_profiles == 1
+            for policy_name in list_policies():
+                get_policy(policy_name).evaluate(profile)
+            assert PackedProfiles.single(profile) is pack
+        with use_fast_path(False):
+            assert PackedProfiles.single(profile) is None
 
 
 # ---------------------------------------------------------------------- #

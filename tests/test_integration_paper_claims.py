@@ -2,7 +2,8 @@
 
 These are *shape* checks, not absolute-number checks: our power model is
 calibrated, not measured, so we verify who wins, by roughly what factor,
-and where the qualitative crossovers fall (see EXPERIMENTS.md).
+and where the qualitative crossovers fall.  The claims are the abstract's
+(PAPER.md); ``benchmarks/bench_fig*.py`` print the full figures.
 """
 
 import pytest

@@ -56,6 +56,9 @@ class FakeServiceModel:
 
     policies = (PolicyName.NOPG, PolicyName.REGATE_FULL)
 
+    def resolve(self, pairs):
+        pass
+
     def service_ns(self, pod, batch_size):
         return 1_000_000 + 250_000 * batch_size
 
@@ -601,6 +604,43 @@ class TestRealServing:
         payload = rollup.to_json()
         assert payload["kind"] == "repro-serving-carbon"
         json.dumps(payload)  # JSON-serializable end to end
+
+    def test_batch_sizes_are_priced_in_one_grid_call_per_policy(
+        self, monkeypatch
+    ):
+        """simulate_serving prices every batch size it forms (and each
+        pod's full batch) with one grid_evaluate per policy, and reports
+        exactly what pricing each size lazily through result() gives."""
+        from repro.gating.policies import PowerGatingPolicy
+
+        trace = poisson_trace(
+            ["llama3-8b-decode", "dlrm-s-inference"], [60.0, 30.0], 2.0, seed=5
+        )
+        plans = manual_plans(trace, replicas=2, max_batch=4)
+        grid_calls: list[PolicyName] = []
+        grid_evaluate = PowerGatingPolicy.grid_evaluate
+
+        def counting(self, *args, **kwargs):
+            grid_calls.append(self.name)
+            return grid_evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerGatingPolicy, "grid_evaluate", counting)
+        batched_model = ServiceModel()
+        batched = simulate_serving(trace, plans, batched_model)
+        assert sorted(grid_calls) == sorted(batched_model.policies)
+
+        lazy_model = ServiceModel()
+        for wid, name in enumerate(trace.workloads):
+            pod = plans[name].pod
+            rows = batched.batches.workload_slice(wid)
+            sizes = np.unique(batched.batches.sizes[rows])
+            assert len(sizes) > 1
+            for size in [*sizes.tolist(), pod.max_batch]:
+                lazy_model.result(pod, size)
+        grid_calls.clear()
+        lazy = simulate_serving(trace, plans, lazy_model)
+        assert grid_calls == []
+        assert lazy.to_json() == batched.to_json()
 
 
 # --------------------------------------------------------------------- #
