@@ -437,7 +437,12 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         factors = tuple(args.load_factor) if args.load_factor else DEFAULT_LOAD_FACTORS
         try:
             points = utilization_curve(
-                trace, plans, model, load_factors=factors, max_wait_s=args.max_wait
+                trace,
+                plans,
+                model,
+                load_factors=factors,
+                max_wait_s=args.max_wait,
+                operating_point=report,
             )
         except TraceError as error:
             raise _input_error(error)

@@ -33,6 +33,9 @@ import numpy as np
 #: Nanoseconds per second — the trace time base.
 NS = 1_000_000_000
 
+#: 2**63: scaled arrivals must stay in [-2**63, 2**63) to fit int64.
+_INT64_LIMIT = 2.0**63
+
 
 class TraceError(ValueError):
     """A trace file (or trace construction) is malformed."""
@@ -122,10 +125,24 @@ class RequestTrace:
         ``load_factor == 2`` replays the same requests twice as fast
         (double the qps); ``0.5`` half as fast.  This is how the
         gating-vs-utilization curve sweeps one trace across load levels
-        without changing its request mix or burst structure.
+        without changing its request mix or burst structure.  A factor
+        of exactly 1 returns this trace itself; one that scales an
+        arrival past the int64 nanosecond range raises
+        :class:`TraceError`.
         """
         if not (math.isfinite(load_factor) and load_factor > 0):
             raise TraceError("load factor must be positive and finite")
+        if load_factor == 1.0:
+            return self
+        if len(self):
+            # Scaling keeps the order, so the end points bound every value.
+            with np.errstate(over="ignore"):
+                ends = np.rint(self.arrival_ns[[0, -1]] / load_factor)
+            if not (-_INT64_LIMIT <= ends[0] and ends[1] < _INT64_LIMIT):
+                raise TraceError(
+                    f"load factor {load_factor:g} scales the arrivals "
+                    "past the int64 nanosecond range"
+                )
         arrival = np.rint(self.arrival_ns / load_factor).astype(np.int64)
         return RequestTrace(arrival, self.workload_ids, self.workloads)
 
@@ -137,15 +154,24 @@ class RequestTrace:
         divided by the window length.  Falls back to the whole-trace
         average when the trace is shorter than one window.
         """
-        if len(self) == 0:
-            return 0.0
-        window_ns = max(1, _to_ns(window_s))
-        if self.span_ns <= window_ns:
-            span = max(self.span_ns, 1)
-            return len(self) * NS / span if self.span_ns else float(len(self))
-        windows = (self.arrival_ns - self.arrival_ns[0]) // window_ns
-        counts = np.bincount(windows)
-        return float(counts.max()) * NS / window_ns
+        return peak_demand_qps(self.arrival_ns, window_s)
+
+
+def peak_demand_qps(arrival_ns: np.ndarray, window_s: float = 60.0) -> float:
+    """Peak windowed arrival rate of sorted arrival times (requests/s).
+
+    :meth:`RequestTrace.demand_qps` on a whole trace; the autoscaler
+    calls it on one pool's :meth:`RequestTrace.pool_arrivals`.
+    """
+    count = len(arrival_ns)
+    if count == 0:
+        return 0.0
+    window_ns = max(1, _to_ns(window_s))
+    span_ns = int(arrival_ns[-1] - arrival_ns[0])
+    if span_ns <= window_ns:
+        return count * NS / span_ns if span_ns else float(count)
+    windows = (arrival_ns - arrival_ns[0]) // window_ns
+    return float(np.bincount(windows).max()) * NS / window_ns
 
 
 # ---------------------------------------------------------------------- #
@@ -181,8 +207,7 @@ def poisson_trace(
     """
     workloads = tuple(workloads)
     rates = _broadcast_rates(rate_qps, workloads)
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise TraceError("duration must be positive and finite")
+    _check_duration_and_seed(duration_s, seed)
     streams = []
     for tag, (workload, rate) in enumerate(zip(workloads, rates)):
         rng = np.random.default_rng([seed, tag])
@@ -210,8 +235,7 @@ def diurnal_trace(
     """
     workloads = tuple(workloads)
     rates = _broadcast_rates(mean_qps, workloads)
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise TraceError("duration must be positive and finite")
+    _check_duration_and_seed(duration_s, seed)
     if not 0.0 <= amplitude <= 1.0:
         raise TraceError("diurnal amplitude must be in [0, 1]")
     if not (math.isfinite(period_s) and period_s > 0):
@@ -228,6 +252,13 @@ def diurnal_trace(
         keep = rng.uniform(0.0, peak, size=count) < rate
         streams.append((np.rint(times[keep] * NS).astype(np.int64), tag))
     return _merge_streams(streams, workloads)
+
+
+def _check_duration_and_seed(duration_s: float, seed: int) -> None:
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise TraceError("duration must be positive and finite")
+    if seed < 0:
+        raise TraceError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _broadcast_rates(
@@ -327,6 +358,7 @@ __all__ = [
     "TraceError",
     "diurnal_trace",
     "load_trace",
+    "peak_demand_qps",
     "poisson_trace",
     "write_trace_csv",
 ]

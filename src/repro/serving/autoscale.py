@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.slo import SLOSearch, SLOSelection
-from repro.serving.arrivals import RequestTrace
+from repro.serving.arrivals import RequestTrace, peak_demand_qps
 from repro.serving.service import PodSpec, ServiceModel
 
 
@@ -104,16 +104,9 @@ class Autoscaler:
             raise ServingError(
                 f"pod of {workload!r} needs max_batch >= 1, got {pod.max_batch}"
             )
-        try:
-            workload_id = trace.workloads.index(workload)
-        except ValueError:
-            workload_id = -1
-        if workload_id >= 0:
-            mask = trace.workload_mask(workload_id)
-            sub = RequestTrace(
-                trace.arrival_ns[mask], trace.workload_ids[mask], trace.workloads
-            )
-            demand = sub.demand_qps(self.demand_window_s)
+        if workload in trace.workloads:
+            arrivals = trace.pool_arrivals(trace.workloads.index(workload))
+            demand = peak_demand_qps(arrivals, self.demand_window_s)
         else:
             demand = 0.0
         replica_rps = self.service_model.replica_rps(pod)

@@ -56,7 +56,9 @@ class ServingReport:
 
     ``queue_wait_ns`` and ``latency_ns`` hold one value per request, in
     original trace order; they are built on first read, because the
-    metrics are computed per pool.
+    metrics are computed per pool.  ``max_wait_s`` is the batching
+    window the run used; it identifies the run and stays out of
+    :meth:`to_json`.
     """
 
     trace: RequestTrace
@@ -65,6 +67,7 @@ class ServingReport:
     start_ns: np.ndarray
     finish_ns: np.ndarray
     span_ns: int
+    max_wait_s: float
     per_workload: list[WorkloadMetrics] = field(default_factory=list)
     fleet: WorkloadMetrics | None = None
 
@@ -256,6 +259,7 @@ def simulate_serving(
         start_ns=start_ns,
         finish_ns=finish_ns,
         span_ns=span_ns,
+        max_wait_s=max_wait_s,
         per_workload=per_workload,
         fleet=fleet,
     )
@@ -285,22 +289,43 @@ def utilization_curve(
     load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
     max_wait_s: float = 0.050,
     use_fast_path: bool | None = None,
+    *,
+    operating_point: ServingReport | None = None,
 ) -> list[CurvePoint]:
     """Gating savings vs utilization: replay the trace across load levels.
 
     The fleet (replica counts, pod shapes) stays fixed while the trace
     is time-compressed by each load factor — quantifying exactly how
     the power-gating opportunity shrinks as utilization rises.
+
+    ``operating_point`` is a report :func:`simulate_serving` already
+    produced from this very ``trace`` with these ``plans``,
+    ``max_wait_s`` and ``service_model``; every load factor of 1.0 then
+    reads it instead of simulating the same run again.  A report from
+    another trace, other plans or another ``max_wait_s`` raises
+    :class:`ValueError`.
     """
+    if operating_point is not None and (
+        operating_point.trace is not trace
+        or operating_point.plans != plans
+        or operating_point.max_wait_s != max_wait_s
+    ):
+        raise ValueError(
+            "operating_point was not produced from this trace with these "
+            "plans and max_wait_s"
+        )
     points = []
     for factor in load_factors:
-        report = simulate_serving(
-            trace.compressed(factor),
-            plans,
-            service_model,
-            max_wait_s=max_wait_s,
-            use_fast_path=use_fast_path,
-        )
+        if factor == 1.0 and operating_point is not None:
+            report = operating_point
+        else:
+            report = simulate_serving(
+                trace.compressed(factor),
+                plans,
+                service_model,
+                max_wait_s=max_wait_s,
+                use_fast_path=use_fast_path,
+            )
         assert report.fleet is not None
         points.append(
             CurvePoint(

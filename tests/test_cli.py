@@ -251,6 +251,22 @@ def test_bad_merge_or_perf_input_exits_with_one_error_line(tmp_path, argv):
     _assert_one_error_line([arg.format(empty_dir=tmp_path) for arg in argv])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "-1"],
+        ["--seed", "-1", "--arrival", "diurnal"],
+        ["--curve", "--load-factor", "1e-300"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_serve_bad_seed_or_load_factor_exits_with_one_error_line(flags):
+    _assert_one_error_line(
+        ["serve", "-w", "llama3-8b-decode", "--rate", "50", "--duration", "2",
+         *flags]
+    )
+
+
 def test_imports_leave_out_database_and_network_modules():
     """The CLI, sweep and serving entry points pay no startup cost for
     SQLite, an HTTP server or a URL client."""

@@ -175,6 +175,27 @@ class TestRequestTrace:
         with pytest.raises(TraceError, match="positive"):
             trace.compressed(0.0)
 
+    def test_compressed_at_one_is_the_trace_itself(self):
+        trace = poisson_trace(["a", "b"], 20.0, 1.0, seed=3)
+        assert trace.compressed(1.0) is trace
+        assert trace.compressed(1) is trace
+
+    @pytest.mark.parametrize(
+        "rows, factor",
+        [
+            ([(0.0, "a"), (2.0, "a")], 1e-300),  # the last arrival → +inf
+            ([(0.0, "a"), (2.0, "a")], 1e-10),  # finite, past 2**63 ns
+            ([(-2.0, "a"), (0.0, "a")], 1e-10),  # the first, below -2**63
+        ],
+        ids=["inf", "above-int64", "below-int64"],
+    )
+    def test_compressed_past_int64_is_a_trace_error(self, rows, factor):
+        trace = RequestTrace.from_rows(rows)
+        with pytest.raises(TraceError, match="int64"):
+            trace.compressed(factor)
+        # A factor that lands an arrival at 2**62 ns still fits.
+        assert trace.compressed(2e9 / 2.0**62).span_ns == 2**62
+
     def test_demand_qps_is_the_peak_window(self):
         # 10 requests in the first second, 1 in the last of 120s.
         rows = [(i * 0.1, "a") for i in range(10)] + [(119.0, "a")]
@@ -209,6 +230,11 @@ class TestRequestTrace:
             poisson_trace(["a"], -1.0, 1.0)
         with pytest.raises(TraceError, match="duration"):
             poisson_trace(["a"], 1.0, 0.0)
+
+    @pytest.mark.parametrize("make", [poisson_trace, diurnal_trace])
+    def test_negative_seed_is_a_trace_error(self, make):
+        with pytest.raises(TraceError, match="seed"):
+            make(["a"], 10.0, 1.0, seed=-1)
 
 
 class TestTraceFiles:
@@ -440,6 +466,74 @@ class TestEndToEndEquivalence:
         assert "util" in table and "0.25x" in table and "4x" in table
 
 
+class TestCurveOperatingPoint:
+    """``utilization_curve(..., operating_point=report)`` reads the
+    report at every 1.0x level instead of simulating it again."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return FakeServiceModel()
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return poisson_trace(["a", "b", "c"], [150.0, 60.0, 20.0], 3.0, seed=13)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "oracle"])
+    @pytest.mark.parametrize(
+        "factors",
+        [(0.25, 4.0), (0.25, 1.0, 4.0), (1.0, 2.0, 1.0)],
+        ids=["no-1x", "one-1x", "two-1x"],
+    )
+    def test_reuse_equals_the_simulated_curve(
+        self, trace, model, factors, fast, monkeypatch
+    ):
+        import repro.serving.simulate as simulate_module
+
+        plans = manual_plans(trace, replicas=2, max_batch=4)
+        plain = utilization_curve(
+            trace, plans, model, load_factors=factors, use_fast_path=fast
+        )
+        report = simulate_serving(trace, plans, model, use_fast_path=fast)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return simulate_serving(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "simulate_serving", counted)
+        reused = utilization_curve(
+            trace, plans, model, load_factors=factors, use_fast_path=fast,
+            operating_point=report,
+        )
+        assert reused == plain  # every CurvePoint field
+        assert len(calls) == sum(factor != 1.0 for factor in factors)
+        assert all(simulated is not trace for simulated in calls)
+
+    @pytest.mark.parametrize("change", ["trace", "plans", "max_wait_s"])
+    def test_a_report_of_another_run_is_refused(self, trace, model, change):
+        plans = manual_plans(trace, replicas=2, max_batch=4)
+        report = simulate_serving(trace, plans, model, max_wait_s=0.05)
+        kwargs = {"plans": plans, "max_wait_s": 0.05}
+        other_trace = trace
+        if change == "trace":
+            other_trace = poisson_trace(["a", "b", "c"], 40.0, 3.0, seed=13)
+        elif change == "plans":
+            kwargs["plans"] = manual_plans(trace, replicas=3, max_batch=4)
+        else:
+            kwargs["max_wait_s"] = 0.02
+        with pytest.raises(ValueError, match="operating_point"):
+            utilization_curve(
+                other_trace, service_model=model, load_factors=(1.0,),
+                operating_point=report, **kwargs,
+            )
+
+    def test_the_report_keeps_max_wait_out_of_its_json(self, trace, model):
+        plans = manual_plans(trace)
+        report = simulate_serving(trace, plans, model, max_wait_s=0.02)
+        assert report.max_wait_s == 0.02
+        assert "max_wait_s" not in json.dumps(report.to_json())
+
+
 # --------------------------------------------------------------------- #
 # Autoscaling
 # --------------------------------------------------------------------- #
@@ -457,6 +551,21 @@ class TestAutoscaler:
         assert plan.replicas == min(64, max(1, wanted))
         assert plan.selection is None  # manual pod shape
         assert "manual" in plan.describe()
+
+    @pytest.mark.parametrize("window_s", [0.25, 60.0], ids=["windows", "whole"])
+    def test_pool_demand_equals_a_masked_sub_trace(self, window_s):
+        model = FakeServiceModel()
+        scaler = Autoscaler(model, demand_window_s=window_s)
+        trace = poisson_trace(["a", "b", "c"], [90.0, 30.0, 5.0], 3.0, seed=21)
+        for wid, name in enumerate(trace.workloads):
+            mask = trace.workload_mask(wid)
+            sub = RequestTrace(
+                trace.arrival_ns[mask], trace.workload_ids[mask], trace.workloads
+            )
+            plan = scaler.size(trace, name, pod=PodSpec(workload=name))
+            assert plan.demand_qps == sub.demand_qps(window_s) > 0
+        ghost = scaler.size(trace, "ghost", pod=PodSpec(workload="ghost"))
+        assert ghost.demand_qps == 0.0
 
     def test_absent_workload_gets_the_floor(self):
         scaler = Autoscaler(FakeServiceModel(), min_replicas=2)
