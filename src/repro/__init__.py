@@ -14,29 +14,27 @@ Gating in Neural Processing Units" (MICRO 2025).  It provides:
 * Energy, power, performance and carbon analyses that regenerate every
   table and figure of the paper's evaluation.
 
-The most convenient entry point is :func:`repro.core.regate.simulate_workload`
-and the helpers in :mod:`repro.analysis`.
+The most convenient entry point is :func:`repro.simulate_workload`
+(defined in :mod:`repro.core.regate`) and the helpers in
+:mod:`repro.analysis`.  Every package re-exports its public names
+lazily (see :mod:`repro._lazy`): ``import repro`` loads no simulator,
+compiler or policy kernel until one of their names is first read, so
+each command compiles only the layers it runs.
 """
 
-from repro.core.config import SimulationConfig
-from repro.core.regate import simulate_workload
-from repro.core.results import EnergyReport, SimulationResult
-from repro.gating.policies import PolicyName
-from repro.hardware.chips import NPUChipSpec, get_chip, list_chips
-from repro.workloads.registry import get_workload, list_workloads
+from repro._lazy import lazy_exports
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "EnergyReport",
-    "NPUChipSpec",
-    "PolicyName",
-    "SimulationConfig",
-    "SimulationResult",
-    "get_chip",
-    "get_workload",
-    "list_chips",
-    "list_workloads",
-    "simulate_workload",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core.config": ("SimulationConfig",),
+        "core.regate": ("simulate_workload",),
+        "core.results": ("SimulationResult",),
+        "gating.report": ("EnergyReport", "PolicyName"),
+        "hardware.chips": ("NPUChipSpec", "get_chip", "list_chips"),
+        "workloads.registry": ("get_workload", "list_workloads"),
+    },
+)
+__all__.append("__version__")

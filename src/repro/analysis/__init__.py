@@ -1,12 +1,9 @@
 """Analyses that regenerate the paper's tables and figures."""
 
-from repro.analysis import characterization, evaluation, sensitivity, validation
-from repro.analysis.tables import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "characterization",
-    "evaluation",
-    "format_table",
-    "sensitivity",
-    "validation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {"tables": ("format_table",)},
+    submodules=("characterization", "evaluation", "sensitivity", "validation"),
+)

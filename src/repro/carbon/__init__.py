@@ -1,13 +1,12 @@
 """Carbon-efficiency models (operational + embodied, §6.6 of the paper)."""
 
-from repro.carbon.operational import OperationalCarbonModel
-from repro.carbon.embodied import EMBODIED_CARBON_KG, embodied_carbon_kg
-from repro.carbon.lifespan import LifespanAnalysis, LifespanPoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EMBODIED_CARBON_KG",
-    "LifespanAnalysis",
-    "LifespanPoint",
-    "OperationalCarbonModel",
-    "embodied_carbon_kg",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "embodied": ("EMBODIED_CARBON_KG", "embodied_carbon_kg"),
+        "lifespan": ("LifespanAnalysis", "LifespanPoint"),
+        "operational": ("OperationalCarbonModel",),
+    },
+)

@@ -13,24 +13,26 @@ Usage::
 :func:`repro.core.regate.simulate_workload`; ``sweep`` drives the
 :mod:`repro.experiments` runner over a workload x chip x policy grid
 with optional multiprocessing and an on-disk result cache.
+
+Each handler imports the layers it runs, so ``--help``, ``list`` and
+``chips`` load no numpy and a warm ``sweep`` loads no simulator.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table, percentage
-from repro.core.config import SimulationConfig
-from repro.core.regate import simulate_workload
-from repro.gating.report import PolicyName
-from repro.hardware.chips import chips_in_order, get_chip
-from repro.hardware.components import Component
-from repro.hardware.power import ChipPowerModel
-from repro.workloads.registry import get_workload, list_workloads
+
+if TYPE_CHECKING:
+    from repro.gating.report import PolicyName
 
 
 def _cmd_list(_: argparse.Namespace) -> str:
+    from repro.workloads.registry import get_workload, list_workloads
+
     rows = []
     for name in list_workloads():
         spec = get_workload(name)
@@ -43,6 +45,9 @@ def _cmd_list(_: argparse.Namespace) -> str:
 
 
 def _cmd_chips(_: argparse.Namespace) -> str:
+    from repro.hardware.chips import chips_in_order
+    from repro.hardware.power import ChipPowerModel
+
     rows = []
     for chip in chips_in_order():
         power = ChipPowerModel(chip)
@@ -78,6 +83,9 @@ def _input_error(error: Exception) -> SystemExit:
 
 
 def _parse_policies(names: list[str] | None) -> tuple[PolicyName, ...]:
+    from repro.core.config import SimulationConfig
+    from repro.gating.report import PolicyName
+
     if not names:
         return SimulationConfig().policies
     try:
@@ -90,6 +98,11 @@ def _parse_policies(names: list[str] | None) -> tuple[PolicyName, ...]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    from repro.core.config import SimulationConfig
+    from repro.core.regate import simulate_workload
+    from repro.gating.report import PolicyName
+    from repro.hardware.components import Component
+
     try:
         config = SimulationConfig(
             chip=args.chip,
@@ -156,6 +169,8 @@ def _parse_shard(text: str) -> tuple[int, int]:
 def _spec_from_args(args: argparse.Namespace):
     """Build the SweepSpec described by the shared grid flags."""
     from repro.experiments import SweepSpec
+    from repro.hardware.chips import get_chip
+    from repro.workloads.registry import get_workload
 
     spec_kwargs = dict(
         workloads=tuple(args.workload),
@@ -177,8 +192,7 @@ def _spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    from repro.experiments import ShardRunner, SimulationCache, SweepRunner
-    from repro.experiments.cache import CacheFileError
+    from repro.experiments.cache import CacheFileError, SimulationCache
 
     try:
         if args.parallel is not None and args.parallel < 0:
@@ -202,6 +216,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             else None
         )
         if shard is not None:
+            from repro.experiments.sharding import ShardRunner
+
             index, count = shard
             runner = ShardRunner(spec, count, cache=cache, max_workers=args.parallel)
             artifact = runner.run(index)
@@ -215,6 +231,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 f"result rows   : {len(result)}",
             ]
         else:
+            from repro.experiments.runner import SweepRunner
+
             runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
             result = runner.run()
             lines.append(f"result rows   : {len(result)}")
@@ -362,6 +380,12 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         write_trace_csv,
     )
     from repro.serving.simulate import DEFAULT_LOAD_FACTORS
+
+    # The rest of the serving stack loads here too, before any trace
+    # array exists: the workload families would otherwise compile while
+    # a large trace is live, which moves the run's peak RSS (see
+    # docs/performance.md, "Startup: a lazy import surface").
+    from repro.workloads import diffusion, dlrm, llm  # noqa: F401
 
     try:
         if args.arrival == "trace" or args.trace:

@@ -16,23 +16,16 @@ IR defined in :mod:`repro.workloads.base`:
 * :mod:`repro.compiler.instrumentation` — ``setpm`` insertion.
 """
 
-from repro.compiler.tiling import TileInfo, TilingPass
-from repro.compiler.fusion import FusionPass
-from repro.compiler.parallelism import enumerate_parallelism, valid_parallelism
-from repro.compiler.allocation import BufferAllocation, SramAllocator
-from repro.compiler.idleness import IdlenessAnalysis, IdleInterval
-from repro.compiler.instrumentation import InstrumentationPass, SetpmPlan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BufferAllocation",
-    "FusionPass",
-    "IdleInterval",
-    "IdlenessAnalysis",
-    "InstrumentationPass",
-    "SetpmPlan",
-    "SramAllocator",
-    "TileInfo",
-    "TilingPass",
-    "enumerate_parallelism",
-    "valid_parallelism",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "allocation": ("BufferAllocation", "SramAllocator"),
+        "fusion": ("FusionPass",),
+        "idleness": ("IdleInterval", "IdlenessAnalysis"),
+        "instrumentation": ("InstrumentationPass", "SetpmPlan"),
+        "parallelism": ("enumerate_parallelism", "valid_parallelism"),
+        "tiling": ("TileInfo", "TilingPass"),
+    },
+)

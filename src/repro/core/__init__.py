@@ -1,16 +1,13 @@
 """Top-level simulation API: configuration, results, SLO search."""
 
-from repro.core.config import SimulationConfig
-from repro.core.regate import simulate_graph, simulate_workload
-from repro.core.results import EnergyReport, SimulationResult
-from repro.core.slo import SLOSearch, SLOSelection
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyReport",
-    "SLOSearch",
-    "SLOSelection",
-    "SimulationConfig",
-    "SimulationResult",
-    "simulate_graph",
-    "simulate_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": ("SimulationConfig",),
+        "regate": ("simulate_graph", "simulate_workload"),
+        "results": ("EnergyReport", "SimulationResult"),
+        "slo": ("SLOSearch", "SLOSelection"),
+    },
+)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.gating.bet import DEFAULT_PARAMETERS, GatingParameters
 from repro.gating.report import PolicyName
 from repro.hardware.chips import NPUChipSpec, get_chip
 from repro.workloads.base import ParallelismConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.registry import WorkloadSpec
 
 #: Chip duty cycle assumed throughout the paper (60%, from Wu et al.).
 DEFAULT_DUTY_CYCLE = 0.60
@@ -68,9 +72,29 @@ class SimulationConfig:
         return replace(self, chip=chip)
 
 
+def resolve_execution(
+    spec: WorkloadSpec, config: SimulationConfig
+) -> tuple[NPUChipSpec, int, ParallelismConfig]:
+    """Resolve the (chip, batch size, parallelism) a config implies.
+
+    The single source of the defaulting rules, shared by the direct
+    simulation path (:func:`repro.core.regate.simulate_workload`) and
+    the memoized path in :mod:`repro.experiments.cache` (their cache
+    keys must agree with what actually runs).
+    """
+    chip = config.resolve_chip()
+    num_chips = config.num_chips or spec.default_num_chips
+    batch_size = config.batch_size or spec.default_batch_size
+    parallelism = config.parallelism or spec.parallelism_for(
+        num_chips, chip.hbm.capacity_bytes
+    )
+    return chip, batch_size, parallelism
+
+
 __all__ = [
     "DEFAULT_CARBON_INTENSITY",
     "DEFAULT_DUTY_CYCLE",
     "DEFAULT_PUE",
     "SimulationConfig",
+    "resolve_execution",
 ]

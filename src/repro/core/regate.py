@@ -8,7 +8,7 @@ requested power-gating policies, returning a
 
 from __future__ import annotations
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, resolve_execution
 from repro.core.results import SimulationResult
 from repro.gating.policies import get_policy
 from repro.gating.report import PolicyName
@@ -79,23 +79,6 @@ def simulate_workload(
     simulator = NPUSimulator(chip, apply_fusion=config.apply_fusion)
     profile = simulator.simulate(graph)
     return _evaluate(spec.name, profile, parallelism, graph, config)
-
-
-def resolve_execution(spec: WorkloadSpec, config: SimulationConfig):
-    """Resolve the (chip, batch size, parallelism) a config implies.
-
-    The single source of the defaulting rules, shared by the direct
-    simulation path above and the memoized path in
-    :mod:`repro.experiments.cache` (their cache keys must agree with
-    what actually runs).
-    """
-    chip = config.resolve_chip()
-    num_chips = config.num_chips or spec.default_num_chips
-    batch_size = config.batch_size or spec.default_batch_size
-    parallelism = config.parallelism or spec.parallelism_for(
-        num_chips, chip.hbm.capacity_bytes
-    )
-    return chip, batch_size, parallelism
 
 
 def build_result(

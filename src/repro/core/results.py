@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.gating.report import EnergyReport, PolicyName
 from repro.hardware.chips import NPUChipSpec
 from repro.hardware.components import Component
-from repro.simulator.engine import WorkloadProfile
 from repro.workloads.base import ParallelismConfig
+
+if TYPE_CHECKING:
+    from repro.simulator.engine import WorkloadProfile
 
 
 @dataclass

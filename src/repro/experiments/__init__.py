@@ -24,87 +24,54 @@ parallel parameter studies:
 See ``docs/experiments.md`` for a guide and the cache-invalidation rules.
 """
 
-from repro.experiments.cache import (
-    CacheGcReport,
-    JsonFileStore,
-    PackedRows,
-    SharedCacheDir,
-    SimulationCache,
-    pack_rows,
-    portable_profile,
-    simulate_cached,
-    simulate_cached_many,
-    unpack_rows,
-)
-from repro.experiments.keys import (
-    canonical,
-    file_digest,
-    point_key,
-    profile_key,
-    report_key,
-    shard_key,
-    stable_hash,
-)
-from repro.experiments.result import SweepResult
-from repro.experiments.runner import (
-    ROW_COLUMNS,
-    SweepRunner,
-    assemble_packed_rows,
-    rows_from_result,
-    run_point,
-    run_points_packed,
-    run_sweep,
-)
-from repro.experiments.sharding import (
-    Shard,
-    ShardArtifact,
-    ShardError,
-    ShardPlan,
-    ShardRunner,
-    load_manifest,
-    merge_artifacts,
-    merge_shard_paths,
-    read_artifacts,
-    spec_digest,
-)
-from repro.experiments.spec import DEFAULT_GATING_LABEL, SweepPoint, SweepSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheGcReport",
-    "DEFAULT_GATING_LABEL",
-    "JsonFileStore",
-    "PackedRows",
-    "ROW_COLUMNS",
-    "Shard",
-    "ShardArtifact",
-    "ShardError",
-    "ShardPlan",
-    "ShardRunner",
-    "SharedCacheDir",
-    "SimulationCache",
-    "SweepPoint",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "assemble_packed_rows",
-    "canonical",
-    "file_digest",
-    "load_manifest",
-    "merge_artifacts",
-    "merge_shard_paths",
-    "pack_rows",
-    "point_key",
-    "portable_profile",
-    "profile_key",
-    "read_artifacts",
-    "report_key",
-    "rows_from_result",
-    "run_point",
-    "run_points_packed",
-    "run_sweep",
-    "shard_key",
-    "simulate_cached",
-    "simulate_cached_many",
-    "spec_digest",
-    "unpack_rows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": (
+            "CacheGcReport",
+            "JsonFileStore",
+            "PackedRows",
+            "SharedCacheDir",
+            "SimulationCache",
+            "pack_rows",
+            "portable_profile",
+            "simulate_cached",
+            "simulate_cached_many",
+            "unpack_rows",
+        ),
+        "keys": (
+            "canonical",
+            "file_digest",
+            "point_key",
+            "profile_key",
+            "report_key",
+            "shard_key",
+            "stable_hash",
+        ),
+        "result": ("SweepResult",),
+        "runner": (
+            "ROW_COLUMNS",
+            "SweepRunner",
+            "assemble_packed_rows",
+            "rows_from_result",
+            "run_point",
+            "run_points_packed",
+            "run_sweep",
+        ),
+        "sharding": (
+            "Shard",
+            "ShardArtifact",
+            "ShardError",
+            "ShardPlan",
+            "ShardRunner",
+            "load_manifest",
+            "merge_artifacts",
+            "merge_shard_paths",
+            "read_artifacts",
+            "spec_digest",
+        ),
+        "spec": ("DEFAULT_GATING_LABEL", "SweepPoint", "SweepSpec"),
+    },
+)

@@ -20,6 +20,10 @@ Three artifact classes are cached, each under a stable key from
   A warm row cache lets a repeated sweep complete without a single
   simulator call.  Rows are the only layer a JSON cache file persists.
 
+The simulator, the policy kernels and the power model are imported only
+on the paths that simulate or price, so a sweep whose every row is a
+cache hit never loads them.
+
 :func:`simulate_cached` is a drop-in replacement for
 :func:`repro.core.regate.simulate_workload` that consults a
 :class:`SimulationCache`, sharing profiles across policy/gating-parameter
@@ -39,24 +43,18 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.config import SimulationConfig
-from repro.core.regate import (
-    build_result,
-    build_workload_graph,
-    resolve_execution,
-    simulate_workload,
-)
+from repro.core.config import SimulationConfig, resolve_execution
 from repro.core.results import SimulationResult
 from repro.gating.bet import GatingParameters, parameters_token
-from repro.gating.policies import get_policy
 from repro.gating.report import EnergyReport, PolicyName
-from repro.hardware.power import ChipPowerModel
-from repro.simulator.engine import NPUSimulator, WorkloadProfile
 from repro.workloads.registry import WorkloadSpec, get_workload
 
 from repro.experiments.keys import profile_key, report_key
+
+if TYPE_CHECKING:
+    from repro.simulator.engine import WorkloadProfile
 
 _LOG = logging.getLogger(__name__)
 
@@ -218,6 +216,8 @@ def portable_profile(profile: WorkloadProfile) -> WorkloadProfile:
     and the receiving process re-derives its columnar table from them —
     a rebuild the fast-path contract guarantees is bit-identical.
     """
+    from repro.simulator.engine import WorkloadProfile
+
     return WorkloadProfile(
         graph=profile.graph, chip=profile.chip, profiles=profile.profiles
     )
@@ -346,6 +346,8 @@ class SharedCacheDir:
             # them mean "miss", never "crash the sweep".
             self._note_corrupt(path, error)
             return None
+        from repro.simulator.engine import WorkloadProfile
+
         return profile if isinstance(profile, WorkloadProfile) else None
 
     def put_profile(self, key: str, profile: WorkloadProfile) -> None:
@@ -749,6 +751,9 @@ def _cached_profile(
             resolutions[resolution_key] = (chip, batch_size, parallelism, pkey)
     profile = cache.get_profile(pkey)
     if profile is None:
+        from repro.core.regate import build_workload_graph
+        from repro.simulator.engine import NPUSimulator
+
         graph = None
         graph_key = (spec.name, batch_size, parallelism)
         if built_graphs is not None:
@@ -775,6 +780,10 @@ def simulate_cached(
     With ``cache=None`` this is exactly :func:`simulate_workload`.
     Non-registry workloads bypass the cache (see :func:`_registry_spec`).
     """
+    from repro.core.regate import build_result, simulate_workload
+    from repro.gating.policies import get_policy
+    from repro.hardware.power import ChipPowerModel
+
     if cache is None:
         return simulate_workload(workload, config)
     spec = _registry_spec(workload)
@@ -837,6 +846,8 @@ class _ReportGroup:
         sweep path assembles its result columns straight from the grid
         arrays without ever turning the triple into a report object.
         """
+        from repro.gating.policies import get_policy
+
         profile_index = {pkey: i for i, pkey in enumerate(self.profiles)}
         token_index = {token: i for i, token in enumerate(self.parameters)}
         parameters = list(self.parameters.values())
@@ -881,6 +892,8 @@ def _price_prepared(
     or a ``(grid, row, col)`` triple (see
     :meth:`_ReportGroup.evaluate_cells`).
     """
+    from repro.core.regate import build_result
+
     prepared: list[tuple] = []
     # Graphs are chip-independent: two points differing only in chip
     # (same workload, batch and parallelism) share one built graph.
@@ -977,6 +990,8 @@ def simulate_cached_many(
     change.  Non-registry workloads fall back to
     :func:`simulate_workload` per item.
     """
+    from repro.core.regate import simulate_workload
+
     if cache is None:
         return [simulate_workload(workload, config) for workload, config in items]
 

@@ -33,10 +33,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import SimulationResult
-from repro.gating.policies import STATIC_ENERGY_ORDER
 from repro.gating.report import PolicyName
 from repro.hardware.components import Component
-from repro.simulator import columnar
 
 from repro.experiments.cache import (
     PackedRows,
@@ -65,12 +63,6 @@ _ENERGY_COLUMNS = tuple(
     (component, f"energy_{component.value}_j", f"static_{component.value}_j")
     for component in Component.all()
 )
-
-#: Per-report static-energy insertion order, imported from the single
-#: definition next to the report producers: the vectorized
-#: ``sum(values())`` replications below must accumulate in exactly this
-#: order to stay bit-identical to the scalar oracle.
-_STATIC_SUM_ORDER = STATIC_ENERGY_ORDER
 
 #: The full result-row schema, in column order.
 ROW_COLUMNS: tuple[str, ...] = (
@@ -320,8 +312,13 @@ def assemble_packed_cells(
             ]
 
     # Derived columns: the scalar chains of rows_from_result, vectorized.
-    static_j = static_c[_STATIC_SUM_ORDER[0]]
-    for component in _STATIC_SUM_ORDER[1:]:
+    # The static sum accumulates in the report producers' insertion
+    # order (one definition, next to them) to stay bit-identical to the
+    # scalar oracle.
+    from repro.gating.policies import STATIC_ENERGY_ORDER
+
+    static_j = static_c[STATIC_ENERGY_ORDER[0]]
+    for component in STATIC_ENERGY_ORDER[1:]:
         static_j = static_j + static_c[component]
     dynamic_j = dynamic_c[Component.all()[0]]
     for component in Component.all()[1:]:
@@ -417,6 +414,8 @@ def run_points_packed(
     are bit-identical to the per-point loop that remains the
     object-path oracle.
     """
+    from repro.simulator import columnar
+
     if cache is not None and columnar.fast_path_enabled():
         items = [(point.workload, point.config) for point in points]
         fused = simulate_cached_cells(items, cache)

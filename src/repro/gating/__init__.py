@@ -1,39 +1,27 @@
 """Power-gating mechanisms and policies (ReGate's core contribution)."""
 
-from repro.gating.bet import (
-    ComponentTiming,
-    DEFAULT_PARAMETERS,
-    GatingParameters,
-    ParameterTable,
-)
-from repro.gating.idle_detection import IdleDetector, run_length_idle_stats
-from repro.gating.policies import (
-    ChipMajorPacks,
-    GridEnergyReports,
-    PackedProfiles,
-    PolicyName,
-    PowerGatingPolicy,
-    get_policy,
-    list_policies,
-)
-from repro.gating.sa_gating import SpatialGatingModel, spatial_utilization
-from repro.gating.sram_gating import SramGatingModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChipMajorPacks",
-    "ComponentTiming",
-    "DEFAULT_PARAMETERS",
-    "GatingParameters",
-    "GridEnergyReports",
-    "IdleDetector",
-    "PackedProfiles",
-    "ParameterTable",
-    "PolicyName",
-    "PowerGatingPolicy",
-    "SpatialGatingModel",
-    "SramGatingModel",
-    "get_policy",
-    "list_policies",
-    "run_length_idle_stats",
-    "spatial_utilization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bet": (
+            "ComponentTiming",
+            "DEFAULT_PARAMETERS",
+            "GatingParameters",
+            "ParameterTable",
+        ),
+        "idle_detection": ("IdleDetector", "run_length_idle_stats"),
+        "policies": (
+            "ChipMajorPacks",
+            "GridEnergyReports",
+            "PackedProfiles",
+            "PowerGatingPolicy",
+            "get_policy",
+            "list_policies",
+        ),
+        "report": ("PolicyName",),
+        "sa_gating": ("SpatialGatingModel", "spatial_utilization"),
+        "sram_gating": ("SramGatingModel",),
+    },
+)

@@ -1,17 +1,13 @@
 """NPU hardware models: chip specifications, area and power models."""
 
-from repro.hardware.chips import NPUChipSpec, get_chip, list_chips
-from repro.hardware.components import Component
-from repro.hardware.area import AreaModel, ChipAreaBreakdown
-from repro.hardware.power import ChipPowerModel, PowerBreakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AreaModel",
-    "ChipAreaBreakdown",
-    "ChipPowerModel",
-    "Component",
-    "NPUChipSpec",
-    "PowerBreakdown",
-    "get_chip",
-    "list_chips",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "area": ("AreaModel", "ChipAreaBreakdown"),
+        "chips": ("NPUChipSpec", "get_chip", "list_chips"),
+        "components": ("Component",),
+        "power": ("ChipPowerModel", "PowerBreakdown"),
+    },
+)

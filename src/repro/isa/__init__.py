@@ -1,22 +1,18 @@
 """NPU ISA model, including the ReGate ``setpm`` extension (§4.2)."""
 
-from repro.isa.instructions import (
-    Instruction,
-    Opcode,
-    Program,
-    SetpmInstruction,
-    SlotKind,
-    VLIWBundle,
-)
-from repro.isa.pipeline import CorePipeline, FunctionalUnitState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CorePipeline",
-    "FunctionalUnitState",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "SetpmInstruction",
-    "SlotKind",
-    "VLIWBundle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "instructions": (
+            "Instruction",
+            "Opcode",
+            "Program",
+            "SetpmInstruction",
+            "SlotKind",
+            "VLIWBundle",
+        ),
+        "pipeline": ("CorePipeline", "FunctionalUnitState"),
+    },
+)

@@ -1,37 +1,26 @@
 """Tile-level NPU performance simulator and cycle-level systolic model."""
 
-from repro.simulator.columnar import (
-    ProfileTable,
-    batch_simulate,
-    fast_path_enabled,
-    seq_sum,
-    set_fast_path,
-    use_fast_path,
-)
-from repro.simulator.engine import (
-    GapProfile,
-    NPUSimulator,
-    OperatorProfile,
-    UtilizationError,
-    WorkloadProfile,
-)
-from repro.simulator.systolic import SystolicArraySimulator, SystolicRunResult
-from repro.simulator.timing import ComponentTimes, OperatorTimingModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComponentTimes",
-    "GapProfile",
-    "NPUSimulator",
-    "OperatorProfile",
-    "OperatorTimingModel",
-    "ProfileTable",
-    "SystolicArraySimulator",
-    "SystolicRunResult",
-    "UtilizationError",
-    "WorkloadProfile",
-    "batch_simulate",
-    "fast_path_enabled",
-    "seq_sum",
-    "set_fast_path",
-    "use_fast_path",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "columnar": (
+            "ProfileTable",
+            "batch_simulate",
+            "fast_path_enabled",
+            "seq_sum",
+            "set_fast_path",
+            "use_fast_path",
+        ),
+        "engine": (
+            "GapProfile",
+            "NPUSimulator",
+            "OperatorProfile",
+            "UtilizationError",
+            "WorkloadProfile",
+        ),
+        "systolic": ("SystolicArraySimulator", "SystolicRunResult"),
+        "timing": ("ComponentTimes", "OperatorTimingModel"),
+    },
+)

@@ -8,29 +8,21 @@ GLIGEN).  Each generator lowers a model into a per-chip
 parallelism configuration.
 """
 
-from repro.workloads.base import (
-    CollectiveKind,
-    MatmulDims,
-    Operator,
-    OperatorGraph,
-    OpKind,
-    ParallelismConfig,
-    WorkloadPhase,
-)
-from repro.workloads.registry import WorkloadSpec, get_workload, list_workloads
-from repro.workloads.table import GraphTable, GraphTableBuilder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CollectiveKind",
-    "GraphTable",
-    "GraphTableBuilder",
-    "MatmulDims",
-    "Operator",
-    "OperatorGraph",
-    "OpKind",
-    "ParallelismConfig",
-    "WorkloadPhase",
-    "WorkloadSpec",
-    "get_workload",
-    "list_workloads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "CollectiveKind",
+            "MatmulDims",
+            "Operator",
+            "OperatorGraph",
+            "OpKind",
+            "ParallelismConfig",
+            "WorkloadPhase",
+        ),
+        "registry": ("WorkloadSpec", "get_workload", "list_workloads"),
+        "table": ("GraphTable", "GraphTableBuilder"),
+    },
+)

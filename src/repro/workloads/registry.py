@@ -9,13 +9,13 @@ choosing a parallelism layout given a chip count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.workloads import dlrm, diffusion, llm
 from repro.workloads.base import OperatorGraph, ParallelismConfig, WorkloadPhase
-from repro.workloads.table import GraphTable
+
+if TYPE_CHECKING:
+    from repro.workloads.table import GraphTable
 
 
 def llm_parallelism(
@@ -31,6 +31,8 @@ def llm_parallelism(
     footprint fits in HBM, then pipeline parallelism, and any remaining
     chips are used for data parallelism.
     """
+    from repro.workloads import llm
+
     cfg = llm.get_llama_config(model)
     if batch_size is None:
         batch_size = 256 if phase is WorkloadPhase.DECODE else 32
@@ -122,13 +124,16 @@ class WorkloadSpec:
         parallelism = parallelism or ParallelismConfig()
         if self.table_builder is not None:
             return self.table_builder(batch, parallelism)
+        from repro.workloads.table import GraphTable
+
         return GraphTable.from_graph(self.builder(batch, parallelism))
 
 
 def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> WorkloadSpec:
-    cfg = llm.get_llama_config(model)
-
     def build(batch_size: int, parallelism: ParallelismConfig) -> OperatorGraph:
+        from repro.workloads import llm
+
+        cfg = llm.get_llama_config(model)
         if phase is WorkloadPhase.TRAINING:
             return llm.build_training_graph(cfg, batch_size, 4096, parallelism)
         if phase is WorkloadPhase.PREFILL:
@@ -136,6 +141,9 @@ def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> Workl
         return llm.build_decode_graph(cfg, batch_size, 4096, 512, parallelism)
 
     def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
+        from repro.workloads import llm
+
+        cfg = llm.get_llama_config(model)
         if phase is WorkloadPhase.TRAINING:
             return llm.build_training_table(cfg, batch_size, 4096, parallelism)
         if phase is WorkloadPhase.PREFILL:
@@ -143,6 +151,9 @@ def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> Workl
         return llm.build_decode_table(cfg, batch_size, 4096, 512, parallelism)
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
+        from repro.workloads import llm
+
+        cfg = llm.get_llama_config(model)
         return llm.memory_per_chip_bytes(cfg, phase, parallelism, batch_size, 4096)
 
     def pick(num_chips: int, hbm_bytes: float) -> ParallelismConfig:
@@ -163,16 +174,22 @@ def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> Workl
 
 
 def _dlrm_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
-    cfg = dlrm.get_dlrm_config(model)
-
     def build(batch_size: int, parallelism: ParallelismConfig) -> OperatorGraph:
-        return dlrm.build_dlrm_graph(cfg, batch_size, parallelism)
+        from repro.workloads import dlrm
+
+        return dlrm.build_dlrm_graph(dlrm.get_dlrm_config(model), batch_size, parallelism)
 
     def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-        return dlrm.build_dlrm_table(cfg, batch_size, parallelism)
+        from repro.workloads import dlrm
+
+        return dlrm.build_dlrm_table(dlrm.get_dlrm_config(model), batch_size, parallelism)
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
-        return dlrm.memory_per_chip_bytes(cfg, parallelism, batch_size)
+        from repro.workloads import dlrm
+
+        return dlrm.memory_per_chip_bytes(
+            dlrm.get_dlrm_config(model), parallelism, batch_size
+        )
 
     def pick(num_chips: int, hbm_bytes: float) -> ParallelismConfig:
         return flat_data_parallelism(num_chips)
@@ -192,18 +209,19 @@ def _dlrm_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
 
 
 def _diffusion_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
-    if model == "dit-xl":
-        def build(batch_size: int, parallelism: ParallelismConfig) -> OperatorGraph:
-            return diffusion.build_dit_graph(batch_size, parallelism)
+    dit = model == "dit-xl"
 
-        def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-            return diffusion.build_dit_table(batch_size, parallelism)
-    else:
-        def build(batch_size: int, parallelism: ParallelismConfig) -> OperatorGraph:
-            return diffusion.build_gligen_graph(batch_size, parallelism)
+    def build(batch_size: int, parallelism: ParallelismConfig) -> OperatorGraph:
+        from repro.workloads import diffusion
 
-        def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-            return diffusion.build_gligen_table(batch_size, parallelism)
+        builder = diffusion.build_dit_graph if dit else diffusion.build_gligen_graph
+        return builder(batch_size, parallelism)
+
+    def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
+        from repro.workloads import diffusion
+
+        builder = diffusion.build_dit_table if dit else diffusion.build_gligen_table
+        return builder(batch_size, parallelism)
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
         # Diffusion models have small weights (< 4 GB); activations per

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -282,3 +283,82 @@ def test_imports_leave_out_database_and_network_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+#: Runs ``repro.cli.main(ARGV)`` in a fresh interpreter, then prints the
+#: exit code and every loaded module as the last line of standard output.
+_PROBE = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exit_:\n"
+    "    code = exit_.code\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+
+_NETWORK = ("sqlite3", "http.server", "urllib.request", "ssl")
+_WARM_GRID = ["-w", "llama3-8b-prefill", "-w", "dlrm-s", "--chip", "NPU-C",
+              "--batch-size", "1"]
+
+
+def _run_probe(argv: list[str]) -> tuple[str, set[str]]:
+    """The output of ``repro ARGV`` and the modules it loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True, text=True, env=_ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    *output, last = done.stdout.strip().splitlines()
+    code, modules = json.loads(last)
+    assert code in (0, None), done.stderr
+    return "\n".join(output), set(modules)
+
+
+def _loaded(modules: set[str], packages: tuple[str, ...]) -> list[str]:
+    """The loaded modules that are, or are inside, one of ``packages``."""
+    return sorted(
+        name for name in modules
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["list"], ["chips"]], ids=" ".join)
+def test_registry_commands_load_no_numpy_or_kernels(argv):
+    """Help and the registry dumps load neither numpy nor any layer
+    that simulates or prices."""
+    _, modules = _run_probe(argv)
+    assert _loaded(
+        modules,
+        ("numpy", "repro.gating", "repro.simulator", "repro.compiler", *_NETWORK),
+    ) == []
+
+
+def test_warm_sweep_loads_no_simulator(tmp_path):
+    """A sweep whose every row is a cache hit never loads the simulator,
+    the compiler, the policy kernels or a workload family; the cold run
+    that filled the cache loads all of them."""
+    argv = ["sweep", *_WARM_GRID, "--cache", str(tmp_path / "cache.json")]
+    families = ("repro.workloads.llm", "repro.workloads.dlrm",
+                "repro.workloads.diffusion")
+    layers = ("repro.simulator", "repro.compiler", "repro.gating.policies",
+              *families)
+    _, cold = _run_probe(argv)
+    assert "repro.simulator.engine" in cold and "repro.gating.policies" in cold
+    output, warm = _run_probe(argv)
+    assert " 0 misses" in output
+    assert _loaded(warm, (*layers, *_NETWORK)) == []
+
+
+def test_serve_loads_no_sweep_runner():
+    """Serving prices batches through the cache and the simulator, but
+    never loads the sweep runner, sharding or the sensitivity analyses."""
+    _, modules = _run_probe(
+        ["serve", "-w", "llama3-8b-decode", "--rate", "50", "--duration", "2"]
+    )
+    assert "repro.serving.simulate" in modules
+    assert _loaded(
+        modules,
+        ("repro.experiments.runner", "repro.experiments.sharding",
+         "repro.analysis.sensitivity", *_NETWORK),
+    ) == []
