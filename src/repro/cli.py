@@ -500,79 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_perf(args: argparse.Namespace) -> str:
-    from repro.analysis.perf import (
-        check_regression,
-        compare_payloads,
-        format_report,
-        profile_benchmark,
-        run_perf_suite,
-        write_payload,
-    )
-
-    if args.profile:
-        try:
-            result, table, dump = profile_benchmark(
-                args.profile,
-                grid=args.grid,
-                repeat=args.repeat,
-                dump_path=f"perf-{args.profile}.prof",
-                top=args.profile_top,
-            )
-        except KeyError as error:
-            raise _input_error(error)
-        return (
-            f"{result.name}: object {result.object_s * 1000:.2f} ms, "
-            f"columnar {result.columnar_s * 1000:.2f} ms, "
-            f"speedup {result.speedup:.2f}x\n"
-            f"{table}"
-            f"profile dump  : {dump}"
-        )
-
-    if args.compare:
-        import json as _json
-        from pathlib import Path as _Path
-
-        old_path, new_path = args.compare
-        old = _json.loads(_Path(old_path).read_text())
-        new = _json.loads(_Path(new_path).read_text())
-        report, failures = compare_payloads(old, new, tolerance=args.tolerance)
-        if failures:
-            print(report)
-            raise SystemExit(
-                f"performance regression vs {old_path}:\n  " + "\n  ".join(failures)
-            )
-        return (
-            report
-            + f"\nregression    : ok (within {args.tolerance:.0%} of {old_path})"
-        )
-
-    try:
-        payload = run_perf_suite(grid=args.grid, repeat=args.repeat)
-    except KeyError as error:
-        raise _input_error(error)
-    lines = [format_report(payload)]
-    if args.output:
-        write_payload(payload, args.output)
-        lines.append(f"\nbench written : {args.output}")
-    if args.check:
-        import json as _json
-        from pathlib import Path as _Path
-
-        baseline = _json.loads(_Path(args.check).read_text())
-        failures = check_regression(payload, baseline, tolerance=args.tolerance)
-        if failures:
-            print("\n".join(lines))
-            raise SystemExit(
-                "performance regression vs "
-                f"{args.check}:\n  " + "\n  ".join(failures)
-            )
-        lines.append(
-            f"regression    : ok (within {args.tolerance:.0%} of {args.check})"
-        )
-    return "\n".join(lines)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -801,49 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
              "as JSON",
     )
     serve.set_defaults(handler=_cmd_serve)
-
-    perf = subparsers.add_parser(
-        "perf",
-        help="benchmark the columnar fast path against the object-path oracle",
-    )
-    perf.add_argument(
-        "--grid", default="full", choices=("tiny", "small", "full"),
-        help="cold-sweep grid size (default: full, the 64-point grid)",
-    )
-    perf.add_argument(
-        "--repeat", type=int, default=3, metavar="N",
-        help="best-of-N timing for each benchmark (default 3)",
-    )
-    perf.add_argument(
-        "--output", default="BENCH_perf.json", metavar="PATH",
-        help="write the benchmark payload as JSON (default BENCH_perf.json)",
-    )
-    perf.add_argument(
-        "--check", metavar="PATH",
-        help="fail if any speedup regresses vs this committed baseline payload",
-    )
-    perf.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"),
-        help="compare two existing BENCH_perf payloads (per-benchmark speedup "
-             "deltas; exits nonzero on regression beyond --tolerance) instead "
-             "of running the suite",
-    )
-    perf.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRACTION",
-        help="allowed fractional speedup regression for --check/--compare "
-             "(default 0.25)",
-    )
-    perf.add_argument(
-        "--profile", metavar="NAME",
-        help="cProfile one benchmark pair instead of running the suite: "
-             "prints the top cumulative-time functions and dumps the raw "
-             "profile to perf-NAME.prof (inspect with pstats or snakeviz)",
-    )
-    perf.add_argument(
-        "--profile-top", type=int, default=25, metavar="N",
-        help="rows of the --profile table (default 25)",
-    )
-    perf.set_defaults(handler=_cmd_perf)
     return parser
 
 

@@ -26,7 +26,7 @@ exactly equal:
 The fast path can be globally disabled with :func:`use_fast_path` (or
 :func:`set_fast_path`), which makes every consumer fall back to the
 original loop implementations — that object path stays in the tree as
-the reference oracle for the equivalence tests and the perf harness.
+the reference oracle for the equivalence tests.
 """
 
 from __future__ import annotations

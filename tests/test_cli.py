@@ -244,9 +244,8 @@ def test_shared_cache_that_is_a_file_exits_with_one_error_line(tmp_path, argv):
     "argv",
     [
         ["merge-shards", "{empty_dir}"],
-        ["perf", "--profile", "nosuch"],
     ],
-    ids=["merge-shards without artifacts", "perf unknown profile"],
+    ids=["merge-shards without artifacts"],
 )
 def test_bad_merge_or_perf_input_exits_with_one_error_line(tmp_path, argv):
     _assert_one_error_line([arg.format(empty_dir=tmp_path) for arg in argv])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import SimulationCache, SweepSpec, run_sweep
 from repro.experiments.result import _CSV_CHUNK_ROWS, SweepResult, iter_csv_oracle
 
 #: Doubles whose text a value-keyed memo or a careless formatter gets wrong.
@@ -162,3 +163,32 @@ def test_series_store_is_not_converted(tmp_path):
     table = SweepResult.from_series(("v", "w"), {"v": matrix[:, 0], "w": matrix[:, 1]})
     _assert_matches_oracle(table, tmp_path)
     assert table._series is not None and table._values_list is None
+
+
+class TestCsvStreaming:
+    """A real sweep table through ``iter_csv``, ``write_csv`` and ``to_csv``."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        spec = SweepSpec(workloads=("llama3-8b-decode",), chips=("NPU-D",))
+        return run_sweep(spec, cache=SimulationCache())
+
+    def test_iter_csv_matches_to_csv(self, table):
+        assert "".join(table.iter_csv()) == table.to_csv()
+
+    def test_write_csv_streams_identical_bytes(self, table, tmp_path):
+        path = tmp_path / "sweep.csv"
+        rows_written = table.write_csv(path)
+        assert rows_written == len(table)
+        assert path.read_text() == table.to_csv()
+
+    def test_header_first(self, table):
+        first = next(iter(table.iter_csv()))
+        assert first.rstrip("\n").split(",")[: len(table.columns)] == list(
+            table.columns
+        )
+
+    def test_empty_table(self, tmp_path):
+        empty = SweepResult.from_rows([])
+        assert empty.write_csv(tmp_path / "empty.csv") == 0
+        assert (tmp_path / "empty.csv").read_text() == empty.to_csv()

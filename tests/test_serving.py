@@ -374,6 +374,22 @@ class TestQueueEquivalence:
         _, _, replica_of = queue_batches(batches, service, 3)
         assert replica_of.tolist() == [0, 1, 2, 0, 1, 2]
 
+    def test_large_trace_matches_oracle_exactly(self):
+        """~24k requests in three streams, far beyond the drawn traces."""
+        trace = poisson_trace(("decode", "prefill", "rank"), 800.0, 10.0, seed=42)
+        policies = {
+            wid: BatchPolicy(max_batch=4 + 4 * wid, max_wait_s=0.010)
+            for wid in range(len(trace.workloads))
+        }
+        fast = form_batches(trace, policies)
+        slow = form_batches_oracle(trace, policies)
+        assert_tables_equal(fast, slow)
+        service = (200_000 + 50_000 * fast.sizes).astype(np.int64)
+        for left, right in zip(
+            queue_batches(fast, service, 4), queue_batches_oracle(slow, service, 4)
+        ):
+            assert np.array_equal(left, right)
+
     def test_replica_counts_validate(self):
         trace = RequestTrace.from_rows([(0.0, "a")])
         batches = form_batches(trace, BatchPolicy())
