@@ -152,20 +152,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    """Parse ``--shard I/N`` (0-based: shards of a 3-way plan are 0/3..2/3)."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(f"--shard expects I/N (e.g. 0/3), got {text!r}") from None
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(
-            f"--shard index must satisfy 0 <= I < N, got {index}/{count}"
-        )
-    return index, count
-
-
 def _spec_from_args(args: argparse.Namespace):
     """Build the SweepSpec described by the shared grid flags."""
     from repro.experiments import SweepSpec
@@ -194,59 +180,30 @@ def _spec_from_args(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.experiments.cache import CacheFileError, SimulationCache
 
-    try:
-        if args.parallel is not None and args.parallel < 0:
-            raise ValueError(
+    if args.parallel is not None and args.parallel < 0:
+        raise _input_error(
+            ValueError(
                 f"--parallel expects N >= 0 (0 and 1 run serially), "
                 f"got {args.parallel}"
             )
-        shard = _parse_shard(args.shard) if args.shard else None
-        if shard is not None and not args.shard_dir:
-            raise ValueError("--shard requires --shard-dir PATH")
-        if shard is None and args.shard_dir:
-            raise ValueError("--shard-dir requires --shard I/N")
-    except ValueError as error:
-        raise _input_error(error)
+        )
     spec = _spec_from_args(args)
     lines = [f"sweep grid    : {spec.describe()}"]
     try:
-        cache = (
-            SimulationCache(args.cache, shared_dir=args.shared_cache)
-            if args.cache or args.shared_cache
-            else None
-        )
-        if shard is not None:
-            from repro.experiments.sharding import ShardRunner
+        cache = SimulationCache(args.cache) if args.cache else None
+        from repro.experiments.runner import SweepRunner
 
-            index, count = shard
-            runner = ShardRunner(spec, count, cache=cache, max_workers=args.parallel)
-            artifact = runner.run(index)
-            path = artifact.write(args.shard_dir)
-            result = artifact.result()
-            lines += [
-                f"shard         : {index}/{count} "
-                f"({len(runner.plan[index].point_indices)} of "
-                f"{spec.num_points} points; plan {runner.plan.digest})",
-                f"shard written : {path}",
-                f"result rows   : {len(result)}",
-            ]
-        else:
-            from repro.experiments.runner import SweepRunner
-
-            runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
-            result = runner.run()
-            lines.append(f"result rows   : {len(result)}")
+        runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
+        result = runner.run()
+        lines.append(f"result rows   : {len(result)}")
     except CacheFileError as error:
         # Refused at load, or at flush if the file changed meanwhile.
         raise _input_error(error)
     if cache is not None:
         stats = cache.stats()
-        store = ", ".join(
-            text for text in (args.cache, args.shared_cache) if text
-        )
         lines.append(
             f"cache         : {stats['row_hits']} hits / {stats['row_misses']} misses "
-            f"(sweep points; {store})"
+            f"(sweep points; {args.cache})"
         )
     if args.csv:
         # Written one chunk of rows at a time: memory stays bounded.
@@ -275,88 +232,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             rows,
         )
     )
-    return "\n".join(lines)
-
-
-def _cmd_merge_shards(args: argparse.Namespace) -> str:
-    from repro.experiments.sharding import ShardError, read_and_merge
-
-    try:
-        # Lenient by default: a corrupt artifact from a crashed worker
-        # is skipped (and listed below) instead of aborting the merge;
-        # --strict restores abort-on-first-corrupt.  Partial merges are
-        # allowed when writing an artifact: the combined artifact merges
-        # again later with the rest.
-        merged, skipped = read_and_merge(
-            args.paths, require_complete=not args.output, strict=args.strict
-        )
-        path = None
-        if args.output:
-            # The skipped-artifact list rides along in the manifest so
-            # re-runs can consume it without having to scrape this
-            # command's stderr.
-            extra = (
-                {
-                    "skipped": [
-                        {"path": str(skipped_path), "reason": reason}
-                        for skipped_path, reason in skipped
-                    ]
-                }
-                if skipped
-                else None
-            )
-            path = merged.write(args.output, extra_manifest=extra)
-    except ShardError as error:
-        raise _input_error(error)
-    result = merged.result()
-    covered = len(merged.shard_indices)
-    lines = [
-        f"spec digest   : {merged.spec_digest}",
-        f"shards merged : {covered}/{merged.shard_count}",
-        f"result rows   : {len(result)} ({len(merged.points)} points)",
-    ]
-    if merged.missing:
-        # Name the holes so a partial-run operator knows what to
-        # re-run, instead of diffing covered/N by hand.
-        lines.append(
-            f"missing shards: {merged.missing} (re-run these, then re-merge)"
-        )
-    for skipped_path, reason in skipped:
-        lines.append(f"skipped       : {skipped_path} ({reason})")
-    if skipped:
-        lines.append(
-            f"skipped total : {len(skipped)} unreadable artifact(s) "
-            "(--strict aborts instead)"
-        )
-    if path is not None:
-        lines.append(f"shard written : {path}")
-    if args.csv:
-        result.write_csv(args.csv)
-        lines.append(f"csv written   : {args.csv}")
-    if args.json:
-        result.to_json(args.json)
-        lines.append(f"json written  : {args.json}")
-    return "\n".join(lines)
-
-
-def _cmd_cache_gc(args: argparse.Namespace) -> str:
-    from repro.experiments.cache import SharedCacheDir
-
-    try:
-        report = SharedCacheDir(args.dir).gc(
-            max_age_days=args.max_age_days,
-            max_bytes=args.max_bytes,
-            dry_run=args.dry_run,
-            # Auditing (--dry-run) always checks entry integrity;
-            # destructive runs only pay the full read with --verify.
-            verify=args.verify or args.dry_run,
-        )
-    except ValueError as error:  # includes CacheFileError
-        raise _input_error(error)
-    lines = [report.describe()]
-    if args.dry_run:
-        for path, reason in report.removed:
-            lines.append(f"  {path} ({reason})")
     return "\n".join(lines)
 
 
@@ -561,78 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", metavar="PATH",
         help="JSON cache file; a warm cache skips all simulation",
     )
-    sweep.add_argument(
-        "--shared-cache", metavar="DIR",
-        help="cross-run shared cache directory (one file per entry, atomic "
-             "renames); shards on a shared filesystem reuse each other's "
-             "simulated profiles",
-    )
-    sweep.add_argument(
-        "--shard", metavar="I/N",
-        help="run only shard I of an N-way deterministic partition of the "
-             "grid (0-based, e.g. 0/3) and write a .repro-shard artifact; "
-             "merge with `repro merge-shards`",
-    )
-    sweep.add_argument(
-        "--shard-dir", metavar="PATH",
-        help="directory the shard artifact is written into (with --shard)",
-    )
     sweep.add_argument("--csv", metavar="PATH", help="write the full table as CSV")
     sweep.add_argument("--json", metavar="PATH", help="write the full table as JSON")
     sweep.set_defaults(handler=_cmd_sweep)
-
-    merge = subparsers.add_parser(
-        "merge-shards",
-        help="merge .repro-shard artifacts into one result (byte-identical "
-             "to the monolithic sweep)",
-    )
-    merge.add_argument(
-        "paths", nargs="+", metavar="PATH",
-        help="shard artifacts (or directories containing *.repro-shard)",
-    )
-    merge.add_argument(
-        "--output", metavar="PATH",
-        help="write a combined .repro-shard artifact instead of requiring "
-             "full coverage (partial merges merge again later)",
-    )
-    merge.add_argument(
-        "--strict", action="store_true",
-        help="abort on the first unreadable artifact instead of skipping "
-             "it with a warning",
-    )
-    merge.add_argument("--csv", metavar="PATH", help="write the merged table as CSV")
-    merge.add_argument("--json", metavar="PATH", help="write the merged table as JSON")
-    merge.set_defaults(handler=_cmd_merge_shards)
-
-    cache = subparsers.add_parser(
-        "cache", help="manage the cross-run shared cache directory"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_gc = cache_sub.add_parser(
-        "gc",
-        help="evict shared-cache entries by age and/or total size "
-             "(LRU by mtime; safe against concurrent runs)",
-    )
-    cache_gc.add_argument("dir", metavar="DIR", help="shared cache directory")
-    cache_gc.add_argument(
-        "--max-age-days", type=float, default=None, metavar="DAYS",
-        help="drop entries older than this many days",
-    )
-    cache_gc.add_argument(
-        "--max-bytes", type=int, default=None, metavar="BYTES",
-        help="drop least-recently-written entries until the cache fits",
-    )
-    cache_gc.add_argument(
-        "--dry-run", action="store_true",
-        help="list what would be removed without unlinking anything "
-             "(also audits entry integrity and reports corrupt entries)",
-    )
-    cache_gc.add_argument(
-        "--verify", action="store_true",
-        help="read every entry and evict corrupt/unreadable ones too "
-             "(always on with --dry-run)",
-    )
-    cache_gc.set_defaults(handler=_cmd_cache_gc)
 
     serve = subparsers.add_parser(
         "serve",

@@ -13,13 +13,6 @@ parallel parameter studies:
   finished sweep rows, with an optional on-disk JSON store.
 * :class:`SweepResult` — a flat table with CSV/JSON export and
   filter/group-by/pivot helpers.
-* :class:`ShardRunner` / :func:`merge_artifacts` — deterministic
-  ``--shard I/N`` partitions of a grid written as self-describing,
-  digest-checked artifacts that merge back byte-identical to the
-  monolithic sweep (``repro merge-shards``).
-* :class:`SharedCacheDir` — the cross-run shared cache directory
-  (``--shared-cache``, ``repro cache gc``) that shards and re-runs
-  reuse simulated profiles, reports and rows through.
 
 See ``docs/experiments.md`` for a guide and the cache-invalidation rules.
 """
@@ -30,24 +23,19 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "cache": (
-            "CacheGcReport",
             "JsonFileStore",
             "PackedRows",
-            "SharedCacheDir",
             "SimulationCache",
             "pack_rows",
-            "portable_profile",
             "simulate_cached",
             "simulate_cached_many",
             "unpack_rows",
         ),
         "keys": (
             "canonical",
-            "file_digest",
             "point_key",
             "profile_key",
             "report_key",
-            "shard_key",
             "stable_hash",
         ),
         "result": ("SweepResult",),
@@ -59,18 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_point",
             "run_points_packed",
             "run_sweep",
-        ),
-        "sharding": (
-            "Shard",
-            "ShardArtifact",
-            "ShardError",
-            "ShardPlan",
-            "ShardRunner",
-            "load_manifest",
-            "merge_artifacts",
-            "merge_shard_paths",
-            "read_artifacts",
-            "spec_digest",
         ),
         "spec": ("DEFAULT_GATING_LABEL", "SweepPoint", "SweepSpec"),
     },

@@ -5,10 +5,7 @@ Three artifact classes are cached, each under a stable key from
 
 * **Workload profiles** — the output of ``NPUSimulator.simulate``; the
   most expensive artifact.  Profiles hold live operator graphs, so they
-  are memoized in memory — and, when a :class:`SharedCacheDir` is
-  attached, additionally pickled (in portable form) to a one-file-per-
-  entry store on a shared filesystem so concurrent shard runs reuse
-  each other's simulate misses.
+  are memoized in memory only.
 * **Energy reports** — one per (profile, policy, gating parameters);
   memory-only.  Every number a sweep persists from a report is already
   in its rows, and a report can only be re-priced from a profile, which
@@ -37,11 +34,8 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import os
-import pickle
 import tempfile
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -86,33 +80,8 @@ def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------- #
 # Disk store
 # ---------------------------------------------------------------------- #
-def atomic_replace(path: str | Path, writer) -> None:
-    """Write a file via temp name + ``os.replace`` (atomic publish).
-
-    ``writer`` receives a binary file handle.  The single definition of
-    the crash-consistent write used by every on-disk store in the tree
-    (:class:`JsonFileStore`, :class:`SharedCacheDir`, the shard-artifact
-    writer): readers racing a writer see either the complete old file or
-    the complete new one, never interleaved bytes, and a crashed writer
-    leaves only a ``*.tmp`` ghost behind.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            writer(handle)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 class CacheFileError(ValueError):
-    """A cache path names something that is not a usable cache.
-
-    Raised for a ``--cache`` file that is not a JSON object and for a
-    ``--shared-cache`` path that exists but is not a directory.
-    """
+    """A ``--cache`` file that is unreadable or not a JSON object."""
 
 
 class JsonFileStore:
@@ -121,7 +90,8 @@ class JsonFileStore:
     Writes are atomic (temp file + rename) so a crashed sweep never
     leaves a truncated cache behind.  A missing or blank file starts the
     store empty, and so does a damaged cache (text that opens with
-    ``{`` but does not parse).  Any other file that is not a JSON object
+    ``{`` but does not parse), with one warning naming the file.  Any
+    other file that is not a JSON object
     (a CSV passed by mistake, a JSON list) raises :class:`CacheFileError`
     at load and again at flush, and is never overwritten.
 
@@ -133,6 +103,7 @@ class JsonFileStore:
     def __init__(self, path: str | Path, key_prefix: str = ""):
         self.path = Path(path)
         self.key_prefix = key_prefix
+        self._warned = False
         self._data: dict[str, Any] = self._read()
         self._dirty = False
 
@@ -150,8 +121,17 @@ class JsonFileStore:
             loaded = json.loads(text)
         except ValueError:
             stripped = text.lstrip()
-            if not stripped or stripped[0] == "{":
-                return {}  # blank, or a damaged cache: rewritten at flush
+            if not stripped:
+                return {}
+            if stripped[0] == "{":
+                if not self._warned:
+                    self._warned = True
+                    _LOG.warning(
+                        "cache file %s does not parse; starting it empty "
+                        "(it is rewritten at the next flush)",
+                        self.path,
+                    )
+                return {}
             loaded = None
         if not isinstance(loaded, dict):
             raise CacheFileError(
@@ -193,301 +173,20 @@ class JsonFileStore:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._data = {**self._read(), **self._data}
-        atomic_replace(
-            self.path,
-            lambda handle: handle.write(json.dumps(self._data).encode("utf-8")),
+        # Temp file + os.replace: a reader racing this write sees the
+        # complete old file or the complete new one, and a crashed
+        # writer leaves only a *.tmp ghost behind.
+        fd, tmp = tempfile.mkstemp(
+            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
         )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(json.dumps(self._data).encode("utf-8"))
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         self._dirty = False
-
-
-# ---------------------------------------------------------------------- #
-# Cross-run shared cache directory
-# ---------------------------------------------------------------------- #
-def portable_profile(profile: WorkloadProfile) -> WorkloadProfile:
-    """A picklable deep-equivalent of ``profile``.
-
-    The fast path leaves lazy, closure-backed surfaces on a freshly
-    simulated profile (``LazyList`` operator/profile lists) and memoizes
-    derived tables keyed by process-local object ids.  Pickling the
-    profile directly would either fail or ship stale-id tokens, so the
-    shared store pickles a *fresh* :class:`WorkloadProfile` shell around
-    the same graph and profile list: ``LazyList.__reduce__`` materializes
-    the lazy surfaces into exactly the objects the eager path builds,
-    and the receiving process re-derives its columnar table from them —
-    a rebuild the fast-path contract guarantees is bit-identical.
-    """
-    from repro.simulator.engine import WorkloadProfile
-
-    return WorkloadProfile(
-        graph=profile.graph, chip=profile.chip, profiles=profile.profiles
-    )
-
-
-@dataclasses.dataclass
-class CacheGcReport:
-    """Outcome of one :meth:`SharedCacheDir.gc` pass."""
-
-    root: Path
-    dry_run: bool
-    removed_files: int = 0
-    removed_bytes: int = 0
-    kept_files: int = 0
-    kept_bytes: int = 0
-    #: Entries whose bytes no longer parse (``verify=True`` passes only).
-    corrupt_files: int = 0
-    #: ``(path, reason)`` per entry selected for removal (dry-run keeps
-    #: the full list so operators can audit before deleting).
-    removed: list[tuple[Path, str]] = dataclasses.field(default_factory=list)
-
-    def describe(self) -> str:
-        verb = "would remove" if self.dry_run else "removed"
-        text = (
-            f"{verb} {self.removed_files} entr(ies) "
-            f"({self.removed_bytes / 1e6:.1f} MB); kept {self.kept_files} "
-            f"({self.kept_bytes / 1e6:.1f} MB) under {self.root}"
-        )
-        if self.corrupt_files:
-            text += f"; {self.corrupt_files} corrupt/unreadable entr(ies)"
-        return text
-
-
-class SharedCacheDir:
-    """A cross-run, cross-process cache directory on a shared filesystem.
-
-    One file per entry, grouped by layer::
-
-        <root>/profiles/<key>.pkl   # pickled portable WorkloadProfiles
-        <root>/rows/<key>.json      # packed sweep-row payloads
-
-    Every write goes to a temp file in the destination directory and is
-    published with ``os.replace`` — atomic on POSIX and NTFS — so
-    concurrent writers can never interleave bytes: a reader sees either
-    a complete old entry or a complete new one (entries are
-    content-addressed, so racing writers produce identical content and
-    "last writer wins" is indistinguishable from "first writer wins").
-    Any unreadable entry — missing, truncated by a crashed writer's
-    filesystem, or corrupted — degrades to a cache miss, never an error.
-    The degradation is *not* silent, though: corrupt (present but
-    unparseable) entries are tallied in :attr:`corrupt_entries`, the
-    first one logs a warning, and ``repro cache gc --dry-run`` surfaces
-    the count (see :meth:`gc` with ``verify=True``).
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        # A missing directory is created on the first write; an existing
-        # non-directory would make every write fail silently.
-        if self.root.exists() and not self.root.is_dir():
-            raise CacheFileError(
-                f"shared cache {self.root} is not a directory; refusing to "
-                "use it"
-            )
-        #: Entries found present-but-unreadable by this instance's reads
-        #: (a missing file is an ordinary miss and is not counted).
-        self.corrupt_entries = 0
-        self._corrupt_warned = False
-
-    def _note_corrupt(self, path: Path, error: BaseException) -> None:
-        self.corrupt_entries += 1
-        if not self._corrupt_warned:
-            self._corrupt_warned = True
-            _LOG.warning(
-                "shared cache entry %s is corrupt/unreadable (%s: %s); "
-                "treating as a miss — further corrupt entries are counted "
-                "silently (see SimulationCache.stats()['shared_corrupt'] "
-                "or `repro cache gc --dry-run`)",
-                path,
-                type(error).__name__,
-                error,
-            )
-
-    def _path(self, layer: str, key: str, suffix: str) -> Path:
-        return self.root / layer / f"{key}{suffix}"
-
-    def _publish(self, path: Path, writer) -> None:
-        """Atomic-rename write into a layer dir created on demand."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_replace(path, writer)
-
-    # -- JSON entries (rows) ------------------------------------------- #
-    def get_json(self, layer: str, key: str) -> Any:
-        path = self._path(layer, key, ".json")
-        try:
-            text = path.read_text()
-        except OSError:
-            return None  # absent entry: an ordinary miss
-        try:
-            return json.loads(text)
-        except ValueError as error:
-            self._note_corrupt(path, error)
-            return None
-
-    def put_json(self, layer: str, key: str, value: Any) -> None:
-        payload = json.dumps(value).encode("utf-8")
-        try:
-            self._publish(
-                self._path(layer, key, ".json"), lambda h: h.write(payload)
-            )
-        except OSError:
-            pass  # a read-only or full share degrades to "no sharing"
-
-    # -- profile entries ------------------------------------------------ #
-    def get_profile(self, key: str) -> WorkloadProfile | None:
-        path = self._path("profiles", key, ".pkl")
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None  # absent entry: an ordinary miss
-        try:
-            profile = pickle.loads(blob)
-        except Exception as error:  # noqa: BLE001
-            # Truncated/corrupt pickles raise a zoo of exception types
-            # (EOFError, UnpicklingError, AttributeError, ...); all of
-            # them mean "miss", never "crash the sweep".
-            self._note_corrupt(path, error)
-            return None
-        from repro.simulator.engine import WorkloadProfile
-
-        return profile if isinstance(profile, WorkloadProfile) else None
-
-    def put_profile(self, key: str, profile: WorkloadProfile) -> None:
-        try:
-            blob = pickle.dumps(
-                portable_profile(profile), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            self._publish(
-                self._path("profiles", key, ".pkl"), lambda h: h.write(blob)
-            )
-        except Exception:
-            pass  # an unpicklable custom profile just isn't shared
-
-    # -- garbage collection --------------------------------------------- #
-    def _entry_corrupt(self, path: Path) -> str | None:
-        """Why this entry's bytes are unusable, or ``None`` if they parse.
-
-        JSON entries are fully parsed; pickles get a cheap structural
-        check (complete pickles end with the STOP opcode ``b"."``) —
-        enough to catch the truncation a crashed writer's filesystem
-        leaves behind, without unpickling anything.
-        """
-        try:
-            blob = path.read_bytes()
-        except OSError as error:
-            return f"unreadable entry ({error})"
-        if path.suffix == ".json":
-            try:
-                json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return "corrupt JSON entry"
-        elif path.suffix == ".pkl":
-            if not blob.endswith(b"."):
-                return "truncated pickle entry"
-        return None
-
-    def gc(
-        self,
-        max_age_days: float | None = None,
-        max_bytes: int | None = None,
-        dry_run: bool = False,
-        now: float | None = None,
-        verify: bool = False,
-    ) -> CacheGcReport:
-        """Evict cache entries by age and/or total size (LRU by mtime).
-
-        Entries older than ``max_age_days`` are dropped first; if the
-        survivors still exceed ``max_bytes``, the least recently touched
-        are dropped until the layer directories fit (every cache read
-        refreshing an entry would be an extra write per hit, so "used"
-        here means *written* — content-addressed entries are rewritten
-        on every miss, which is exactly the reuse signal that matters).
-        Unlinks are best-effort and safe against concurrent runs: a
-        reader that loses an entry mid-race sees an ordinary cache miss,
-        and ``*.tmp`` ghosts from crashed writers are always collected.
-        ``dry_run`` only reports what would be removed.  ``verify=True``
-        additionally reads every surviving entry and dooms the
-        corrupt/unreadable ones (tallied in
-        :attr:`CacheGcReport.corrupt_files`), regardless of age/size.
-        A negative or non-finite limit raises :class:`ValueError` before
-        any file is touched (``-1`` would otherwise evict everything and
-        ``nan`` nothing); ``0`` is a valid limit.
-        """
-        for flag, limit in (
-            ("--max-age-days", max_age_days),
-            ("--max-bytes", max_bytes),
-        ):
-            if limit is not None and not (math.isfinite(limit) and limit >= 0):
-                raise ValueError(
-                    f"{flag} expects a finite value >= 0, got {limit}"
-                )
-        now = time.time() if now is None else now
-        report = CacheGcReport(root=self.root, dry_run=dry_run)
-        entries: list[tuple[float, int, Path]] = []  # (mtime, size, path)
-        # ``reports/`` is no longer written; directories from older
-        # releases may still hold one, and gc collects it like the rest.
-        for layer in ("profiles", "reports", "rows"):
-            layer_dir = self.root / layer
-            if not layer_dir.is_dir():
-                continue
-            for path in layer_dir.iterdir():
-                if not path.is_file():
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # vanished under a concurrent gc
-                if path.name.endswith(".tmp"):
-                    report.removed.append((path, "crashed writer ghost"))
-                    report.removed_files += 1
-                    report.removed_bytes += stat.st_size
-                    continue
-                if verify:
-                    reason = self._entry_corrupt(path)
-                    if reason is not None:
-                        report.removed.append((path, reason))
-                        report.removed_files += 1
-                        report.removed_bytes += stat.st_size
-                        report.corrupt_files += 1
-                        continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-        doomed: list[tuple[Path, str]] = []
-        survivors: list[tuple[float, int, Path]] = []
-        cutoff = None if max_age_days is None else now - max_age_days * 86400.0
-        for mtime, size, path in entries:
-            if cutoff is not None and mtime < cutoff:
-                age_days = (now - mtime) / 86400.0
-                doomed.append(
-                    (path, f"age {age_days:.1f}d > {max_age_days}d")
-                )
-                report.removed_files += 1
-                report.removed_bytes += size
-            else:
-                survivors.append((mtime, size, path))
-        if max_bytes is not None:
-            total = sum(size for _mtime, size, _path in survivors)
-            survivors.sort()  # oldest mtime first = least recently used
-            kept: list[tuple[float, int, Path]] = []
-            for position, (mtime, size, path) in enumerate(survivors):
-                if total > max_bytes:
-                    doomed.append(
-                        (path, f"evicted to fit --max-bytes {max_bytes}")
-                    )
-                    report.removed_files += 1
-                    report.removed_bytes += size
-                    total -= size
-                else:
-                    kept.extend(survivors[position:])
-                    break
-            survivors = kept
-        report.kept_files = len(survivors)
-        report.kept_bytes = sum(size for _mtime, size, _path in survivors)
-        report.removed.extend(doomed)
-        if not dry_run:
-            for path, _reason in report.removed:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass  # already gone (concurrent gc) or unwritable share
-        return report
 
 
 # ---------------------------------------------------------------------- #
@@ -496,28 +195,16 @@ class SharedCacheDir:
 class SimulationCache:
     """In-memory (and optionally on-disk) memoization of simulations.
 
-    Energy reports are always memory-only; only sweep rows (and, in a
-    shared directory, profiles) persist.
+    Profiles and energy reports are always memory-only; only sweep rows
+    persist.
 
     Parameters
     ----------
     path:
-        Optional JSON file backing the sweep-row layer.  Profiles are
-        memory-only (they hold live graph objects) unless ``shared_dir``
-        is given.
-    shared_dir:
-        Optional :class:`SharedCacheDir` root (or an instance).  Rows
-        and *profiles*, the expensive simulate output, are then written
-        through to one-file-per-entry stores published by atomic rename,
-        so concurrent shard runs on a shared filesystem reuse each
-        other's simulate misses across processes, machines and runs.
+        Optional JSON file backing the sweep-row layer.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        shared_dir: str | Path | SharedCacheDir | None = None,
-    ):
+    def __init__(self, path: str | Path | None = None):
         self._profiles: dict[str, WorkloadProfile] = {}
         self._reports: dict[str, EnergyReport] = {}
         # Reports held as zero-argument suppliers (grid cells priced by
@@ -528,9 +215,6 @@ class SimulationCache:
         self._store = (
             JsonFileStore(path, key_prefix="rows:") if path is not None else None
         )
-        if shared_dir is not None and not isinstance(shared_dir, SharedCacheDir):
-            shared_dir = SharedCacheDir(shared_dir)
-        self._shared = shared_dir
         self.hits = 0
         self.misses = 0
         # Row-layer counters kept separately: one sweep point is one row
@@ -542,17 +226,11 @@ class SimulationCache:
     # -- profiles ------------------------------------------------------ #
     def get_profile(self, key: str) -> WorkloadProfile | None:
         profile = self._profiles.get(key)
-        if profile is None and self._shared is not None:
-            profile = self._shared.get_profile(key)
-            if profile is not None:
-                self._profiles[key] = profile
         self._count(profile is not None)
         return profile
 
     def put_profile(self, key: str, profile: WorkloadProfile) -> None:
         self._profiles[key] = profile
-        if self._shared is not None:
-            self._shared.put_profile(key, profile)
 
     # -- energy reports ------------------------------------------------ #
     # Reports are copied on the way in and out, like rows: a caller
@@ -614,15 +292,10 @@ class SimulationCache:
         if packed is None and self._store is not None:
             payload = self._store.get("rows:" + key)
             if payload is not None:
-                packed = self._freeze_packed(self._decode_rows(payload))
-                self._rows[key] = packed
-        if packed is None and self._shared is not None:
-            payload = self._shared.get_json("rows", key)
-            if payload is not None:
                 try:
                     packed = self._freeze_packed(self._decode_rows(payload))
                 except (KeyError, TypeError, ValueError):
-                    packed = None  # foreign/corrupt payload -> miss
+                    packed = None  # a malformed entry is a miss
                 else:
                     self._rows[key] = packed
         self._count(packed is not None)
@@ -640,10 +313,6 @@ class SimulationCache:
         if self._store is not None:
             self._store.put(
                 "rows:" + key, {"columns": list(columns), "values": values}
-            )
-        if self._shared is not None:
-            self._shared.put_json(
-                "rows", key, {"columns": list(columns), "values": values}
             )
 
     @staticmethod
@@ -667,9 +336,6 @@ class SimulationCache:
             "profiles": len(self._profiles),
             "reports": len(self._reports) + len(self._lazy_reports),
             "rows": len(self._rows),
-            "shared_corrupt": (
-                self._shared.corrupt_entries if self._shared is not None else 0
-            ),
         }
 
     def _count(self, hit: bool) -> None:
@@ -1017,15 +683,11 @@ def simulate_cached_many(
 
 __all__ = [
     "CacheFileError",
-    "CacheGcReport",
     "JsonFileStore",
     "PackedRows",
-    "atomic_replace",
-    "SharedCacheDir",
     "SimulationCache",
     "materialize_cell",
     "pack_rows",
-    "portable_profile",
     "simulate_cached",
     "simulate_cached_cells",
     "simulate_cached_many",

@@ -19,7 +19,6 @@ import hashlib
 import json
 import weakref
 from enum import Enum
-from pathlib import Path
 from typing import Any
 
 from repro import __version__
@@ -210,23 +209,6 @@ def _json_text(value: Any) -> str:
     return _dumps(canonical(value))
 
 
-def file_digest(path: str | Path) -> str:
-    """Streaming SHA-256 of one file (``sha256:<hex>``), O(1) memory.
-
-    The content digest recorded per column store in every shard
-    manifest, re-checked by
-    :func:`~repro.experiments.sharding.verify_artifact_files`.
-    Full-width (not truncated to :data:`KEY_HEX_CHARS`): these digests
-    guard against corruption, not just collisions, and the on-disk
-    format already shipped them at full width.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return f"sha256:{digest.hexdigest()}"
-
-
 # ---------------------------------------------------------------------- #
 # Domain-specific keys
 # ---------------------------------------------------------------------- #
@@ -268,31 +250,6 @@ def report_key(profile: str, policy: str, parameters: GatingParameters) -> str:
     )
 
 
-def shard_key(
-    spec_digest: str,
-    shard_count: int,
-    shard_indices: Any,
-    point_indices: Any,
-) -> str:
-    """Key of one shard artifact (single shard or a merged union).
-
-    Content-addressed over the spec digest, the plan's shard count and
-    the covered shard/point index sets, so two artifacts carry the same
-    key exactly when they cover the same slice of the same plan.  Order
-    of the index sequences does not matter (they are sorted first).
-    """
-    return stable_hash(
-        {
-            "kind": "shard",
-            "version": CACHE_SCHEMA_VERSION,
-            "spec": spec_digest,
-            "count": shard_count,
-            "shards": sorted(shard_indices),
-            "points": sorted(point_indices),
-        }
-    )
-
-
 def point_key(workload: str, config: SimulationConfig) -> str:
     """Key of one fully-specified sweep point (workload + configuration).
 
@@ -323,11 +280,9 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "KEY_HEX_CHARS",
     "canonical",
-    "file_digest",
     "labeled_point_key",
     "point_key",
     "profile_key",
     "report_key",
-    "shard_key",
     "stable_hash",
 ]

@@ -1,12 +1,8 @@
 """Tabular results of a parameter sweep.
 
 A :class:`SweepResult` is a small, dependency-free data frame with a
-fixed column order and three interchangeable backing stores:
+fixed column order and two interchangeable backing stores:
 
-* a **column store** — one array or list per column
-  (:meth:`from_series`; shard artifacts and merges feed this
-  directly).  ``iter_csv``/``write_csv`` and ``filter`` operate
-  straight on the columns — no row tuple or dict is materialized;
 * a **packed store** — one value tuple per row (the runner's
   array-native assembly and the row cache feed this directly), with the
   row *dicts* of the legacy API materialized lazily on first access;
@@ -76,10 +72,6 @@ def _float_texts(values: Any) -> list[str]:
 
 def _column_texts(column: Any) -> list[str]:
     """CSV text of every cell of one column chunk."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return _float_texts(column)
-        column = column.tolist()
     types = set(map(type, column))
     if types == {float}:
         return _float_texts(column)
@@ -114,49 +106,19 @@ class SweepResult:
         rows: "Sequence[dict[str, Any]] | None" = None,
         *,
         values: "Sequence[tuple[Any, ...]] | None" = None,
-        series: "Mapping[str, Any] | None" = None,
     ):
-        if sum(store is not None for store in (rows, values, series)) > 1:
-            raise TypeError("pass at most one of rows, values or series")
+        if rows is not None and values is not None:
+            raise TypeError("pass at most one of rows or values")
         self.columns: tuple[str, ...] = tuple(columns)
-        self._values_list: list[tuple[Any, ...]] | None = (
+        #: The packed store (``None`` once row dicts are the store).
+        self._values: list[tuple[Any, ...]] | None = (
             list(values) if values is not None else None
-        )
-        self._series: dict[str, Any] | None = (
-            {name: series[name] for name in self.columns}
-            if series is not None
-            else None
         )
         self._rows: list[dict[str, Any]] | None = (
             list(rows) if rows is not None else None
         )
-        if self._values_list is None and self._rows is None and self._series is None:
+        if self._values is None and self._rows is None:
             self._rows = []
-
-    @property
-    def _values(self) -> "list[tuple[Any, ...]] | None":
-        """The packed store, materializing the column store on demand.
-
-        Column-store tables convert lazily: the first packed access
-        turns the columns into plain-scalar row tuples (``tolist`` for
-        arrays, so ``np.float64`` never leaks into the cells) and drops
-        the column store.  Row-dict-backed tables return ``None``, as
-        before.
-        """
-        if self._values_list is None and self._series is not None:
-            ordered = [
-                column.tolist() if isinstance(column, np.ndarray) else column
-                for column in self._series.values()
-            ]
-            self._values_list = list(zip(*ordered)) if ordered else []
-            self._series = None
-        return self._values_list
-
-    @_values.setter
-    def _values(self, values: "list[tuple[Any, ...]] | None") -> None:
-        self._values_list = values
-        if values is not None:
-            self._series = None
 
     # -- constructors --------------------------------------------------- #
     @classmethod
@@ -191,21 +153,6 @@ class SweepResult:
         values = list(zip(*series)) if series else []
         return cls(columns=names, values=values)
 
-    @classmethod
-    def from_series(cls, columns: Sequence[str], series: "Mapping[str, Any]") -> "SweepResult":
-        """Build a column-store result (one array or list per column).
-
-        Unlike :meth:`from_columns`, the columns are kept **as given**
-        — float columns may be ndarrays, only converted to plain
-        scalars when a consumer actually asks for rows.  Exports and
-        filters run directly over the columns.
-        """
-        columns = tuple(columns)
-        lengths = {len(series[name]) for name in columns}
-        if len(lengths) > 1:
-            raise ValueError("all columns must have the same length")
-        return cls(columns=columns, series=series)
-
     # -- row access ----------------------------------------------------- #
     @property
     def rows(self) -> list[dict[str, Any]]:
@@ -224,9 +171,7 @@ class SweepResult:
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
-        if self._series is not None:
-            return len(next(iter(self._series.values()))) if self._series else 0
-        return len(self._values_list)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return iter(self.rows)
@@ -263,42 +208,13 @@ class SweepResult:
         self._check_columns(name)
         if self._rows is not None:
             return [row[name] for row in self._rows]
-        if self._series is not None:
-            column = self._series[name]
-            return column.tolist() if isinstance(column, np.ndarray) else list(column)
         index = self.columns.index(name)
-        return [row[index] for row in self._values_list]
+        return [row[index] for row in self._values]
 
     # ------------------------------------------------------------------ #
     def filter(self, **equals: Any) -> "SweepResult":
-        """Rows whose columns equal the given values (AND semantics).
-
-        On a column-store table the filter runs column-wise (vectorized
-        comparison for array columns) and the kept rows stay columnar —
-        no row dict is materialized.
-        """
+        """Rows whose columns equal the given values (AND semantics)."""
         self._check_columns(*equals)
-        if self._series is not None and self._rows is None:
-            count = len(self)
-            keep = np.ones(count, dtype=bool)
-            for name, value in equals.items():
-                column = self._series[name]
-                if isinstance(column, np.ndarray):
-                    keep &= column == value
-                else:
-                    keep &= np.fromiter(
-                        (cell == value for cell in column),
-                        dtype=bool,
-                        count=count,
-                    )
-            indices = np.flatnonzero(keep)
-            kept_series = {
-                name: column[indices]
-                if isinstance(column, np.ndarray)
-                else [column[i] for i in indices]
-                for name, column in self._series.items()
-            }
-            return SweepResult(columns=self.columns, series=kept_series)
         kept = [
             row
             for row in self.rows
@@ -344,21 +260,15 @@ class SweepResult:
 
     # ------------------------------------------------------------------ #
     def _column_chunks(self) -> Iterator[tuple[int, list[Any]]]:
-        """``(rows, columns)`` per chunk of at most ``_CSV_CHUNK_ROWS`` rows.
-
-        Array columns are sliced, not converted: each chunk's cells are
-        rendered from a view of the backing array.
-        """
+        """``(rows, columns)`` per chunk of at most ``_CSV_CHUNK_ROWS`` rows."""
         count = len(self)
         for start in range(0, count, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, count)
             if self._rows is not None:
                 rows = self._rows[start:stop]
                 columns = [[row.get(name) for row in rows] for name in self.columns]
-            elif self._series is not None:
-                columns = [self._series[name][start:stop] for name in self.columns]
             else:
-                columns = list(zip(*self._values_list[start:stop]))
+                columns = list(zip(*self._values[start:stop]))
             yield stop - start, columns
 
     def _csv_chunks(self) -> Iterator[list[str]]:
@@ -416,24 +326,6 @@ class SweepResult:
         payload = json.loads(text)
         return cls(columns=tuple(payload["columns"]), rows=list(payload["rows"]))
 
-    @classmethod
-    def merge_shards(cls, paths: "Sequence[str | Path]") -> "SweepResult":
-        """Reassemble ``.repro-shard`` artifacts into one packed result.
-
-        The inverse of a sharded sweep
-        (:class:`~repro.experiments.sharding.ShardRunner`): given the
-        artifacts of every shard of one plan — in any order, duplicates
-        deduplicated — returns a table byte-identical (packed store and
-        CSV bytes) to the monolithic
-        :meth:`~repro.experiments.runner.SweepRunner.run` of the same
-        spec.  Missing, duplicated-but-different and foreign shards
-        raise :class:`~repro.experiments.sharding.ShardError`.  The
-        merge is columnar end to end: no row dict is materialized.
-        """
-        from repro.experiments.sharding import merge_shard_paths
-
-        return merge_shard_paths(paths).result()
-
 
 def _cell(value: Any) -> Any:
     if isinstance(value, float):
@@ -461,15 +353,8 @@ def iter_csv_oracle(table: SweepResult) -> Iterator[str]:
     yield render(table.columns)
     if table._rows is not None:
         rows = ([row.get(name) for name in table.columns] for row in table._rows)
-    elif table._series is not None:
-        rows = zip(
-            *(
-                column.tolist() if isinstance(column, np.ndarray) else column
-                for column in table._series.values()
-            )
-        )
     else:
-        rows = table._values_list
+        rows = table._values
     for row in rows:
         yield render(row)
 

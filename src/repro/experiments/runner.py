@@ -501,11 +501,9 @@ class SweepRunner:
     ) -> dict[int, PackedRows]:
         """Evaluate a point subset into ``{point.index: packed rows}``.
 
-        The single execution pipeline behind :meth:`run` and the shard
-        runner (:class:`~repro.experiments.sharding.ShardRunner`, which
-        feeds it one shard's points): probe the row cache, batch the
-        misses through the packed serial or pool path, write fresh rows
-        back.  The caller owns ``cache.flush()``.
+        The execution pipeline behind :meth:`run`: probe the row cache,
+        batch the misses through the packed serial or pool path, write
+        fresh rows back.  The caller owns ``cache.flush()``.
         """
         cache = cache if cache is not None else self.resolve_cache()
         packed_by_index: dict[int, PackedRows] = {}

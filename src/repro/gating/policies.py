@@ -409,35 +409,20 @@ class ChipMajorPacks:
         """Distinct chips, in first-appearance (chip-major) order."""
         return [pack.chip for pack in self.packs]
 
-    @staticmethod
-    def partition_chip_major(chip_keys) -> list[list[int]]:
-        """Group positions by chip key, in first-appearance (chip-major) order.
-
-        The single definition of the chip-major partitioning rule: both
-        :meth:`pack` (grouping live profiles by chip identity) and the
-        shard planner (:class:`~repro.experiments.sharding.ShardPlan`,
-        grouping sweep points by chip *name* so the partition is stable
-        across processes) chunk work along these groups, which is what
-        keeps every :class:`PackedProfiles` pack — and every shard —
-        as close to single-chip as the input allows.
-        """
-        groups: dict = {}
-        for index, key in enumerate(chip_keys):
-            groups.setdefault(key, []).append(index)
-        return list(groups.values())
-
     @classmethod
     def pack(cls, profiles: list[WorkloadProfile]) -> "ChipMajorPacks | None":
         """Pack a (possibly multi-chip) batch, or ``None`` off the fast path."""
         profiles = list(profiles)
         if not columnar.fast_path_enabled() or not profiles:
             return None
-        groups = cls.partition_chip_major(
-            [id(profile.chip) for profile in profiles]
-        )
+        # Group positions by chip identity, in first-appearance
+        # (chip-major) order, so each pack is single-chip.
+        groups: dict[int, list[int]] = {}
+        for index, profile in enumerate(profiles):
+            groups.setdefault(id(profile.chip), []).append(index)
         packs: list[PackedProfiles] = []
         index_map: list[tuple[int, int] | None] = [None] * len(profiles)
-        for pack_index, indices in enumerate(groups):
+        for pack_index, indices in enumerate(groups.values()):
             packed = PackedProfiles.pack([profiles[i] for i in indices])
             if packed is None:
                 return None

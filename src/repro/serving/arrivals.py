@@ -308,6 +308,21 @@ def load_trace(path: str | Path, workloads: Sequence[str] = ()) -> RequestTrace:
     return RequestTrace.from_rows(rows, workloads)
 
 
+def _timestamp_s(value: object) -> float:
+    """A trace timestamp in seconds whose nanosecond count fits int64.
+
+    NaN, infinities and values past int64 nanoseconds (about 292 years)
+    raise :class:`ValueError`, which the readers report by line.
+    """
+    seconds = float(value)
+    if not -_INT64_LIMIT <= seconds * NS < _INT64_LIMIT:
+        raise ValueError(
+            f"timestamp {seconds!r} s is not finite or does not fit int64 "
+            "nanoseconds"
+        )
+    return seconds
+
+
 def _jsonl_rows(text: str, path: Path) -> list[tuple[float, str]]:
     rows: list[tuple[float, str]] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -316,7 +331,7 @@ def _jsonl_rows(text: str, path: Path) -> list[tuple[float, str]]:
             continue
         try:
             record = json.loads(line)
-            rows.append((float(record["timestamp_s"]), str(record["workload"])))
+            rows.append((_timestamp_s(record["timestamp_s"]), str(record["workload"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
             raise TraceError(f"{path}:{number}: bad JSONL record ({error})") from error
     return rows
@@ -335,7 +350,7 @@ def _csv_rows(text: str, path: Path) -> list[tuple[float, str]]:
     rows: list[tuple[float, str]] = []
     for number, record in enumerate(reader, start=2):
         try:
-            rows.append((float(record["timestamp_s"]), str(record["workload"])))
+            rows.append((_timestamp_s(record["timestamp_s"]), str(record["workload"])))
         except (TypeError, ValueError) as error:
             raise TraceError(f"{path}:{number}: bad CSV record ({error})") from error
     return rows

@@ -91,8 +91,7 @@ class LazyList(list):
     def __reduce__(self):
         # The builder is a process-local closure, so pickling
         # materializes and ships a plain list: the receiving process
-        # gets exactly the items the eager path would have built (the
-        # shared-cache profile store relies on this).
+        # gets exactly the items the eager path would have built.
         return (list, (list(self),))
 
     def _make_accessor(name):  # noqa: N805 - class-body helper

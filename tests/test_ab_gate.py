@@ -154,3 +154,40 @@ def test_unknown_base_ref_is_refused(monkeypatch, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and "no-such-ref-for-the-ab-gate" in line
+
+
+@pytest.mark.parametrize(
+    "parent, length",
+    [("/tmp", 10), ("/tmp", 6), ("/tmp", 40), ("/var/tmp/x", 36), ("/", 3)],
+)
+def test_base_path_is_exactly_as_long_as_head(parent, length):
+    path = gate.equal_length_path(Path(parent), length, "0123456789abcdef")
+    assert len(str(path)) == length
+    assert path.parent == Path(parent)
+
+
+def test_base_path_name_carries_the_token_when_there_is_room():
+    short = gate.equal_length_path(Path("/tmp"), 30, "aa")
+    assert short.name.startswith("ab-aa") and short.name.endswith("-")
+    first = gate.equal_length_path(Path("/tmp"), 30, "0123")
+    second = gate.equal_length_path(Path("/tmp"), 30, "4567")
+    assert first != second
+
+
+@pytest.mark.parametrize("length", [5, 4, 0])
+def test_no_base_path_when_the_parent_leaves_no_room(length):
+    assert gate.equal_length_path(Path("/tmp"), length, "0123") is None
+
+
+def test_worktree_dir_matches_head_length_or_warns(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gate.tempfile, "tempdir", str(tmp_path))
+    head = Path("/" + "h" * (len(str(tmp_path.resolve())) + 8))
+    made = gate.make_worktree_dir(head)
+    assert made.is_dir() and made.parent == tmp_path.resolve()
+    assert len(str(made)) == len(str(head))
+    assert capsys.readouterr().err == ""
+
+    short_head = Path("/h")
+    fallback = gate.make_worktree_dir(short_head)
+    assert fallback.is_dir()
+    assert capsys.readouterr().err.startswith("warning: ")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -33,6 +34,16 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_commands(self):
+        parser = build_parser()
+        (subparsers,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(subparsers.choices) == [
+            "list", "chips", "simulate", "sweep", "serve"
+        ]
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate", "llama3-8b-prefill"])
@@ -164,8 +175,6 @@ class TestSweepCommand:
             ["--policy", "bogus"],
             ["--chip", "NPU-Z"],
             ["-w", "no-such-workload"],
-            ["--shard", "3/2"],
-            ["--shard", "x"],
             ["--parallel", "-2"],
         ],
         ids=lambda flags: " ".join(flags),
@@ -200,55 +209,24 @@ def test_serve_replay_of_an_empty_trace_exits_with_one_error_line(
     _assert_one_error_line(["serve", "--arrival", "trace", "--trace", str(trace)])
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        "timestamp_s,workload\nnan,llama3-8b-decode\n",
+        '{"timestamp_s": 1e10, "workload": "llama3-8b-decode"}\n',
+    ],
+    ids=["csv-nan", "jsonl-1e10"],
+)
+def test_serve_replay_of_a_bad_timestamp_exits_with_one_error_line(
+    tmp_path, content
+):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(content)
+    _assert_one_error_line(["serve", "--arrival", "trace", "--trace", str(trace)])
+
+
 def test_serve_trace_arrivals_without_a_file_exit_with_one_error_line():
     _assert_one_error_line(["serve", "--arrival", "trace"])
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--max-age-days", "-1"],
-        ["--max-bytes", "-1"],
-        ["--max-age-days", "nan"],
-        ["--max-age-days", "inf"],
-        ["--max-age-days", "-1", "--dry-run"],
-    ],
-    ids=lambda flags: " ".join(flags),
-)
-def test_cache_gc_bad_limit_exits_with_one_error_line(tmp_path, flags):
-    entries = [tmp_path / "rows" / "a.json", tmp_path / "profiles" / "b.pkl"]
-    for entry in entries:
-        entry.parent.mkdir()
-        entry.write_bytes(b"{}")
-    _assert_one_error_line(["cache", "gc", str(tmp_path), *flags])
-    assert all(entry.read_bytes() == b"{}" for entry in entries)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
-         "--batch-size", "1", "--shared-cache"],
-        ["cache", "gc"],
-    ],
-    ids=["sweep", "cache gc"],
-)
-def test_shared_cache_that_is_a_file_exits_with_one_error_line(tmp_path, argv):
-    path = tmp_path / "shared"
-    path.write_bytes(b"not a directory\n")
-    _assert_one_error_line([*argv, str(path)])
-    assert path.read_bytes() == b"not a directory\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["merge-shards", "{empty_dir}"],
-    ],
-    ids=["merge-shards without artifacts"],
-)
-def test_bad_merge_or_perf_input_exits_with_one_error_line(tmp_path, argv):
-    _assert_one_error_line([arg.format(empty_dir=tmp_path) for arg in argv])
 
 
 @pytest.mark.parametrize(
@@ -351,13 +329,13 @@ def test_warm_sweep_loads_no_simulator(tmp_path):
 
 def test_serve_loads_no_sweep_runner():
     """Serving prices batches through the cache and the simulator, but
-    never loads the sweep runner, sharding or the sensitivity analyses."""
+    never loads the sweep runner or the sensitivity analyses."""
     _, modules = _run_probe(
         ["serve", "-w", "llama3-8b-decode", "--rate", "50", "--duration", "2"]
     )
     assert "repro.serving.simulate" in modules
     assert _loaded(
         modules,
-        ("repro.experiments.runner", "repro.experiments.sharding",
-         "repro.analysis.sensitivity", *_NETWORK),
+        ("repro.experiments.runner", "repro.analysis.sensitivity",
+         *_NETWORK),
     ) == []

@@ -36,13 +36,13 @@ texts = st.one_of(
 )
 anything = st.one_of(floats, ints, texts, st.none(), st.booleans())
 
-#: Column kinds: cell strategy, and whether the series store gets an array.
+#: Column kinds and their cell strategies.
 KINDS = {
-    "float": (floats, np.float64),
-    "int": (st.integers(min_value=-(2**62), max_value=2**62), np.int64),
-    "text": (texts, None),
-    "mixed_number": (st.one_of(ints, floats), None),
-    "anything": (anything, None),
+    "float": floats,
+    "int": st.integers(min_value=-(2**62), max_value=2**62),
+    "text": texts,
+    "mixed_number": st.one_of(ints, floats),
+    "anything": anything,
 }
 
 #: Row counts: empty, one row, a few, and past one chunk.
@@ -51,7 +51,7 @@ ROW_COUNTS = (0, 1, 7, _CSV_CHUNK_ROWS + 5)
 
 @st.composite
 def tables(draw):
-    """``(columns, kinds, cells, missing)``: a table plus absent dict keys."""
+    """``(columns, cells, missing)``: a table plus absent dict keys."""
     names = draw(st.lists(texts, min_size=0, max_size=4, unique=True))
     kinds = [draw(st.sampled_from(sorted(KINDS))) for _ in names]
     count = draw(st.sampled_from(ROW_COUNTS)) if names else 0
@@ -59,7 +59,7 @@ def tables(draw):
     for kind in kinds:
         # A short drawn cycle tiled to the row count keeps large tables
         # cheap while still repeating values (the memo's case).
-        cycle = draw(st.lists(KINDS[kind][0], min_size=1, max_size=12))
+        cycle = draw(st.lists(KINDS[kind], min_size=1, max_size=12))
         cells.append([cycle[i % len(cycle)] for i in range(count)])
     cells_total = count * len(names)
     missing = (
@@ -67,11 +67,11 @@ def tables(draw):
         if cells_total
         else set()
     )
-    return tuple(names), kinds, cells, missing
+    return tuple(names), cells, missing
 
 
-def _stores(names, kinds, cells, missing):
-    """The same cells behind the row-dict, packed and column stores."""
+def _stores(names, cells, missing):
+    """The same cells behind the row-dict and packed stores."""
     rows = [dict(zip(names, values)) for values in zip(*cells)] if names else []
     for flat in missing:
         # Missing keys export as empty cells, like None.
@@ -79,17 +79,9 @@ def _stores(names, kinds, cells, missing):
         rows[row].pop(names[column], None)
         cells[column][row] = None
     packed = SweepResult.from_packed(names, list(zip(*cells)) if names else [])
-    series = {}
-    for name, kind, column in zip(names, kinds, cells):
-        dtype = KINDS[kind][1]
-        if dtype is not None and all(type(cell) is not type(None) for cell in column):
-            series[name] = np.array(column, dtype=dtype)
-        else:
-            series[name] = list(column)
     return {
         "rows": SweepResult(columns=names, rows=rows),
         "packed": packed,
-        "series": SweepResult.from_series(names, series),
     }
 
 
@@ -109,21 +101,19 @@ def _assert_matches_oracle(table, tmp_path):
 )
 @given(table=tables())
 def test_every_store_matches_the_oracle(table, tmp_path):
-    names, kinds, cells, missing = table
-    for store in _stores(names, kinds, cells, missing).values():
+    names, cells, missing = table
+    for store in _stores(names, cells, missing).values():
         _assert_matches_oracle(store, tmp_path)
 
 
-@pytest.mark.parametrize("store", ["rows", "packed", "series"])
+@pytest.mark.parametrize("store", ["rows", "packed"])
 @pytest.mark.parametrize("count", ROW_COUNTS)
 def test_special_floats_keep_their_text(store, count, tmp_path):
     """-0.0 next to 0.0 (equal, printed differently) must survive dedup."""
     cycle = list(SPECIAL_FLOATS)
     column = [cycle[i % len(cycle)] for i in range(count)]
     labels = [f"r{i % 3}" for i in range(count)]
-    table = _stores(
-        ("x", "label"), ["float", "text"], [column, labels], set()
-    )[store]
+    table = _stores(("x", "label"), [column, labels], set())[store]
     _assert_matches_oracle(table, tmp_path)
     if count >= 2:
         lines = table.to_csv().splitlines()
@@ -153,16 +143,6 @@ def test_mixed_cells_and_quoting(tmp_path):
 )
 def test_degenerate_tables(table, tmp_path):
     _assert_matches_oracle(table, tmp_path)
-
-
-def test_series_store_is_not_converted(tmp_path):
-    """The column store renders from array slices and stays columnar."""
-    count = 2 * _CSV_CHUNK_ROWS + 1
-    matrix = np.linspace(-1.0, 1.0, 2 * count).reshape(count, 2)
-    # Strided column views, like a shard artifact's float matrix.
-    table = SweepResult.from_series(("v", "w"), {"v": matrix[:, 0], "w": matrix[:, 1]})
-    _assert_matches_oracle(table, tmp_path)
-    assert table._series is not None and table._values_list is None
 
 
 class TestCsvStreaming:

@@ -69,6 +69,29 @@ class TestJsonFileStore:
         path.write_text("{ not json")
         assert len(JsonFileStore(path)) == 0
 
+    def test_damaged_file_is_logged_once_by_name(self, tmp_path, caplog):
+        path = tmp_path / "store.json"
+        path.write_text('{"rows:a": {"columns": [')  # truncated mid-write
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            store = JsonFileStore(path)
+            assert len(store) == 0
+            store.put("rows:b", 1)
+            store.flush()  # re-reads the damaged file: still one warning
+        assert JsonFileStore(path).get("rows:b") == 1
+        records = [r for r in caplog.records if r.name == "repro.experiments.cache"]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        assert str(path) in records[0].getMessage()
+
+    @pytest.mark.parametrize("content", ["", "  \n"], ids=["empty", "blank"])
+    def test_blank_file_starts_empty_without_a_warning(
+        self, tmp_path, caplog, content
+    ):
+        path = tmp_path / "store.json"
+        path.write_text(content)
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            assert len(JsonFileStore(path)) == 0
+        assert not caplog.records
+
     def test_flush_merges_concurrent_writers(self, tmp_path):
         path = tmp_path / "store.json"
         first = JsonFileStore(path)

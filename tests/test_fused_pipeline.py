@@ -1,21 +1,14 @@
-"""The fused simulate→price sweep pass and the shard merge.
+"""The fused simulate→price sweep pass.
 
-Two invariants this file pins:
-
-* the packed sweep path prices each (policy, chip) group with **one**
-  grid kernel call and resolves/simulates each distinct profile once —
-  no per-point re-resolution and no per-cell pricing; and
-* merging shard artifacts concatenates each column in point order.
+The packed sweep path prices each (policy, chip) group with **one**
+grid kernel call and resolves/simulates each distinct profile once —
+no per-point re-resolution and no per-cell pricing.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.experiments import SimulationCache, SweepSpec, run_sweep
 from repro.experiments import cache as cache_module
-from repro.experiments.sharding import ShardArtifact, merge_shard_paths
 from repro.gating import policies as policies_module
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.simulator import columnar
@@ -92,45 +85,3 @@ class TestFusedPassCallCounts:
         with columnar.use_fast_path(False):
             oracle = run_sweep(FUSED_SPEC, cache=SimulationCache())
         assert fused.to_csv() == oracle.to_csv()
-
-
-# --------------------------------------------------------------------- #
-# Merge of synthetic shards
-# --------------------------------------------------------------------- #
-ROWS_PER_SHARD = 50_000
-FLOAT_COLUMNS = ("a", "b", "c", "d")
-
-
-def _synthetic_artifact(index: int, count: int) -> ShardArtifact:
-    rng_base = float(index * ROWS_PER_SHARD)
-    series: dict = {
-        name: np.arange(ROWS_PER_SHARD, dtype=np.float64) + rng_base + column
-        for column, name in enumerate(FLOAT_COLUMNS)
-    }
-    series["workload"] = ["w0" if i % 2 else "w1" for i in range(ROWS_PER_SHARD)]
-    return ShardArtifact(
-        spec_digest="f" * 64,
-        shard_count=count,
-        shard_indices=(index,),
-        columns=(*FLOAT_COLUMNS, "workload"),
-        points=[(index, f"point-{index:04d}", ROWS_PER_SHARD)],
-        series=series,
-    )
-
-
-class TestMergeStaysOutOfCore:
-    @pytest.fixture(scope="class")
-    def shard_paths(self, tmp_path_factory):
-        target = tmp_path_factory.mktemp("shards")
-        return [
-            _synthetic_artifact(index, 3).write(target) for index in range(3)
-        ]
-
-    def test_merged_columns_equal_concatenated_inputs(self, shard_paths):
-        merged = merge_shard_paths(shard_paths)
-        for column, name in enumerate(FLOAT_COLUMNS):
-            expected = np.arange(3 * ROWS_PER_SHARD, dtype=np.float64) + column
-            assert np.array_equal(np.asarray(merged.column(name)), expected)
-        workload = merged.column("workload")
-        assert workload[:2] == ["w1", "w0"]
-        assert len(workload) == 3 * ROWS_PER_SHARD

@@ -20,6 +20,8 @@ fusion-demand regression (no ``_fused_demand`` attribute stashing, no
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,17 @@ def test_lazy_graph_defers_operator_materialization():
         assert lazy_op.name == ref_op.name
         assert lazy_op.kind is ref_op.kind
         assert lazy_op.count == ref_op.count
+
+
+def test_lazy_list_pickles_as_its_materialized_items():
+    _chip, graph, table = _build_pair("llama3-8b-decode", "NPU-D")
+    lazy = table.lazy_graph().operators
+    assert lazy.pending
+    clone = pickle.loads(pickle.dumps(lazy))
+    assert type(clone) is list
+    assert [(op.name, op.kind, op.count) for op in clone] == [
+        (op.name, op.kind, op.count) for op in graph.operators
+    ]
 
 
 # ---------------------------------------------------------------------- #

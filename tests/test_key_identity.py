@@ -2,8 +2,8 @@
 
 The keys assemble the canonical JSON text from memoized fragments
 instead of walking :func:`canonical` per call.  They must stay
-byte-identical to the payload hashes, or every on-disk cache, shard
-``spec_digest`` and catalog entry written before would silently miss.
+byte-identical to the payload hashes, or every on-disk cache written
+before would silently miss.
 """
 
 from __future__ import annotations

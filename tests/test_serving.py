@@ -274,6 +274,21 @@ class TestTraceFiles:
         path.write_text('{"workload": "a"}\n')
         with pytest.raises(TraceError, match=r":1: bad JSONL record"):
             load_trace(path)
+        # NaN, infinite and int64-overflowing (ns) timestamps.
+        for stamp in ("nan", "inf", "-inf", "1e300", "1e10", "-1e10"):
+            path.write_text(f"timestamp_s,workload\n0.5,a\n{stamp},b\n")
+            with pytest.raises(TraceError, match=r"bad\.csv:3: bad CSV record"):
+                load_trace(path)
+        for stamp in ("NaN", "Infinity", "1e300", "1e10"):
+            path.write_text(
+                '{"timestamp_s": 0.5, "workload": "a"}\n'
+                f'{{"timestamp_s": {stamp}, "workload": "b"}}\n'
+            )
+            with pytest.raises(TraceError, match=r"bad\.csv:2: bad JSONL record"):
+                load_trace(path)
+        # The largest representable span still loads.
+        path.write_text("timestamp_s,workload\n0.5,a\n9e9,b\n")
+        assert load_trace(path).arrival_ns[-1] == 9 * 10**18
 
     def test_unreadable_path_is_a_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot read trace"):

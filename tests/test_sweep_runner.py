@@ -191,27 +191,35 @@ class TestRowsOnlyPersistence:
         assert len(keys) == wider.num_points
         assert all(key.startswith("rows:") for key in keys)
 
-    def test_shared_cache_writes_no_reports_and_gc_collects_old_ones(
-        self, tmp_path
-    ):
-        import os
-        import time
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            "rows",
+            [],
+            {"values": []},
+            {"columns": 5, "values": []},
+            {"columns": ["workload"], "values": 5},
+            {"columns": ["workload"], "values": [5]},
+        ],
+        ids=["int", "str", "list", "no-columns", "int-columns", "int-values",
+             "int-row"],
+    )
+    def test_malformed_row_entries_are_misses(self, small_spec, tmp_path, payload):
+        import json
 
-        from repro.cli import main
+        path = tmp_path / "cache.json"
+        cold = run_sweep(small_spec, cache=SimulationCache(path))
+        path.write_text(json.dumps(dict.fromkeys(self._keys(path), payload)))
 
-        shared = tmp_path / "shared"
-        assert main(["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
-                     "--batch-size", "1", "--shared-cache", str(shared)]) == 0
-        assert sorted(entry.name for entry in shared.iterdir()) == [
-            "profiles", "rows",
-        ]
-        legacy = shared / "reports" / "legacy.json"
-        legacy.parent.mkdir()
-        legacy.write_text("{}")
-        stamp = time.time() - 60
-        os.utime(legacy, (stamp, stamp))
-        assert main(["cache", "gc", str(shared), "--max-age-days", "0"]) == 0
-        assert not legacy.exists()
+        cache = SimulationCache(path)
+        rerun = run_sweep(small_spec, cache=cache)
+        assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
+        assert rerun.to_csv() == cold.to_csv()
+        # The re-simulated rows replace the malformed entries at flush.
+        warm_cache = SimulationCache(path)
+        assert run_sweep(small_spec, cache=warm_cache).to_csv() == cold.to_csv()
+        assert warm_cache.row_hits == small_spec.num_points
 
 
 class TestSweepResultHelpers:
