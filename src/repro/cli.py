@@ -21,6 +21,7 @@ Each handler imports the layers it runs, so ``--help``, ``list`` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -544,7 +545,15 @@ def main(argv: list[str] | None = None) -> int:
         output = args.handler(args)
     except KeyError as error:
         return _input_error(error).code
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head -1``).  Point
+        # stdout at devnull so the interpreter's exit flush cannot raise
+        # again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

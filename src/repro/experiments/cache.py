@@ -7,15 +7,21 @@ Three artifact classes are cached, each under a stable key from
   most expensive artifact.  Profiles hold live operator graphs, so they
   are memoized in memory only.
 * **Energy reports** — one per (profile, policy, gating parameters);
-  memory-only.  Every number a sweep persists from a report is already
-  in its rows, and a report can only be re-priced from a profile, which
-  a JSON cache file does not hold.
+  memory-only, and memoized only by the per-item
+  :func:`simulate_cached`.  The batched pass behind sweeps and serving
+  (:func:`simulate_cached_cells`) prices each missing grid once and
+  never re-reads a cell, so it leaves this layer alone.  Every number
+  a sweep persists from a report is already in its rows, and a report
+  can only be re-priced from a profile, which a JSON cache file does
+  not hold.
 * **Sweep rows** — the flat tables produced by
   :class:`~repro.experiments.runner.SweepRunner`; JSON-serializable,
   kept in memory and optionally on disk in *packed* form (one shared
   column tuple plus one value tuple per row — see :data:`PackedRows`).
   A warm row cache lets a repeated sweep complete without a single
-  simulator call.  Rows are the only layer a JSON cache file persists.
+  simulator call.  Rows are the only layer a JSON cache file persists,
+  and a stored block is checked against the shape its reader expects
+  before it counts as a hit.
 
 The simulator, the policy kernels and the power model are imported only
 on the paths that simulate or price, so a sweep whose every row is a
@@ -25,19 +31,20 @@ cache hit never loads them.
 :func:`repro.core.regate.simulate_workload` that consults a
 :class:`SimulationCache`, sharing profiles across policy/gating-parameter
 variations (e.g. the sensitivity sweeps re-evaluate five leakage points
-on a single simulated profile).
+on a single simulated profile).  :func:`simulate_cached_cells` and
+:func:`simulate_cached_many` are its batched form over registry
+workloads: one grid-kernel call per policy prices every item.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.config import SimulationConfig, resolve_execution
 from repro.core.results import SimulationResult
@@ -207,10 +214,6 @@ class SimulationCache:
     def __init__(self, path: str | Path | None = None):
         self._profiles: dict[str, WorkloadProfile] = {}
         self._reports: dict[str, EnergyReport] = {}
-        # Reports held as zero-argument suppliers (grid cells priced by
-        # the fused sweep path); materialized into ``_reports`` on first
-        # probe.
-        self._lazy_reports: dict[str, Callable[[], EnergyReport]] = {}
         self._rows: dict[str, PackedRows] = {}
         self._store = (
             JsonFileStore(path, key_prefix="rows:") if path is not None else None
@@ -247,13 +250,6 @@ class SimulationCache:
 
     def get_report(self, key: str) -> EnergyReport | None:
         report = self._reports.get(key)
-        if report is None:
-            supplier = self._lazy_reports.pop(key, None)
-            if supplier is not None:
-                # The supplier builds a fresh object nobody else holds,
-                # so it enters the memory layer without a defensive copy.
-                report = supplier()
-                self._reports[key] = report
         self._count(report is not None)
         if report is None:
             return None
@@ -261,19 +257,6 @@ class SimulationCache:
 
     def put_report(self, key: str, report: EnergyReport) -> None:
         self._reports[key] = self._copy_report(report)
-
-    def put_report_lazy(
-        self, key: str, supplier: Callable[[], EnergyReport]
-    ) -> None:
-        """Cache a report as a deferred supplier (fused sweep path).
-
-        The zero-argument supplier is materialized on the first
-        :meth:`get_report` probe, so a sweep that never re-reads a cell
-        (the common cold-run case) skips building and copying its
-        per-report dicts entirely.
-        """
-        self._lazy_reports[key] = supplier
-        self._reports.pop(key, None)
 
     # -- sweep rows ---------------------------------------------------- #
     # Rows live in the cache in *packed* form: one shared column tuple
@@ -287,7 +270,16 @@ class SimulationCache:
         columns, values = packed
         return tuple(columns), [tuple(row) for row in values]
 
-    def get_rows_packed(self, key: str) -> PackedRows | None:
+    def get_rows_packed(
+        self, key: str, columns: tuple[str, ...], count: int
+    ) -> PackedRows | None:
+        """The rows stored under ``key``, if they are ``count`` rows of ``columns``.
+
+        A stored block of any other shape — other columns, a row too
+        many or too few, a row missing a cell — is a miss like a
+        malformed entry: its point is computed again and the entry is
+        replaced by :meth:`put_rows_packed`.
+        """
         packed = self._rows.get(key)
         if packed is None and self._store is not None:
             payload = self._store.get("rows:" + key)
@@ -298,6 +290,8 @@ class SimulationCache:
                     packed = None  # a malformed entry is a miss
                 else:
                     self._rows[key] = packed
+        if packed is not None and not self._fits(packed, columns, count):
+            packed = None
         self._count(packed is not None)
         if packed is None:
             self.row_misses += 1
@@ -314,6 +308,16 @@ class SimulationCache:
             self._store.put(
                 "rows:" + key, {"columns": list(columns), "values": values}
             )
+
+    @staticmethod
+    def _fits(packed: PackedRows, columns: tuple[str, ...], count: int) -> bool:
+        block_columns, values = packed
+        width = len(columns)
+        return (
+            block_columns == columns
+            and len(values) == count
+            and all(len(row) == width for row in values)
+        )
 
     @staticmethod
     def _decode_rows(payload: Any) -> PackedRows:
@@ -334,7 +338,7 @@ class SimulationCache:
             "row_hits": self.row_hits,
             "row_misses": self.row_misses,
             "profiles": len(self._profiles),
-            "reports": len(self._reports) + len(self._lazy_reports),
+            "reports": len(self._reports),
             "rows": len(self._rows),
         }
 
@@ -474,68 +478,49 @@ def simulate_cached(
 
 
 class _ReportGroup:
-    """Missing (profile, gating-parameter) report cells of one policy.
+    """The (profile, gating-parameter) cells one policy prices in a batch.
 
     Collects the distinct profiles (by profile key, insertion order) and
-    distinct parameter points (by token) of a batch's cache misses, then
-    evaluates the whole grid at once.  A sweep grid is a full cartesian
+    distinct parameter points (by token) of a batch's items, then
+    prices the whole grid at once.  A sweep grid is a full cartesian
     product by construction, so the product of the distinct axes is
-    exactly the missing cell set on a cold run; on a partially warm
-    cache the kernel may price a few already-cached cells again — extra
-    vectorized work, never a different result.
+    exactly the cell set its items address.
     """
 
     def __init__(self) -> None:
         self.profiles: dict[str, WorkloadProfile] = {}
         self.parameters: dict[int, GatingParameters] = {}
-        self.members: dict[str, tuple[str, int]] = {}
 
     def add(
-        self,
-        rkey: str,
-        pkey: str,
-        profile: WorkloadProfile,
-        parameters: GatingParameters,
-    ) -> None:
+        self, pkey: str, profile: WorkloadProfile, parameters: GatingParameters
+    ) -> tuple[str, int]:
+        """Enter one item's cell; returns its (profile key, token) address."""
         token = parameters_token(parameters)
         self.profiles.setdefault(pkey, profile)
         self.parameters.setdefault(token, parameters)
-        self.members[rkey] = (pkey, token)
+        return pkey, token
 
-    def evaluate_cells(self, policy_name: PolicyName):
-        """Yield ``(rkey, (grid, point_row, profile_col))`` for every missing cell.
+    def evaluate_cells(self, policy_name: PolicyName) -> dict[tuple[str, int], tuple]:
+        """``{(profile key, token): (grid, point_row, profile_col)}`` for every cell.
 
         The whole group is priced by one
         :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
         call; each triple indexes into the resulting
-        :class:`~repro.gating.policies.GridEnergyReports`, so the fused
-        sweep path assembles its result columns straight from the grid
-        arrays without ever turning the triple into a report object.
+        :class:`~repro.gating.policies.GridEnergyReports`, so the sweep
+        assembles its result columns straight from the grid arrays
+        without ever turning the triple into a report object.
         """
         from repro.gating.policies import get_policy
 
-        profile_index = {pkey: i for i, pkey in enumerate(self.profiles)}
-        token_index = {token: i for i, token in enumerate(self.parameters)}
         parameters = list(self.parameters.values())
         grid = get_policy(policy_name, parameters[0]).grid_evaluate(
             list(self.profiles.values()), parameters
         )
-        for rkey, (pkey, token) in self.members.items():
-            yield rkey, (grid, token_index[token], profile_index[pkey])
-
-
-def materialize_cell(cell) -> EnergyReport:
-    """Turn a pricing cell into its :class:`EnergyReport`.
-
-    Grid triples materialize through
-    :meth:`~repro.gating.policies.GridEnergyReports.report`, which is a
-    pure ``float()`` read of the grid arrays — bit-identical to the
-    report the per-cell path would have built.
-    """
-    if isinstance(cell, tuple):
-        grid, row, col = cell
-        return grid.report(row, col)
-    return cell
+        return {
+            (pkey, token): (grid, row, col)
+            for col, pkey in enumerate(self.profiles)
+            for row, token in enumerate(self.parameters)
+        }
 
 
 def _price_prepared(
@@ -546,75 +531,54 @@ def _price_prepared(
 
     One pass: profiles are resolved through the cache with the
     execution resolution memoized per distinct (workload, chip, batch)
-    combination, missing report cells are grouped per policy and priced
-    by one grid kernel call per group, and the grid cells are
-    cached *lazily* — the (grid, row, col) triple stands in for the
-    report until something actually probes it.
+    combination, then each policy's cells — the items' distinct
+    profiles (chip-major packed) × distinct gating parameters — are
+    priced by one
+    :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
+    call; with one parameter point it is an N×1 grid.  Cells are
+    bit-identical to the per-item :func:`simulate_cached`, so a sweep's
+    rows (and CSV bytes) do not depend on the route.  The report layer
+    is neither probed nor filled: nothing re-reads a batch's cells.
 
     Returns ``(results, cells)``: per item, a metadata
     :class:`SimulationResult` shell (its ``reports`` dict left empty)
-    and one ``(policy_name, cell)`` pair per ``config.policies`` entry —
-    a cell is either a materialized :class:`EnergyReport` (cache hits)
-    or a ``(grid, row, col)`` triple (see
-    :meth:`_ReportGroup.evaluate_cells`).
+    and one ``(policy_name, (grid, row, col))`` pair per
+    ``config.policies`` entry (see :meth:`_ReportGroup.evaluate_cells`).
     """
     from repro.core.regate import build_result
 
     prepared: list[tuple] = []
+    groups: dict[PolicyName, _ReportGroup] = {}
     # Graphs are chip-independent: two points differing only in chip
     # (same workload, batch and parallelism) share one built graph.
     built_graphs: dict[tuple, Any] = {}
     resolutions: dict[tuple, tuple] = {}
     for spec, config in items:
-        chip, parallelism, pkey, profile = _cached_profile(
+        _, parallelism, pkey, profile = _cached_profile(
             spec, config, cache, built_graphs, resolutions
         )
-        prepared.append((spec, config, chip, parallelism, pkey, profile))
-
-    # Report phase: probe the cache once per (item, policy) like the
-    # per-item path, then evaluate the misses one policy at a time: the
-    # group's distinct profiles (chip-major packed) × distinct gating
-    # parameters form one grid that a single
-    # :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
-    # call prices — the sensitivity-sweep hot path; with one parameter
-    # point it is an N×1 grid.  Cells are bit-identical to the per-item
-    # path, so a sweep's rows (and CSV bytes) do not change.
-    fetched: dict[str, Any] = {}
-    groups: dict[PolicyName, _ReportGroup] = {}
-    item_rkeys: list[list[str]] = []
-    for spec, config, chip, parallelism, pkey, profile in prepared:
-        rkeys = [
-            report_key(pkey, policy_name.value, config.gating_parameters)
+        addresses = [
+            groups.setdefault(policy_name, _ReportGroup()).add(
+                pkey, profile, config.gating_parameters
+            )
             for policy_name in config.policies
         ]
-        item_rkeys.append(rkeys)
-        for policy_name, rkey in zip(config.policies, rkeys):
-            if rkey in fetched:
-                continue
-            report = cache.get_report(rkey)
-            if report is not None:
-                fetched[rkey] = report
-                continue
-            group = groups.setdefault(policy_name, _ReportGroup())
-            group.add(rkey, pkey, profile, config.gating_parameters)
-    for policy_name, group in groups.items():
-        for rkey, cell in group.evaluate_cells(policy_name):
-            grid, row, col = cell
-            cache.put_report_lazy(rkey, functools.partial(grid.report, row, col))
-            fetched[rkey] = cell
+        prepared.append((spec, config, parallelism, profile, addresses))
+    priced = {
+        policy_name: group.evaluate_cells(policy_name)
+        for policy_name, group in groups.items()
+    }
 
     results: list[SimulationResult] = []
     cells: list[list] = []
-    for (spec, config, chip, parallelism, pkey, profile), rkeys in zip(
-        prepared, item_rkeys
-    ):
+    for spec, config, parallelism, profile, addresses in prepared:
         results.append(
             build_result(spec.name, profile, parallelism, profile.graph, config)
         )
         cells.append(
             [
-                (policy_name, fetched[rkey])
-                for policy_name, rkey in zip(config.policies, rkeys)
+                (policy_name, priced[policy_name][address])
+                for policy_name, address in zip(config.policies, addresses)
             ]
         )
     return results, cells
@@ -623,23 +587,26 @@ def _price_prepared(
 def simulate_cached_cells(
     items: list[tuple[str | WorkloadSpec, SimulationConfig | None]],
     cache: SimulationCache,
-) -> tuple[list[SimulationResult], list[list]] | None:
+) -> tuple[list[SimulationResult], list[list]]:
     """Fused batched pricing for the sweep fast path.
 
     Like :func:`simulate_cached_many`, but returns the raw pricing
     cells (see :func:`_price_prepared`) instead of attaching
     materialized reports — the runner assembles its result columns
-    straight from the grid arrays.  Returns ``None`` when any item
-    bypasses the registry cache (hand-built workload specs); the caller
-    falls back to :func:`simulate_cached_many`.
+    straight from the grid arrays.  Raises :class:`ValueError` for a
+    hand-built :class:`WorkloadSpec` (see :func:`_registry_spec`).
     """
-    resolved_items: list[tuple[WorkloadSpec, SimulationConfig]] = []
+    resolved: list[tuple[WorkloadSpec, SimulationConfig]] = []
     for workload, config in items:
         spec = _registry_spec(workload)
         if spec is None:
-            return None
-        resolved_items.append((spec, config or SimulationConfig()))
-    return _price_prepared(resolved_items, cache)
+            raise ValueError(
+                f"workload {workload.name!r} is a hand-built WorkloadSpec; the "
+                "batched pass takes registry workloads only (price it with "
+                "simulate_cached or simulate_workload)"
+            )
+        resolved.append((spec, config or SimulationConfig()))
+    return _price_prepared(resolved, cache)
 
 
 def simulate_cached_many(
@@ -648,36 +615,17 @@ def simulate_cached_many(
 ) -> list[SimulationResult]:
     """Batched :func:`simulate_cached` over many (workload, config) pairs.
 
-    Profiles are resolved exactly like the per-item path (same cache
-    keys, same probe order); the *report* phase is then grid-batched
-    through :func:`_price_prepared` and the resulting cells are
-    materialized onto each item's result.  Reports are bit-identical
-    to the per-item path, so a sweep's rows (and CSV bytes) do not
-    change.  Non-registry workloads fall back to
-    :func:`simulate_workload` per item.
+    The :func:`simulate_cached_cells` pass with every cell materialized
+    onto its item's result (``cache=None`` uses a fresh cache for this
+    call).  Reports are bit-identical to the per-item path.  Raises
+    :class:`ValueError` for a hand-built :class:`WorkloadSpec`.
     """
-    from repro.core.regate import simulate_workload
-
-    if cache is None:
-        return [simulate_workload(workload, config) for workload, config in items]
-
-    results: list[SimulationResult | None] = [None] * len(items)
-    batched_indices: list[int] = []
-    batched_items: list[tuple[WorkloadSpec, SimulationConfig]] = []
-    for index, (workload, config) in enumerate(items):
-        spec = _registry_spec(workload)
-        if spec is None:
-            results[index] = simulate_workload(workload, config)
-            continue
-        batched_indices.append(index)
-        batched_items.append((spec, config or SimulationConfig()))
-
-    if batched_items:
-        shells, cells = _price_prepared(batched_items, cache)
-        for index, shell, row_cells in zip(batched_indices, shells, cells):
-            for policy_name, cell in row_cells:
-                shell.reports[policy_name] = materialize_cell(cell)
-            results[index] = shell
+    results, cells = simulate_cached_cells(
+        items, cache if cache is not None else SimulationCache()
+    )
+    for result, row_cells in zip(results, cells):
+        for policy_name, (grid, row, col) in row_cells:
+            result.reports[policy_name] = grid.report(row, col)
     return results
 
 
@@ -686,7 +634,6 @@ __all__ = [
     "JsonFileStore",
     "PackedRows",
     "SimulationCache",
-    "materialize_cell",
     "pack_rows",
     "simulate_cached",
     "simulate_cached_cells",

@@ -1,16 +1,16 @@
 """Tabular results of a parameter sweep.
 
 A :class:`SweepResult` is a small, dependency-free data frame with a
-fixed column order and two interchangeable backing stores:
+fixed column order and one store: the column names plus one value tuple
+per row.  The runner's array-native assembly and the row cache feed it
+directly (:meth:`SweepResult.from_packed`); :meth:`SweepResult.from_rows`
+packs row dicts, a key a row lacks becoming ``None`` (an empty CSV
+cell).  The dict API — :attr:`~SweepResult.rows`, iteration, indexing —
+builds fresh dicts from the store on each access, so editing one never
+changes the table.
 
-* a **packed store** — one value tuple per row (the runner's
-  array-native assembly and the row cache feed this directly), with the
-  row *dicts* of the legacy API materialized lazily on first access;
-* a **row-dict store** — the original ordered list of flat dictionaries
-  (:meth:`from_rows`, and what ``group_by`` hands back).
-
-Either way the export (CSV/JSON) and reshaping (filter/group-by/pivot)
-helpers behave identically.  CSV export renders column by column, one
+The export (CSV/JSON) and reshaping (filter/group-by/pivot) helpers
+read the store in place.  CSV export renders column by column, one
 chunk of at most :data:`_CSV_CHUNK_ROWS` rows at a time, so resident
 memory stays bounded by the chunk: float columns print one ``repr`` per
 distinct bit pattern in the chunk, int columns one ``str`` per cell,
@@ -26,8 +26,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -98,31 +99,32 @@ def _csv_lines(texts: list[list[str]], count: int) -> list[str]:
 
 
 class SweepResult:
-    """An ordered table of sweep rows (one row per point x policy)."""
+    """An ordered table of sweep rows (one row per point x policy).
+
+    ``rows`` (dicts, packed by ``columns``; a missing key is ``None``)
+    and ``values`` (tuples in ``columns`` order) are two ways to pass
+    the same store; give at most one.
+    """
 
     def __init__(
         self,
         columns: Sequence[str],
-        rows: "Sequence[dict[str, Any]] | None" = None,
+        rows: "Iterable[Mapping[str, Any]] | None" = None,
         *,
-        values: "Sequence[tuple[Any, ...]] | None" = None,
+        values: "Iterable[Sequence[Any]] | None" = None,
     ):
         if rows is not None and values is not None:
             raise TypeError("pass at most one of rows or values")
         self.columns: tuple[str, ...] = tuple(columns)
-        #: The packed store (``None`` once row dicts are the store).
-        self._values: list[tuple[Any, ...]] | None = (
-            list(values) if values is not None else None
-        )
-        self._rows: list[dict[str, Any]] | None = (
-            list(rows) if rows is not None else None
-        )
-        if self._values is None and self._rows is None:
-            self._rows = []
+        if rows is not None:
+            values = (tuple(map(row.get, self.columns)) for row in rows)
+        self._values: list[tuple[Any, ...]] = [
+            tuple(row) for row in (values if values is not None else ())
+        ]
 
     # -- constructors --------------------------------------------------- #
     @classmethod
-    def from_rows(cls, rows: Sequence[dict[str, Any]]) -> "SweepResult":
+    def from_rows(cls, rows: Sequence[Mapping[str, Any]]) -> "SweepResult":
         """Build a result from row dicts (columns from the first row)."""
         rows = list(rows)
         columns: tuple[str, ...] = tuple(rows[0].keys()) if rows else ()
@@ -130,65 +132,34 @@ class SweepResult:
 
     @classmethod
     def from_packed(
-        cls, columns: Sequence[str], values: Sequence[Sequence[Any]]
+        cls, columns: Sequence[str], values: Iterable[Sequence[Any]]
     ) -> "SweepResult":
         """Build a result from packed (columns, value-tuples) rows."""
-        return cls(columns=columns, values=[tuple(row) for row in values])
-
-    @classmethod
-    def from_columns(cls, columns: "Mapping[str, Any]") -> "SweepResult":
-        """Build a result from column arrays (one array/list per column).
-
-        NumPy arrays are converted with ``tolist`` so every cell is a
-        plain Python scalar (``repr`` of a ``np.float64`` would not
-        round-trip the CSV identically).
-        """
-        names = tuple(columns)
-        series = [
-            column.tolist() if isinstance(column, np.ndarray) else list(column)
-            for column in columns.values()
-        ]
-        if series and len({len(s) for s in series}) > 1:
-            raise ValueError("all columns must have the same length")
-        values = list(zip(*series)) if series else []
-        return cls(columns=names, values=values)
+        return cls(columns=columns, values=values)
 
     # -- row access ----------------------------------------------------- #
     @property
     def rows(self) -> list[dict[str, Any]]:
-        """The row dicts, materialized from the packed store on demand.
-
-        Once materialized (or when the table was built from dicts), the
-        dict list is the source of truth — mutations are visible to
-        every helper and export.
-        """
-        if self._rows is None:
-            columns = self.columns
-            self._rows = [dict(zip(columns, row)) for row in self._values]
-            self._values = None
-        return self._rows
+        """The rows as new dicts (editing one leaves the table unchanged)."""
+        columns = self.columns
+        return [dict(zip(columns, row)) for row in self._values]
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self._values)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.rows)
+        columns = self.columns
+        return (dict(zip(columns, row)) for row in self._values)
 
-    def __getitem__(self, index: int) -> dict[str, Any]:
-        return self.rows[index]
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return [dict(zip(self.columns, row)) for row in self._values[index]]
+        return dict(zip(self.columns, self._values[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResult):
             return NotImplemented
-        if self.columns != other.columns:
-            return False
-        if self._values is not None and other._values is not None:
-            # Both packed with identical column order: compare the value
-            # tuples directly, keeping both packed stores intact.
-            return self._values == other._values
-        return self.rows == other.rows
+        return self.columns == other.columns and self._values == other._values
 
     def __repr__(self) -> str:
         return (
@@ -203,35 +174,45 @@ class SweepResult:
         if unknown:
             raise KeyError(f"unknown column(s) {unknown}; have {list(self.columns)}")
 
+    def _getter(self, name: str) -> Callable[[tuple[Any, ...]], Any]:
+        """Reads one column's cell from a value tuple (``None`` if absent)."""
+        if name in self.columns:
+            return operator.itemgetter(self.columns.index(name))
+        return lambda row: None
+
+    def _key(self, names: Sequence[str]) -> Callable[[tuple[Any, ...]], tuple]:
+        """Reads the cells of ``names`` from a value tuple, as a tuple."""
+        getters = [self._getter(name) for name in names]
+        return lambda row: tuple(getter(row) for getter in getters)
+
     def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order (no dict materialization)."""
+        """All values of one column, in row order."""
         self._check_columns(name)
-        if self._rows is not None:
-            return [row[name] for row in self._rows]
-        index = self.columns.index(name)
-        return [row[index] for row in self._values]
+        return list(map(self._getter(name), self._values))
 
     # ------------------------------------------------------------------ #
     def filter(self, **equals: Any) -> "SweepResult":
         """Rows whose columns equal the given values (AND semantics)."""
         self._check_columns(*equals)
+        tests = [(self._getter(column), value) for column, value in equals.items()]
         kept = [
             row
-            for row in self.rows
-            if all(row.get(column) == value for column, value in equals.items())
+            for row in self._values
+            if all(get(row) == value for get, value in tests)
         ]
-        return SweepResult(columns=self.columns, rows=kept)
+        return SweepResult(self.columns, values=kept)
 
     def group_by(self, *columns: str) -> dict[tuple[Any, ...], "SweepResult"]:
         """Partition the rows by the values of one or more columns."""
         self._check_columns(*columns)
-        groups: dict[tuple[Any, ...], SweepResult] = {}
-        for row in self.rows:
-            key = tuple(row.get(column) for column in columns)
-            groups.setdefault(
-                key, SweepResult(columns=self.columns, rows=[])
-            ).rows.append(row)
-        return groups
+        key = self._key(columns)
+        groups: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
+        for row in self._values:
+            groups.setdefault(key(row), []).append(row)
+        return {
+            group: SweepResult(self.columns, values=values)
+            for group, values in groups.items()
+        }
 
     def pivot(
         self, index: str | Sequence[str], value: str
@@ -244,12 +225,14 @@ class SweepResult:
         """
         index_columns = (index,) if isinstance(index, str) else tuple(index)
         self._check_columns(*index_columns, value)
+        row_key = self._key(index_columns)
+        get_entry = self._getter(value)
         table: dict[Any, Any] = {}
-        for row in self.rows:
-            key = tuple(row.get(column) for column in index_columns)
+        for row in self._values:
+            key = row_key(row)
             if len(index_columns) == 1:
                 key = key[0]
-            entry = row.get(value)
+            entry = get_entry(row)
             if key in table and table[key] != entry:
                 raise ValueError(
                     f"pivot key {key!r} is ambiguous: {table[key]!r} vs {entry!r}; "
@@ -264,12 +247,7 @@ class SweepResult:
         count = len(self)
         for start in range(0, count, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, count)
-            if self._rows is not None:
-                rows = self._rows[start:stop]
-                columns = [[row.get(name) for row in rows] for name in self.columns]
-            else:
-                columns = list(zip(*self._values[start:stop]))
-            yield stop - start, columns
+            yield stop - start, list(zip(*self._values[start:stop]))
 
     def _csv_chunks(self) -> Iterator[list[str]]:
         """CSV lines, header first, one list per chunk of rows."""
@@ -281,9 +259,9 @@ class SweepResult:
         """Yield CSV lines (header first, trailing newline included).
 
         Lines are rendered a chunk of at most ``_CSV_CHUNK_ROWS`` rows at
-        a time, column by column, straight off whichever store backs the
-        table — no row dict is ever materialized, and memory stays
-        bounded by one chunk regardless of the table size.
+        a time, column by column, straight off the value tuples — no row
+        dict is ever materialized, and memory stays bounded by one chunk
+        regardless of the table size.
         """
         for lines in self._csv_chunks():
             yield from lines
@@ -324,7 +302,7 @@ class SweepResult:
     def from_json(cls, text: str) -> "SweepResult":
         """Inverse of :meth:`to_json`."""
         payload = json.loads(text)
-        return cls(columns=tuple(payload["columns"]), rows=list(payload["rows"]))
+        return cls(columns=payload["columns"], rows=payload["rows"])
 
 
 def _cell(value: Any) -> Any:
@@ -338,7 +316,7 @@ def iter_csv_oracle(table: SweepResult) -> Iterator[str]:
 
     One ``csv.writer.writerow`` per row with floats by ``repr``: the
     readable oracle the column renderer must match byte for byte.  Reads
-    the table's store in place (no row dict is materialized).
+    the table's value tuples in place (no row dict is materialized).
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -351,11 +329,7 @@ def iter_csv_oracle(table: SweepResult) -> Iterator[str]:
         return line
 
     yield render(table.columns)
-    if table._rows is not None:
-        rows = ([row.get(name) for name in table.columns] for row in table._rows)
-    else:
-        rows = table._values
-    for row in rows:
+    for row in table._values:
         yield render(row)
 
 

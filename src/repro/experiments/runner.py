@@ -13,13 +13,14 @@ profiles between a worker's points; in serial mode the runner's own
 cache plays that role and additionally memoizes finished rows, making a
 warm re-run free of simulator calls.
 
-Row assembly is **array-native**: :func:`assemble_packed_rows` builds
-one column array per result column (vectorizing the derived-cell
-arithmetic of :func:`rows_from_result` operation-for-operation, so the
-cells are bit-identical doubles) and hands the runner packed
-``(columns, value-tuples)`` rows — no ~40-key dict per row is ever
-built on the sweep path.  :func:`rows_from_result` remains the
-per-point object-path oracle the equivalence tests compare against.
+Row assembly is **array-native**: :func:`assemble_packed_cells` builds
+one column array per result column straight from the grid cells
+(vectorizing the derived-cell arithmetic of :func:`rows_from_result`
+operation-for-operation, so the cells are bit-identical doubles) and
+hands the runner packed ``(ROW_COLUMNS, value-tuples)`` rows — no
+~40-key dict per row is ever built on the sweep path.
+:func:`rows_from_result` remains the per-point object-path oracle the
+equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.experiments.cache import (
     pack_rows,
     simulate_cached,
     simulate_cached_cells,
-    simulate_cached_many,
     unpack_rows,
 )
 from repro.experiments.result import SweepResult
@@ -108,7 +108,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
     re-summing the per-component dicts for every derived column.
 
     This is the per-point oracle of the sweep path; the runner itself
-    assembles the same cells column-wise (:func:`assemble_packed_rows`).
+    assembles the same cells column-wise (:func:`assemble_packed_cells`).
     """
     rows: list[dict[str, Any]] = []
     utilization = {
@@ -169,16 +169,11 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
 def assemble_packed_rows(
     points: list[SweepPoint], results: list[SimulationResult]
 ) -> list[PackedRows]:
-    """Assemble result rows column-wise: one array per column, no dicts.
+    """:func:`assemble_packed_cells` over results with materialized reports.
 
-    Gathers the base report scalars of every (point, policy) row into
-    ``float64`` column arrays, then computes every derived column with
-    vectorized elementwise operations mirroring the scalar chains of
-    :func:`rows_from_result` (same operations, same order — the cells
-    are bit-identical doubles).  Returns one packed row block per point
-    (the cache granularity); the per-component accumulations follow the
-    reports' dict insertion order, which every report producer in the
-    tree shares.
+    The object-API form of the sweep's row assembly: each result's
+    ``reports`` dict supplies its cells.  The sweep itself assembles
+    from the grid cells of the fused pass and does not call this.
     """
     cells = [list(result.reports.items()) for result in results]
     return assemble_packed_cells(points, results, cells)
@@ -189,14 +184,20 @@ def assemble_packed_cells(
     results: list[SimulationResult],
     cells: list[list],
 ) -> list[PackedRows]:
-    """Column-wise row assembly straight from pricing cells.
+    """Assemble result rows column-wise: one array per column, no dicts.
 
-    The fused simulate→price back end of :func:`assemble_packed_rows`:
+    Gathers the base report scalars of every (point, policy) row into
+    ``float64`` column arrays, then computes every derived column with
+    vectorized elementwise operations mirroring the scalar chains of
+    :func:`rows_from_result` (same operations, same order — the cells
+    are bit-identical doubles).  Returns one packed row block per point
+    (the cache granularity).
+
     ``cells[i]`` holds one ``(policy, cell)`` pair per row of point
-    ``i``, where a cell is either a materialized
-    :class:`~repro.gating.report.EnergyReport` (its scalars read
-    per-row, exactly like before) or a ``(grid, row, col)`` triple into
-    a :class:`~repro.gating.policies.GridEnergyReports`.  Triples are
+    ``i``, where a cell is either a ``(grid, row, col)`` triple into a
+    :class:`~repro.gating.policies.GridEnergyReports` (the fused pass)
+    or a materialized :class:`~repro.gating.report.EnergyReport` (its
+    scalars read per row; :func:`assemble_packed_rows`).  Triples are
     gathered per grid with one fancy-indexing read per base column —
     the same ``float64`` array elements :meth:`GridEnergyReports.report
     <repro.gating.policies.GridEnergyReports.report>` would have read
@@ -402,28 +403,26 @@ def run_points_packed(
 ) -> list[PackedRows]:
     """Evaluate many sweep points into packed rows, batching everything.
 
-    On the columnar fast path the grid's missing energy reports are
-    evaluated through the grid-batched policy kernel — one
+    On the columnar fast path the points are priced through the
+    grid-batched policy kernel — one
     :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate` per
     policy over (chip-major packed profiles × gating-parameter points)
     via :func:`~repro.experiments.cache.simulate_cached_cells` — and the
     rows are assembled column-wise straight from the pricing cells,
-    without ever materializing one report object per cell.  Batches
-    containing non-registry workloads fall back to
-    :func:`~repro.experiments.cache.simulate_cached_many`.  Both routes
-    are bit-identical to the per-point loop that remains the
-    object-path oracle.
+    without ever materializing one report object per cell.  With
+    ``REPRO_FAST_PATH=0`` the per-point loop runs instead: the
+    object-path oracle, bit-identical to the fast route.  ``cache=None``
+    uses a cache scoped to this call.
     """
     from repro.simulator import columnar
 
-    if cache is not None and columnar.fast_path_enabled():
-        items = [(point.workload, point.config) for point in points]
-        fused = simulate_cached_cells(items, cache)
-        if fused is not None:
-            results, cells = fused
-            return assemble_packed_cells(points, results, cells)
-        results = simulate_cached_many(items, cache)
-        return assemble_packed_rows(points, results)
+    if cache is None:
+        cache = SimulationCache()
+    if columnar.fast_path_enabled():
+        results, cells = simulate_cached_cells(
+            [(point.workload, point.config) for point in points], cache
+        )
+        return assemble_packed_cells(points, results, cells)
     return [pack_rows(run_point(point, cache)) for point in points]
 
 
@@ -478,12 +477,22 @@ class SweepRunner:
 
     # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
-        """Execute the sweep and return the assembled table."""
+        """Execute the sweep and return the assembled table.
+
+        Every block is in ``ROW_COLUMNS`` order: computed blocks are
+        assembled in it, and :meth:`execute_points` takes a cached block
+        only in that shape.
+        """
         cache = self.resolve_cache()
         packed_by_index = self.execute_points(self.spec.points(), cache)
         cache.flush()
-        return _combine_packed(
-            [packed_by_index[index] for index in sorted(packed_by_index)]
+        return SweepResult.from_packed(
+            ROW_COLUMNS,
+            [
+                row
+                for index in sorted(packed_by_index)
+                for row in packed_by_index[index][1]
+            ],
         )
 
     def resolve_cache(self) -> SimulationCache:
@@ -503,13 +512,18 @@ class SweepRunner:
 
         The execution pipeline behind :meth:`run`: probe the row cache,
         batch the misses through the packed serial or pool path, write
-        fresh rows back.  The caller owns ``cache.flush()``.
+        fresh rows back.  A cached block counts only when it holds one
+        full ``ROW_COLUMNS`` row per policy of its point; any other
+        block is a miss, recomputed and replaced.  The caller owns
+        ``cache.flush()``.
         """
         cache = cache if cache is not None else self.resolve_cache()
         packed_by_index: dict[int, PackedRows] = {}
         pending: list[SweepPoint] = []
         for point in points:
-            cached = cache.get_rows_packed(point.cache_key)
+            cached = cache.get_rows_packed(
+                point.cache_key, ROW_COLUMNS, len(point.config.policies)
+            )
             if cached is not None:
                 packed_by_index[point.index] = cached
             else:
@@ -565,24 +579,6 @@ class SweepRunner:
             # type, so a point-level error (even an OSError from a builder)
             # propagates as-is instead of triggering a serial re-run.
             return _fallback(error)
-
-
-def _combine_packed(blocks: list[PackedRows]) -> SweepResult:
-    """Concatenate per-point packed rows into one columnar result."""
-    columns: tuple[str, ...] | None = None
-    for block_columns, values in blocks:
-        if values:
-            columns = tuple(block_columns)
-            break
-    if columns is None:
-        return SweepResult.from_rows([])
-    if any(tuple(c) != columns for c, values in blocks if values):
-        # Heterogeneous schemas (e.g. rows cached by a different code
-        # path) — fall back to dict assembly, never mis-zip cells.
-        rows = [row for block in blocks for row in unpack_rows(block)]
-        return SweepResult.from_rows(rows)
-    all_values = [row for _, values in blocks for row in values]
-    return SweepResult.from_packed(columns, all_values)
 
 
 def run_sweep(

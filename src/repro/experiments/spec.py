@@ -88,6 +88,12 @@ class SweepSpec:
         self.workloads = _as_tuple(self.workloads)
         if any(w is None for w in self.workloads):
             raise ValueError("a sweep needs at least one workload")
+        for workload in self.workloads:
+            if not isinstance(workload, str):
+                # Points are keyed and dispatched by workload name.
+                raise TypeError(
+                    f"sweep workloads must be registry names (str), got {workload!r}"
+                )
         self.chips = _as_tuple(self.chips)
         self.batch_sizes = _as_tuple(self.batch_sizes)
         self.num_chips = _as_tuple(self.num_chips)

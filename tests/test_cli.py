@@ -166,6 +166,44 @@ class TestSweepCommand:
         assert len(payload["rows"]) == 5
         assert "total_energy_j" in payload["columns"]
 
+    #: One grid point: its cache file holds exactly one ``rows:`` entry.
+    ONE_POINT = ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
+                 "--batch-size", "1"]
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            lambda entry: {"columns": ["a"], "values": [[1]]},
+            lambda entry: {"columns": ["a"], "values": []},
+            lambda entry: {**entry, "values": entry["values"][:-1]},
+            lambda entry: {
+                **entry,
+                "values": [entry["values"][0][:-1], *entry["values"][1:]],
+            },
+        ],
+        ids=["other-columns", "other-columns-no-rows", "row-removed",
+             "cell-dropped"],
+    )
+    def test_sweep_treats_a_foreign_row_entry_as_a_miss(
+        self, capsys, tmp_path, foreign
+    ):
+        cache = tmp_path / "cache.json"
+        cold_csv, rerun_csv = tmp_path / "cold.csv", tmp_path / "rerun.csv"
+        assert main([*self.ONE_POINT, "--cache", str(cache),
+                     "--csv", str(cold_csv)]) == 0
+        (key, entry), = json.loads(cache.read_text()).items()
+        cache.write_text(json.dumps({key: foreign(entry)}))
+        capsys.readouterr()
+
+        assert main([*self.ONE_POINT, "--cache", str(cache),
+                     "--csv", str(rerun_csv)]) == 0
+        output = capsys.readouterr().out
+        assert "result rows   : 5" in output
+        assert "cache         : 0 hits / 1 misses" in output
+        assert rerun_csv.read_bytes() == cold_csv.read_bytes()
+        # The recomputed rows replaced the foreign entry at flush.
+        assert json.loads(cache.read_text()) == {key: entry}
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -243,6 +281,29 @@ def test_serve_bad_seed_or_load_factor_exits_with_one_error_line(flags):
         ["serve", "-w", "llama3-8b-decode", "--rate", "50", "--duration", "2",
          *flags]
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
+                "--batch-size", "1"]],
+    ids=["list", "sweep"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """``repro ... | head -1``: a reader that has gone away costs exit 1
+    and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_ENV,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 def test_imports_leave_out_database_and_network_modules():

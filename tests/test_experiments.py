@@ -155,6 +155,21 @@ class TestSweepSpecNormalization:
         )
         assert spec.gating_parameters == (("my-point", DEFAULT_PARAMETERS),)
 
+    @pytest.mark.parametrize(
+        "workloads",
+        [("dlrm-s-inference", 7), ("dlrm-s-inference", b"llama3-8b-decode"), "spec"],
+        ids=["int", "bytes", "workload-spec"],
+    )
+    def test_non_string_workload_rejected_at_construction(self, workloads):
+        from repro.workloads.registry import get_workload
+
+        if workloads == "spec":
+            workloads = (get_workload("dlrm-s-inference"),)
+        bad = workloads[-1]
+        with pytest.raises(TypeError, match="registry names") as raised:
+            SweepSpec(workloads=workloads)
+        assert repr(bad) in str(raised.value)
+
     def test_invalid_gating_parameter_entry_rejected(self):
         with pytest.raises(TypeError, match="gating_parameters"):
             SweepSpec(workloads=("dlrm-s-inference",), gating_parameters=("oops",))
@@ -267,3 +282,40 @@ class TestSimulateCached:
         stats = cache.stats()
         assert stats["misses"] == misses  # warm pass adds no misses
         assert stats["hits"] > 0
+
+
+class TestBatchedEntryPoints:
+    @staticmethod
+    def _hand_built():
+        import dataclasses
+
+        from repro.workloads.registry import get_workload
+
+        return dataclasses.replace(
+            get_workload("llama3-8b-decode"), default_batch_size=2
+        )
+
+    def test_hand_built_spec_is_refused_with_one_value_error(self):
+        from repro.experiments import simulate_cached_many
+        from repro.experiments.cache import simulate_cached_cells
+
+        items = [
+            ("llama3-8b-decode", SimulationConfig(chip="NPU-D", batch_size=1)),
+            (self._hand_built(), SimulationConfig(chip="NPU-D")),
+        ]
+        for batched in (simulate_cached_many, simulate_cached_cells):
+            cache = SimulationCache()
+            with pytest.raises(ValueError, match="hand-built WorkloadSpec") as raised:
+                batched(items, cache)
+            assert "'llama3-8b-decode'" in str(raised.value)
+            # Refused before anything was simulated or cached.
+            assert cache.stats()["profiles"] == 0
+
+    def test_registered_spec_object_is_batched(self):
+        from repro.experiments import simulate_cached_many
+        from repro.workloads.registry import get_workload
+
+        config = SimulationConfig(chip="NPU-D", batch_size=1)
+        (by_spec,) = simulate_cached_many([(get_workload("llama3-8b-decode"), config)])
+        by_name = simulate_cached("llama3-8b-decode", config, SimulationCache())
+        assert by_spec.reports == by_name.reports

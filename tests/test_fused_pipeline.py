@@ -7,7 +7,7 @@ no per-point re-resolution and no per-cell pricing.
 
 from __future__ import annotations
 
-from repro.experiments import SimulationCache, SweepSpec, run_sweep
+from repro.experiments import SimulationCache, SweepRunner, SweepSpec, run_sweep
 from repro.experiments import cache as cache_module
 from repro.gating import policies as policies_module
 from repro.gating.bet import DEFAULT_PARAMETERS
@@ -77,6 +77,26 @@ class TestFusedPassCallCounts:
         assert NPUSimulator.simulate_calls == len(FUSED_SPEC.workloads) * len(
             FUSED_SPEC.chips
         )
+
+    def test_cold_sweep_leaves_the_report_layer_alone(self, monkeypatch):
+        """The fused pass addresses cells by (profile, parameters): it
+        computes no report key and caches no report, since nothing
+        re-reads a sweep's cells."""
+        calls: list[tuple] = []
+        original = cache_module.report_key
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cache_module, "report_key", counting)
+        cache = SimulationCache()
+        with columnar.use_fast_path(True):
+            SweepRunner(FUSED_SPEC, cache=cache).run()
+        assert calls == []
+        stats = cache.stats()
+        assert stats["reports"] == 0
+        assert stats["profiles"] == len(FUSED_SPEC.workloads) * len(FUSED_SPEC.chips)
 
     def test_fused_rows_match_object_oracle(self):
         """The fused pass emits byte-identical CSV to the object path."""

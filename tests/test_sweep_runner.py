@@ -404,34 +404,40 @@ class TestPackedRowPipeline:
 
 
 class TestColumnarSweepResult:
-    def test_from_columns_and_lazy_rows(self):
+    def test_dict_api_reads_copies_of_the_packed_store(self):
         from repro.experiments import SweepResult
 
-        table = SweepResult.from_columns(
-            {"name": ["a", "b"], "value": [1.0, 2.5]}
-        )
+        table = SweepResult.from_packed(("name", "value"), [("a", 1.0), ("b", 2.5)])
         assert table.columns == ("name", "value")
         assert len(table) == 2
-        # column() reads the packed store without building dicts.
         assert table.column("value") == [1.0, 2.5]
-        assert table._rows is None
-        # iter_csv streams without materializing row dicts either.
-        text = "".join(table.iter_csv())
-        assert table._rows is None
-        assert text.splitlines()[1] == "a,1.0"
-        # The dict API materializes lazily and stays mutable.
+        assert "".join(table.iter_csv()).splitlines()[1] == "a,1.0"
         assert table[0] == {"name": "a", "value": 1.0}
+        assert table[1:] == [{"name": "b", "value": 2.5}]
+        assert list(table) == table.rows
+        # Rows, iteration and indexing hand out new dicts: editing one
+        # leaves the table (and its export) unchanged.
         table.rows[0]["value"] = 9.0
-        assert "9.0" in table.to_csv()
+        table[0]["value"] = 9.0
+        next(iter(table))["value"] = 9.0
+        assert table.column("value") == [1.0, 2.5]
+        assert "9.0" not in table.to_csv()
 
-    def test_from_columns_accepts_ndarrays(self):
-        import numpy as np
-
+    def test_from_rows_packs_a_missing_key_as_an_empty_cell(self):
         from repro.experiments import SweepResult
 
-        table = SweepResult.from_columns({"x": np.asarray([0.1, 0.2])})
-        # Cells are plain Python floats (repr round-trips in CSV).
-        assert all(type(row["x"]) is float for row in table.rows)
+        table = SweepResult.from_rows([{"a": 1, "b": 2.5}, {"b": 3.5}, {"a": 2}])
+        assert table.columns == ("a", "b")
+        assert table.rows == [
+            {"a": 1, "b": 2.5},
+            {"a": None, "b": 3.5},
+            {"a": 2, "b": None},
+        ]
+        assert table.to_csv().splitlines()[1:] == ["1,2.5", ",3.5", "2,"]
+        assert table.filter(a=None).column("b") == [3.5]
+        assert table == SweepResult.from_packed(
+            ("a", "b"), [(1, 2.5), (None, 3.5), (2, None)]
+        )
 
     def test_packed_and_dict_backed_tables_export_identically(self, small_spec):
         table = run_sweep(small_spec, cache=SimulationCache())
