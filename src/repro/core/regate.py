@@ -25,11 +25,10 @@ def build_workload_graph(
 ) -> OperatorGraph | GraphTable:
     """Build a workload's graph in the IR the active path consumes.
 
-    On the columnar fast path the builders emit a
-    :class:`~repro.workloads.table.GraphTable` directly (no per-operator
-    Python objects); on the object-path oracle they build the
-    :class:`OperatorGraph`.  Both IRs are bit-identical by contract and
-    the simulator accepts either.
+    On the columnar fast path this is the
+    :class:`~repro.workloads.table.GraphTable` read off the workload's
+    :class:`OperatorGraph`; on the object-path oracle it is the
+    :class:`OperatorGraph` itself.  The simulator accepts either.
     """
     if columnar.fast_path_enabled():
         return spec.build_table(batch_size=batch_size, parallelism=parallelism)

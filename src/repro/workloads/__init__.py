@@ -23,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "WorkloadPhase",
         ),
         "registry": ("WorkloadSpec", "get_workload", "list_workloads"),
-        "table": ("GraphTable", "GraphTableBuilder"),
+        "table": ("GraphTable",),
     },
 )

@@ -15,21 +15,17 @@ complete batch of images.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workloads.base import (
-    CollectiveKind,
     Operator,
     OperatorGraph,
     OpKind,
     ParallelismConfig,
     WorkloadPhase,
-    collective_op,
     elementwise_op,
     matmul_op,
 )
-from repro.workloads.table import GraphTable, GraphTableBuilder
 
 
 @dataclass(frozen=True)
@@ -329,234 +325,6 @@ def build_gligen_graph(
     return graph
 
 
-# ---------------------------------------------------------------------- #
-# Columnar (GraphTable) builders
-# ---------------------------------------------------------------------- #
-def _attention_rows(
-    builder: GraphTableBuilder,
-    prefix: str,
-    batch: int,
-    tokens: int,
-    hidden: int,
-    num_heads: int,
-    kv_tokens: int | None = None,
-    kv_dim: int | None = None,
-    count: int = 1,
-) -> None:
-    """Row counterpart of :func:`_attention_ops`."""
-    kv_tokens = kv_tokens if kv_tokens is not None else tokens
-    kv_dim = kv_dim if kv_dim is not None else hidden
-    head_dim = hidden // num_heads
-    builder.matmul(
-        f"{prefix}_q_proj", m=batch * tokens, k=hidden, n=hidden, count=count
-    )
-    builder.matmul(
-        f"{prefix}_kv_proj", m=batch * kv_tokens, k=kv_dim, n=2 * hidden, count=count
-    )
-    builder.matmul(
-        f"{prefix}_scores",
-        m=tokens,
-        k=head_dim,
-        n=kv_tokens,
-        count=count * batch * num_heads,
-        read_weights=False,
-        read_activations=False,
-        write_output=False,
-        vu_postprocess_flops_per_output=0.0,
-        kind=OpKind.ATTENTION,
-    )
-    builder.elementwise(
-        f"{prefix}_softmax",
-        tokens * kv_tokens,
-        flops_per_element=5.0,
-        streams_hbm=False,
-        kind=OpKind.SOFTMAX,
-        count=count * batch * num_heads,
-    )
-    builder.matmul(
-        f"{prefix}_av",
-        m=tokens,
-        k=kv_tokens,
-        n=head_dim,
-        count=count * batch * num_heads,
-        read_weights=False,
-        read_activations=False,
-        write_output=False,
-        vu_postprocess_flops_per_output=0.0,
-        kind=OpKind.ATTENTION,
-    )
-    builder.matmul(
-        f"{prefix}_out_proj", m=batch * tokens, k=hidden, n=hidden, count=count
-    )
-
-
-def build_dit_table(
-    batch_size: int = 8192,
-    parallelism: ParallelismConfig | None = None,
-    config: DiTConfig = DIT_XL,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_dit_graph`.
-
-    The per-layer block is built once and expanded to the whole
-    ``num_layers x denoising_steps`` stack with one vectorized count
-    multiply.
-    """
-    parallelism = parallelism or ParallelismConfig()
-    local_batch = max(1, batch_size // parallelism.num_chips)
-    cfg = config
-    tokens = cfg.num_tokens
-    d = cfg.hidden_dim
-    steps = cfg.denoising_steps
-
-    prologue = GraphTableBuilder("prologue", WorkloadPhase.INFERENCE)
-    prologue.matmul(
-        "patch_embed",
-        m=local_batch * tokens,
-        k=cfg.patch_size**2 * 4,
-        n=d,
-        count=steps,
-    )
-    layer = GraphTableBuilder("layer", WorkloadPhase.INFERENCE)
-    layer.elementwise(
-        "adaln_modulation",
-        local_batch * tokens * d,
-        flops_per_element=6.0,
-        kind=OpKind.LAYERNORM,
-    )
-    _attention_rows(layer, "dit_attn", local_batch, tokens, d, cfg.num_heads)
-    layer.matmul("dit_mlp_fc1", m=local_batch * tokens, k=d, n=cfg.ffn_dim)
-    layer.elementwise(
-        "dit_gelu",
-        local_batch * tokens * cfg.ffn_dim,
-        flops_per_element=4.0,
-        streams_hbm=False,
-    )
-    layer.matmul("dit_mlp_fc2", m=local_batch * tokens, k=cfg.ffn_dim, n=d)
-    epilogue = GraphTableBuilder("epilogue", WorkloadPhase.INFERENCE)
-    epilogue.matmul(
-        "final_linear",
-        m=local_batch * tokens,
-        k=d,
-        n=cfg.patch_size**2 * 8,
-        count=steps,
-    )
-    epilogue.elementwise(
-        "scheduler_step",
-        local_batch * cfg.latent_size**2 * 4,
-        flops_per_element=8.0,
-        count=steps,
-    )
-    table = GraphTable.concat(
-        [
-            prologue.build(),
-            layer.build().scaled_counts(cfg.num_layers * steps),
-            epilogue.build(),
-        ],
-        name=f"{cfg.name}-inference",
-        phase=WorkloadPhase.INFERENCE,
-        parallelism=parallelism,
-        iteration_unit="image",
-        work_per_iteration=float(batch_size),
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    table.validate()
-    return table
-
-
-def build_gligen_table(
-    batch_size: int = 256,
-    parallelism: ParallelismConfig | None = None,
-    config: GLIGENConfig = GLIGEN,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_gligen_graph`.
-
-    Each U-Net stage is built once as a per-step segment (count 1) and
-    expanded to the full denoising loop with one vectorized count
-    multiply; the "up" traversal reuses the "down" stage arrays with
-    renamed rows instead of recomputing them.
-    """
-    parallelism = parallelism or ParallelismConfig()
-    local_batch = max(1, batch_size // parallelism.num_chips)
-    cfg = config
-    steps = cfg.denoising_steps
-
-    def stage_segment(prefix: str, stage: UNetStage) -> GraphTable:
-        seg = GraphTableBuilder(prefix, WorkloadPhase.INFERENCE)
-        tokens = stage.spatial**2
-        channels = stage.channels
-        for block in range(stage.num_resblocks):
-            seg.elementwise(
-                f"{prefix}_groupnorm{block}",
-                local_batch * tokens * channels,
-                flops_per_element=8.0,
-                kind=OpKind.LAYERNORM,
-            )
-            for conv in range(2):
-                seg.matmul(
-                    f"{prefix}_resblock{block}_conv{conv}",
-                    m=local_batch * tokens,
-                    k=channels * 9,
-                    n=channels,
-                    kind=OpKind.CONV,
-                )
-            seg.elementwise(
-                f"{prefix}_silu{block}",
-                local_batch * tokens * channels,
-                flops_per_element=4.0,
-                streams_hbm=False,
-            )
-        if stage.has_attention:
-            _attention_rows(
-                seg, f"{prefix}_selfattn", local_batch, tokens, channels,
-                stage.num_heads,
-            )
-            _attention_rows(
-                seg, f"{prefix}_crossattn", local_batch, tokens, channels,
-                stage.num_heads, kv_tokens=cfg.context_len, kv_dim=cfg.context_dim,
-            )
-            _attention_rows(
-                seg, f"{prefix}_gatedattn", local_batch, tokens, channels,
-                stage.num_heads, kv_tokens=30, kv_dim=channels,
-            )
-        return seg.build()
-
-    # The U-Net is traversed down and up: each stage is visited twice
-    # with identical numeric columns and direction-prefixed names.
-    segments: list[GraphTable] = []
-    down_segments = [
-        stage_segment(f"down{index}", stage) for index, stage in enumerate(cfg.stages)
-    ]
-    segments.extend(down_segments)
-    for index, down in enumerate(down_segments):
-        up_prefix = f"up{index}"
-        down_prefix = f"down{index}"
-        segments.append(
-            down.replace(
-                names=[up_prefix + name[len(down_prefix):] for name in down.names]
-            )
-        )
-    epilogue = GraphTableBuilder("epilogue", WorkloadPhase.INFERENCE)
-    epilogue.elementwise(
-        "scheduler_step",
-        local_batch * (cfg.image_size // cfg.latent_downsample) ** 2 * 4,
-        flops_per_element=8.0,
-    )
-    segments.append(epilogue.build())
-    table = GraphTable.concat(
-        [segment.scaled_counts(steps) for segment in segments],
-        name=f"{cfg.name}-inference",
-        phase=WorkloadPhase.INFERENCE,
-        parallelism=parallelism,
-        iteration_unit="image",
-        work_per_iteration=float(batch_size),
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    table.validate()
-    return table
-
-
 __all__ = [
     "DIT_XL",
     "DiTConfig",
@@ -564,7 +332,5 @@ __all__ = [
     "GLIGENConfig",
     "UNetStage",
     "build_dit_graph",
-    "build_dit_table",
     "build_gligen_graph",
-    "build_gligen_table",
 ]

@@ -25,7 +25,6 @@ from repro.workloads.base import (
     elementwise_op,
     matmul_op,
 )
-from repro.workloads.table import GraphTable, GraphTableBuilder
 
 
 @dataclass(frozen=True)
@@ -211,91 +210,10 @@ def build_dlrm_graph(
     return graph
 
 
-# ---------------------------------------------------------------------- #
-# Columnar (GraphTable) builder
-# ---------------------------------------------------------------------- #
-def _mlp_rows(
-    builder: GraphTableBuilder,
-    name: str,
-    batch: int,
-    input_dim: int,
-    widths: tuple[int, ...],
-) -> None:
-    """Row counterpart of :func:`_mlp_ops`."""
-    prev = input_dim
-    for index, width in enumerate(widths):
-        builder.matmul(
-            f"{name}_fc{index}",
-            m=batch,
-            k=prev,
-            n=width,
-            dtype_bytes=4,
-            vu_postprocess_flops_per_output=3.0,  # bias + ReLU
-        )
-        prev = width
-
-
-def build_dlrm_table(
-    model: str | DLRMConfig,
-    batch_size: int = 1024,
-    parallelism: ParallelismConfig | None = None,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_dlrm_graph`."""
-    cfg = model if isinstance(model, DLRMConfig) else get_dlrm_config(model)
-    parallelism = parallelism or ParallelismConfig()
-    num_chips = parallelism.num_chips
-    local_batch = max(1, batch_size // num_chips)
-    tables_local = max(1, math.ceil(cfg.num_tables / num_chips))
-
-    builder = GraphTableBuilder(
-        name=f"{cfg.name}-inference",
-        phase=WorkloadPhase.INFERENCE,
-        parallelism=parallelism,
-        iteration_unit="request",
-        work_per_iteration=float(batch_size),
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    lookup_bytes = batch_size * tables_local * cfg.pooling_factor * cfg.embedding_dim * 4.0
-    pooled_bytes = batch_size * tables_local * cfg.embedding_dim * 4.0
-    builder.operator(
-        "embedding_gather",
-        OpKind.EMBEDDING,
-        hbm_read_bytes=lookup_bytes,
-        hbm_write_bytes=pooled_bytes,
-        vu_flops=batch_size * tables_local * cfg.pooling_factor * cfg.embedding_dim,
-    )
-    if num_chips > 1:
-        builder.collective(
-            "embedding_alltoall",
-            CollectiveKind.ALL_TO_ALL,
-            payload_bytes=pooled_bytes,
-            num_chips=num_chips,
-        )
-    _mlp_rows(builder, "bottom_mlp", local_batch, cfg.dense_features, cfg.bottom_mlp)
-    n_feat = cfg.num_tables + 1
-    builder.matmul(
-        "feature_interaction",
-        m=n_feat,
-        k=cfg.embedding_dim,
-        n=n_feat,
-        dtype_bytes=4,
-        count=local_batch,
-        read_weights=False,
-        vu_postprocess_flops_per_output=1.0,
-    )
-    _mlp_rows(builder, "top_mlp", local_batch, cfg.interaction_features, cfg.top_mlp)
-    builder.elementwise("sigmoid", local_batch, flops_per_element=4.0, dtype_bytes=4)
-    table = builder.build()
-    table.validate()
-    return table
-
-
 __all__ = [
     "DLRM_CONFIGS",
     "DLRMConfig",
     "build_dlrm_graph",
-    "build_dlrm_table",
     "get_dlrm_config",
     "memory_per_chip_bytes",
 ]

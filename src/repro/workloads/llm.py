@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.workloads.base import (
     CollectiveKind,
     Operator,
@@ -25,7 +23,6 @@ from repro.workloads.base import (
     elementwise_op,
     matmul_op,
 )
-from repro.workloads.table import GraphTable, GraphTableBuilder
 
 
 @dataclass(frozen=True)
@@ -477,320 +474,12 @@ def build_training_graph(
     return graph
 
 
-# ---------------------------------------------------------------------- #
-# Columnar (GraphTable) builders
-# ---------------------------------------------------------------------- #
-# The table builders mirror the object builders above row for row: one
-# transformer layer is built once as a small segment and expanded to the
-# whole stack with a single vectorized count multiply, and the training
-# backward pass is an array transform of the forward segment.  The
-# equivalence suite asserts exact column equality against
-# ``GraphTable.from_graph(<object builder output>)``.
-def _transformer_layer_segment(
-    cfg: LlamaConfig,
-    tokens: int,
-    kv_len: int,
-    sequences: int,
-    parallelism: ParallelismConfig,
-    decode: bool,
-    dtype_bytes: int = 2,
-) -> GraphTable:
-    """Columnar counterpart of :func:`_transformer_layer_ops`."""
-    tp = parallelism.tensor
-    heads_local = max(1, cfg.num_heads // tp)
-    kv_heads_local = max(1, cfg.num_kv_heads // tp)
-    dh = cfg.head_dim
-    d = cfg.hidden_dim
-    f_local = max(1, cfg.ffn_dim // tp)
-    qkv_out = (heads_local + 2 * kv_heads_local) * dh
-
-    seg = GraphTableBuilder("layer", WorkloadPhase.DECODE if decode else WorkloadPhase.PREFILL)
-    seg.elementwise(
-        "attn_rmsnorm", tokens * d, flops_per_element=16.0, kind=OpKind.LAYERNORM
-    )
-    seg.matmul("qkv_proj", m=tokens, k=d, n=qkv_out, dtype_bytes=dtype_bytes)
-    seg.elementwise(
-        "rope",
-        tokens * (heads_local + kv_heads_local) * dh,
-        flops_per_element=12.0,
-        streams_hbm=False,
-    )
-    if decode:
-        # Append new K/V to the cache, then read the whole cache back.
-        kv_write = tokens * 2 * kv_heads_local * dh * dtype_bytes
-        kv_read = sequences * kv_len * 2 * kv_heads_local * dh * dtype_bytes
-        seg.operator(
-            "kv_cache_update", OpKind.DMA, hbm_write_bytes=kv_write, count=1
-        )
-    else:
-        kv_read = 0.0
-    per_seq_tokens = max(1, tokens // max(1, sequences))
-    gqa_group = max(1, heads_local // kv_heads_local)
-    attn_count = sequences * kv_heads_local
-    attn_m = per_seq_tokens * gqa_group
-    scores = seg.matmul(
-        "attn_scores",
-        m=attn_m,
-        k=dh,
-        n=kv_len,
-        dtype_bytes=dtype_bytes,
-        count=attn_count,
-        read_weights=False,
-        read_activations=False,
-        write_output=False,
-        vu_postprocess_flops_per_output=0.0,
-        kind=OpKind.ATTENTION,
-    )
-    if decode:
-        seg.override(scores, hbm_read_bytes=kv_read / (2.0 * attn_count))
-    seg.elementwise(
-        "attn_softmax",
-        attn_m * kv_len,
-        flops_per_element=10.0,
-        streams_hbm=False,
-        kind=OpKind.SOFTMAX,
-        count=attn_count,
-    )
-    av = seg.matmul(
-        "attn_av",
-        m=attn_m,
-        k=kv_len,
-        n=dh,
-        dtype_bytes=dtype_bytes,
-        count=attn_count,
-        read_weights=False,
-        read_activations=False,
-        write_output=False,
-        vu_postprocess_flops_per_output=0.0,
-        kind=OpKind.ATTENTION,
-    )
-    if decode:
-        seg.override(av, hbm_read_bytes=kv_read / (2.0 * attn_count))
-    seg.matmul("out_proj", m=tokens, k=heads_local * dh, n=d, dtype_bytes=dtype_bytes)
-    if tp > 1:
-        seg.collective(
-            "attn_allreduce",
-            CollectiveKind.ALL_REDUCE,
-            payload_bytes=tokens * d * dtype_bytes,
-            num_chips=tp,
-        )
-    seg.elementwise("attn_residual", tokens * d, flops_per_element=2.0)
-    seg.elementwise(
-        "mlp_rmsnorm", tokens * d, flops_per_element=16.0, kind=OpKind.LAYERNORM
-    )
-    seg.matmul("gate_up_proj", m=tokens, k=d, n=2 * f_local, dtype_bytes=dtype_bytes)
-    seg.elementwise(
-        "silu_mul", tokens * f_local, flops_per_element=8.0, streams_hbm=False
-    )
-    seg.matmul("down_proj", m=tokens, k=f_local, n=d, dtype_bytes=dtype_bytes)
-    if tp > 1:
-        seg.collective(
-            "mlp_allreduce",
-            CollectiveKind.ALL_REDUCE,
-            payload_bytes=tokens * d * dtype_bytes,
-            num_chips=tp,
-        )
-    seg.elementwise("mlp_residual", tokens * d, flops_per_element=2.0)
-    return seg.build()
-
-
-def _backward_segment(forward: GraphTable, count_factor: int) -> GraphTable:
-    """Array transform of a forward segment into its backward pass.
-
-    Mirrors the object builder's per-operator loop (``2.0 *`` the
-    compute and HBM traffic, counts scaled by the layer stack) as five
-    vectorized multiplies.
-    """
-    return forward.replace(
-        names=[f"{name}_bwd" for name in forward.names],
-        sa_flops=2.0 * forward.sa_flops,
-        vu_flops=2.0 * forward.vu_flops,
-        hbm_read_bytes=2.0 * forward.hbm_read_bytes,
-        hbm_write_bytes=2.0 * forward.hbm_write_bytes,
-        count=forward.count * count_factor,
-        # The object builder constructs backward operators without the
-        # fusable flag, so they default to fusable.
-        fusable=np.ones(forward.n_ops, dtype=bool),
-    )
-
-
-def build_prefill_table(
-    model: str | LlamaConfig,
-    batch_size: int = 1,
-    seq_len: int = 4096,
-    parallelism: ParallelismConfig | None = None,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_prefill_graph`."""
-    cfg = model if isinstance(model, LlamaConfig) else get_llama_config(model)
-    parallelism = parallelism or ParallelismConfig()
-    local_batch = max(1, batch_size // parallelism.data)
-    layers_local = math.ceil(cfg.num_layers / parallelism.pipeline)
-    tokens = local_batch * seq_len
-
-    prologue = GraphTableBuilder("prologue", WorkloadPhase.PREFILL)
-    prologue.operator(
-        "embedding_lookup",
-        OpKind.EMBEDDING,
-        hbm_read_bytes=tokens * cfg.hidden_dim * 2,
-        hbm_write_bytes=tokens * cfg.hidden_dim * 2,
-        vu_flops=tokens * cfg.hidden_dim,
-    )
-    layer = _transformer_layer_segment(
-        cfg, tokens, seq_len, local_batch, parallelism, decode=False
-    )
-    epilogue = GraphTableBuilder("epilogue", WorkloadPhase.PREFILL)
-    if parallelism.pipeline > 1:
-        epilogue.collective(
-            "pipeline_send_recv",
-            CollectiveKind.SEND_RECV,
-            payload_bytes=tokens * cfg.hidden_dim * 2,
-            num_chips=parallelism.pipeline,
-            count=2,
-        )
-    epilogue.matmul(
-        "lm_head",
-        m=local_batch,
-        k=cfg.hidden_dim,
-        n=max(1, cfg.vocab_size // parallelism.tensor),
-    )
-    table = GraphTable.concat(
-        [prologue.build(), layer.scaled_counts(layers_local), epilogue.build()],
-        name=f"{cfg.name}-prefill",
-        phase=WorkloadPhase.PREFILL,
-        parallelism=parallelism,
-        iteration_unit="token",
-        work_per_iteration=float(batch_size * seq_len),
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    table.validate()
-    return table
-
-
-def build_decode_table(
-    model: str | LlamaConfig,
-    batch_size: int = 1,
-    context_len: int = 4096,
-    output_len: int = 512,
-    parallelism: ParallelismConfig | None = None,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_decode_graph`."""
-    cfg = model if isinstance(model, LlamaConfig) else get_llama_config(model)
-    parallelism = parallelism or ParallelismConfig()
-    local_batch = max(1, batch_size // parallelism.data)
-    layers_local = math.ceil(cfg.num_layers / parallelism.pipeline)
-    kv_len = context_len + output_len // 2
-
-    prologue = GraphTableBuilder("prologue", WorkloadPhase.DECODE)
-    prologue.operator(
-        "embedding_lookup",
-        OpKind.EMBEDDING,
-        hbm_read_bytes=local_batch * cfg.hidden_dim * 2,
-        hbm_write_bytes=local_batch * cfg.hidden_dim * 2,
-        vu_flops=local_batch * cfg.hidden_dim,
-    )
-    layer = _transformer_layer_segment(
-        cfg, local_batch, kv_len, local_batch, parallelism, decode=True
-    )
-    epilogue = GraphTableBuilder("epilogue", WorkloadPhase.DECODE)
-    if parallelism.pipeline > 1:
-        epilogue.collective(
-            "pipeline_send_recv",
-            CollectiveKind.SEND_RECV,
-            payload_bytes=local_batch * cfg.hidden_dim * 2,
-            num_chips=parallelism.pipeline,
-            count=2,
-        )
-    epilogue.matmul(
-        "lm_head",
-        m=local_batch,
-        k=cfg.hidden_dim,
-        n=max(1, cfg.vocab_size // parallelism.tensor),
-    )
-    table = GraphTable.concat(
-        [prologue.build(), layer.scaled_counts(layers_local), epilogue.build()],
-        name=f"{cfg.name}-decode",
-        phase=WorkloadPhase.DECODE,
-        parallelism=parallelism,
-        iteration_unit="token",
-        work_per_iteration=float(batch_size),
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    table.validate()
-    return table
-
-
-def build_training_table(
-    model: str | LlamaConfig,
-    batch_size: int = 32,
-    seq_len: int = 4096,
-    parallelism: ParallelismConfig | None = None,
-) -> GraphTable:
-    """Columnar counterpart of :func:`build_training_graph`."""
-    cfg = model if isinstance(model, LlamaConfig) else get_llama_config(model)
-    parallelism = parallelism or ParallelismConfig()
-    local_batch = max(1, batch_size // parallelism.data)
-    layers_local = math.ceil(cfg.num_layers / parallelism.pipeline)
-    tokens = local_batch * seq_len
-
-    forward = _transformer_layer_segment(
-        cfg, tokens, seq_len, local_batch, parallelism, decode=False
-    )
-    epilogue = GraphTableBuilder("epilogue", WorkloadPhase.TRAINING)
-    params_local = (
-        cfg.params_per_layer * layers_local / parallelism.tensor
-        + 2 * cfg.vocab_size * cfg.hidden_dim / parallelism.tensor
-    )
-    if parallelism.data > 1:
-        epilogue.collective(
-            "grad_allreduce",
-            CollectiveKind.ALL_REDUCE,
-            payload_bytes=params_local * 2,
-            num_chips=parallelism.data,
-        )
-    if parallelism.pipeline > 1:
-        epilogue.collective(
-            "pipeline_send_recv",
-            CollectiveKind.SEND_RECV,
-            payload_bytes=tokens * cfg.hidden_dim * 2,
-            num_chips=parallelism.pipeline,
-            count=4,
-        )
-    epilogue.operator(
-        "optimizer_update",
-        OpKind.OPTIMIZER,
-        vu_flops=params_local * 12.0,
-        hbm_read_bytes=params_local * 14.0,
-        hbm_write_bytes=params_local * 14.0,
-    )
-    table = GraphTable.concat(
-        [
-            forward.scaled_counts(layers_local),
-            _backward_segment(forward, layers_local),
-            epilogue.build(),
-        ],
-        name=f"{cfg.name}-training",
-        phase=WorkloadPhase.TRAINING,
-        parallelism=parallelism,
-        iteration_unit="step",
-        work_per_iteration=1.0,
-        model_name=cfg.name,
-        batch_size=batch_size,
-    )
-    table.validate()
-    return table
-
-
 __all__ = [
     "LLAMA_CONFIGS",
     "LlamaConfig",
     "build_decode_graph",
-    "build_decode_table",
     "build_prefill_graph",
-    "build_prefill_table",
     "build_training_graph",
-    "build_training_table",
     "get_llama_config",
     "memory_per_chip_bytes",
     "weights_per_chip_bytes",

@@ -1,7 +1,9 @@
 """Registry of benchmark workloads (Table 1 of the paper).
 
-Each :class:`WorkloadSpec` bundles a model, an execution phase, default
-batch/sequence parameters and a graph builder.  The registry also
+Each :class:`WorkloadSpec` bundles a model, an execution phase, a
+default batch size and chip count, and a graph builder; the LLM
+sequence lengths are the module constants :data:`LLM_SEQ_LEN` and
+:data:`LLM_OUTPUT_LEN`.  The registry also
 provides the default pod configurations used in the evaluation (the
 Table 4 analogue for this reproduction) and a simple heuristic for
 choosing a parallelism layout given a chip count.
@@ -16,6 +18,12 @@ from repro.workloads.base import OperatorGraph, ParallelismConfig, WorkloadPhase
 
 if TYPE_CHECKING:
     from repro.workloads.table import GraphTable
+
+#: Sequence length of every LLM workload (prompt tokens per sequence in
+#: prefill and training, context tokens in decode).
+LLM_SEQ_LEN = 4096
+#: Tokens generated per sequence by the decode workloads.
+LLM_OUTPUT_LEN = 512
 
 
 def llm_parallelism(
@@ -51,7 +59,7 @@ def llm_parallelism(
             data = num_chips // (tensor * pipeline)
             candidate = ParallelismConfig(data=data, tensor=tensor, pipeline=pipeline)
             footprint = llm.memory_per_chip_bytes(
-                cfg, phase, candidate, batch_size=batch_size, seq_len=4096
+                cfg, phase, candidate, batch_size=batch_size, seq_len=LLM_SEQ_LEN
             )
             if footprint <= hbm_capacity_bytes:
                 if best is None:
@@ -82,14 +90,11 @@ class WorkloadSpec:
     family: str  # "llm", "dlrm", "diffusion"
     default_batch_size: int
     default_num_chips: int
-    seq_len: int = 4096
-    output_len: int = 512
     builder: Callable[..., OperatorGraph] = field(repr=False, default=None)
     parallelism_fn: Callable[[int, float], ParallelismConfig] = field(
         repr=False, default=None
     )
     memory_fn: Callable[[ParallelismConfig, int], float] = field(repr=False, default=None)
-    table_builder: Callable[..., GraphTable] = field(repr=False, default=None)
 
     def parallelism_for(self, num_chips: int, hbm_capacity_bytes: float) -> ParallelismConfig:
         """Pick a parallelism layout for this workload on ``num_chips``."""
@@ -116,17 +121,12 @@ class WorkloadSpec:
     ) -> GraphTable:
         """Build the per-chip graph in columnar (:class:`GraphTable`) form.
 
-        Uses the workload family's array-native builder when one is
-        registered (bit-identical to the object builder by contract);
-        otherwise falls back to extracting the object graph's columns.
+        The columns are read off :meth:`build_graph`'s operator graph, so
+        the object builder stays the one definition of the workload.
         """
-        batch = batch_size if batch_size is not None else self.default_batch_size
-        parallelism = parallelism or ParallelismConfig()
-        if self.table_builder is not None:
-            return self.table_builder(batch, parallelism)
         from repro.workloads.table import GraphTable
 
-        return GraphTable.from_graph(self.builder(batch, parallelism))
+        return GraphTable.from_graph(self.build_graph(batch_size, parallelism))
 
 
 def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> WorkloadSpec:
@@ -135,26 +135,18 @@ def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> Workl
 
         cfg = llm.get_llama_config(model)
         if phase is WorkloadPhase.TRAINING:
-            return llm.build_training_graph(cfg, batch_size, 4096, parallelism)
+            return llm.build_training_graph(cfg, batch_size, LLM_SEQ_LEN, parallelism)
         if phase is WorkloadPhase.PREFILL:
-            return llm.build_prefill_graph(cfg, batch_size, 4096, parallelism)
-        return llm.build_decode_graph(cfg, batch_size, 4096, 512, parallelism)
-
-    def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-        from repro.workloads import llm
-
-        cfg = llm.get_llama_config(model)
-        if phase is WorkloadPhase.TRAINING:
-            return llm.build_training_table(cfg, batch_size, 4096, parallelism)
-        if phase is WorkloadPhase.PREFILL:
-            return llm.build_prefill_table(cfg, batch_size, 4096, parallelism)
-        return llm.build_decode_table(cfg, batch_size, 4096, 512, parallelism)
+            return llm.build_prefill_graph(cfg, batch_size, LLM_SEQ_LEN, parallelism)
+        return llm.build_decode_graph(
+            cfg, batch_size, LLM_SEQ_LEN, LLM_OUTPUT_LEN, parallelism
+        )
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
         from repro.workloads import llm
 
         cfg = llm.get_llama_config(model)
-        return llm.memory_per_chip_bytes(cfg, phase, parallelism, batch_size, 4096)
+        return llm.memory_per_chip_bytes(cfg, phase, parallelism, batch_size, LLM_SEQ_LEN)
 
     def pick(num_chips: int, hbm_bytes: float) -> ParallelismConfig:
         return llm_parallelism(model, phase, num_chips, hbm_bytes)
@@ -169,7 +161,6 @@ def _llm_spec(model: str, phase: WorkloadPhase, batch: int, chips: int) -> Workl
         builder=build,
         parallelism_fn=pick,
         memory_fn=memory,
-        table_builder=build_table,
     )
 
 
@@ -178,11 +169,6 @@ def _dlrm_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
         from repro.workloads import dlrm
 
         return dlrm.build_dlrm_graph(dlrm.get_dlrm_config(model), batch_size, parallelism)
-
-    def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-        from repro.workloads import dlrm
-
-        return dlrm.build_dlrm_table(dlrm.get_dlrm_config(model), batch_size, parallelism)
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
         from repro.workloads import dlrm
@@ -204,7 +190,6 @@ def _dlrm_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
         builder=build,
         parallelism_fn=pick,
         memory_fn=memory,
-        table_builder=build_table,
     )
 
 
@@ -215,12 +200,6 @@ def _diffusion_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
         from repro.workloads import diffusion
 
         builder = diffusion.build_dit_graph if dit else diffusion.build_gligen_graph
-        return builder(batch_size, parallelism)
-
-    def build_table(batch_size: int, parallelism: ParallelismConfig) -> GraphTable:
-        from repro.workloads import diffusion
-
-        builder = diffusion.build_dit_table if dit else diffusion.build_gligen_table
         return builder(batch_size, parallelism)
 
     def memory(parallelism: ParallelismConfig, batch_size: int) -> float:
@@ -242,7 +221,6 @@ def _diffusion_spec(model: str, batch: int, chips: int) -> WorkloadSpec:
         builder=build,
         parallelism_fn=pick,
         memory_fn=memory,
-        table_builder=build_table,
     )
 
 

@@ -4,7 +4,15 @@ Key results for NPU-D on the small LLM prefill/decode graphs — the
 per-policy energy-efficiency gains, the per-component energy breakdown
 and the temporal utilizations — are pinned in ``tests/golden/*.json``.
 A refactor that changes any of them fails here instead of silently
-drifting the reproduced figures.  After an *intentional* model change,
+drifting the reproduced figures.
+
+Every registry workload's ``GraphTable`` is pinned too: a SHA-256 over
+all of its columns and metadata, at the resolved default execution on
+NPU-A and NPU-D (``tests/golden/registry_graphs.json``).  The object
+builders are the one definition of each workload, so this digest is
+what keeps an edit to one of them from drifting silently.
+
+After an *intentional* model change,
 regenerate the snapshots with::
 
     PYTHONPATH=src python -m pytest tests/test_golden_regression.py --update-golden
@@ -12,15 +20,20 @@ regenerate the snapshots with::
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, resolve_execution
 from repro.core.regate import simulate_graph
 from repro.gating.report import PolicyName
 from repro.hardware.components import Component
+from repro.workloads.registry import get_workload, list_workloads
+from repro.workloads.table import GraphTable
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -101,3 +114,51 @@ def test_golden_sanity_paper_ballpark(request, update_golden):
     assert prefill["policies"]["ReGate-Full"]["savings_vs_nopg"] > 0.05
     assert decode["policies"]["ReGate-Full"]["savings_vs_nopg"] > 0.10
     assert decode["policies"]["Ideal"]["savings_vs_nopg"] <= 1.0
+
+
+#: Chips the registry-graph digests are taken on: their HBM capacities
+#: make the LLM parallelism search pick different layouts.
+GRAPH_CHIPS = ("NPU-A", "NPU-D")
+
+
+def _table_digest(table: GraphTable) -> str:
+    """SHA-256 over every column (dtype and bytes) and metadata field."""
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(GraphTable):
+        value = getattr(table, f.name)
+        digest.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            digest.update(value.dtype.str.encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, float):
+            digest.update(value.hex().encode())
+        else:
+            digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+def _registry_graph_digests() -> dict:
+    digests = {}
+    for workload in list_workloads():
+        spec = get_workload(workload)
+        digests[workload] = {}
+        for chip in GRAPH_CHIPS:
+            _chip, batch, parallelism = resolve_execution(
+                spec, SimulationConfig(chip=chip)
+            )
+            table = spec.build_table(batch_size=batch, parallelism=parallelism)
+            digests[workload][chip] = _table_digest(table)
+    return digests
+
+
+def test_golden_registry_graphs(update_golden):
+    digests = _registry_graph_digests()
+    path = GOLDEN_DIR / "registry_graphs.json"
+    if update_golden:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        return
+    assert path.exists(), (
+        f"golden snapshot {path} missing; regenerate with --update-golden"
+    )
+    assert json.loads(path.read_text()) == digests
