@@ -584,6 +584,28 @@ def _price_prepared(
     return results, cells
 
 
+def _registry_items(
+    items: list[tuple[str | WorkloadSpec, SimulationConfig | None]],
+) -> list[tuple[WorkloadSpec, SimulationConfig]]:
+    """Resolve batched items to registry specs and concrete configs.
+
+    Raises :class:`ValueError` for a hand-built :class:`WorkloadSpec`
+    (see :func:`_registry_spec`): the batched entry points take
+    registry workloads only, on either path.
+    """
+    resolved: list[tuple[WorkloadSpec, SimulationConfig]] = []
+    for workload, config in items:
+        spec = _registry_spec(workload)
+        if spec is None:
+            raise ValueError(
+                f"workload {workload.name!r} is a hand-built WorkloadSpec; the "
+                "batched pass takes registry workloads only (price it with "
+                "simulate_cached or simulate_workload)"
+            )
+        resolved.append((spec, config or SimulationConfig()))
+    return resolved
+
+
 def simulate_cached_cells(
     items: list[tuple[str | WorkloadSpec, SimulationConfig | None]],
     cache: SimulationCache,
@@ -596,17 +618,7 @@ def simulate_cached_cells(
     straight from the grid arrays.  Raises :class:`ValueError` for a
     hand-built :class:`WorkloadSpec` (see :func:`_registry_spec`).
     """
-    resolved: list[tuple[WorkloadSpec, SimulationConfig]] = []
-    for workload, config in items:
-        spec = _registry_spec(workload)
-        if spec is None:
-            raise ValueError(
-                f"workload {workload.name!r} is a hand-built WorkloadSpec; the "
-                "batched pass takes registry workloads only (price it with "
-                "simulate_cached or simulate_workload)"
-            )
-        resolved.append((spec, config or SimulationConfig()))
-    return _price_prepared(resolved, cache)
+    return _price_prepared(_registry_items(items), cache)
 
 
 def simulate_cached_many(
@@ -615,14 +627,23 @@ def simulate_cached_many(
 ) -> list[SimulationResult]:
     """Batched :func:`simulate_cached` over many (workload, config) pairs.
 
-    The :func:`simulate_cached_cells` pass with every cell materialized
-    onto its item's result (``cache=None`` uses a fresh cache for this
-    call).  Reports are bit-identical to the per-item path.  Raises
-    :class:`ValueError` for a hand-built :class:`WorkloadSpec`.
+    On the fast path, the :func:`simulate_cached_cells` pass with every
+    cell materialized onto its item's result.  With ``REPRO_FAST_PATH=0``
+    each item goes through :func:`simulate_cached` instead — the
+    object-path oracle, as in
+    :func:`~repro.experiments.runner.run_points_packed`.  Reports are
+    bit-identical either way; ``cache=None`` uses a fresh cache for this
+    call.  Raises :class:`ValueError` for a hand-built
+    :class:`WorkloadSpec` on both paths.
     """
-    results, cells = simulate_cached_cells(
-        items, cache if cache is not None else SimulationCache()
-    )
+    from repro.simulator import columnar
+
+    if cache is None:
+        cache = SimulationCache()
+    resolved = _registry_items(items)
+    if not columnar.fast_path_enabled():
+        return [simulate_cached(spec, config, cache) for spec, config in resolved]
+    results, cells = _price_prepared(resolved, cache)
     for result, row_cells in zip(results, cells):
         for policy_name, (grid, row, col) in row_cells:
             result.reports[policy_name] = grid.report(row, col)

@@ -11,7 +11,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "GatingParameters",
             "ParameterTable",
         ),
-        "idle_detection": ("IdleDetector", "run_length_idle_stats"),
+        "idle_detection": ("IdleDetector",),
         "policies": (
             "ChipMajorPacks",
             "GridEnergyReports",

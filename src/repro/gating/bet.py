@@ -248,15 +248,8 @@ def idle_gating_coefficients(
     chip: NPUChipSpec,
     software: bool,
     min_window_cycles: float = 0.0,
-    window_s: float | None = None,
 ) -> IdleGatingCoefficients:
-    """Compute the per-gap idle-gating coefficients of one component.
-
-    ``window_s`` overrides the detection window derived from
-    ``parameters`` — the policies pass their (possibly subclassed)
-    ``_detection_window_s`` result through here so a custom window
-    implementation affects both accounting paths.
-    """
+    """Compute the per-gap idle-gating coefficients of one component."""
     timing = parameters.timing(component, variant)
     delay_s = chip.cycles_to_seconds(timing.delay_cycles)
     bet_s = chip.cycles_to_seconds(timing.bet_cycles)
@@ -266,10 +259,9 @@ def idle_gating_coefficients(
         window_s = 0.0
         threshold_s = max(bet_s, 2.0 * delay_s)
     else:
-        if window_s is None:
-            window = parameters.detection_window_cycles(component, variant)
-            window = max(window, min_window_cycles)
-            window_s = chip.cycles_to_seconds(window)
+        window = parameters.detection_window_cycles(component, variant)
+        window = max(window, min_window_cycles)
+        window_s = chip.cycles_to_seconds(window)
         threshold_s = window_s + bet_s
     return IdleGatingCoefficients(
         window_s=window_s,
@@ -315,8 +307,7 @@ def grid_idle_coefficient_columns(
     of one scalar derivation per point.  Every operation mirrors the
     scalar function elementwise — same divisions, same ``max`` order —
     so the columns are bit-identical to stacking the per-point scalar
-    results.  Only valid for the stock coefficient hooks, which is why
-    the grid kernel runs only for the stock policy classes.
+    results of the policies' coefficient hooks.
     """
     key = variant or GatingParameters._COMPONENT_KEYS[component]
     delay_cycles = table.delay_cycles[key]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 
 class DetectorState(str, Enum):
     """States of the idle-detection finite state machine."""
@@ -117,9 +115,8 @@ class IdleDetector:
     def run(self, activity: list[bool]) -> IdleDetectorStats:
         """Run the detector over an activity trace (True = has work).
 
-        This stepwise loop is the reference oracle;
-        :func:`run_length_idle_stats` computes the same statistics from
-        the run-length encoding of the trace in vectorized time.
+        Steps the state machine one cycle at a time; a pending operation
+        that stalls on a wake-up is retried the next cycle.
         """
         pending = list(activity)
         index = 0
@@ -131,65 +128,8 @@ class IdleDetector:
         return self.stats
 
 
-def run_length_idle_stats(
-    activity, detection_window_cycles: int, wakeup_delay_cycles: int
-) -> IdleDetectorStats:
-    """Vectorized :meth:`IdleDetector.run`, bit-identical statistics.
-
-    The state machine only changes behavior at run boundaries of the
-    activity trace, so the trace is run-length encoded and each run is
-    accounted in closed form:
-
-    * an idle run of length ``I`` spends ``min(I, D)`` cycles counting
-      and, when ``I >= D``, gates once and stays gated for ``I - D``
-      cycles — where ``D = max(detection_window, 2)``: the stepwise
-      machine checks the window only in the COUNTING branch, so the
-      first idle cycle (the ACTIVE→COUNTING transition) can never gate
-      and a one-cycle window still needs two idle cycles;
-    * a work run of length ``W`` executes ``W`` active cycles; if it
-      arrives while the block is gated and the wake-up delay ``V`` is
-      non-zero, the stepwise machine additionally burns ``max(2, V)``
-      waking cycles of which ``max(1, V - 1)`` stall the pending
-      operation (the entry cycle both wakes and counts as exposed,
-      while the cycle that completes the wake-up does not re-expose).
-
-    All quantities are integers, so the equivalence with the stepwise
-    oracle is exact, not approximate.
-    """
-    if detection_window_cycles < 1:
-        raise ValueError("detection window must be at least one cycle")
-    if wakeup_delay_cycles < 0:
-        raise ValueError("wake-up delay cannot be negative")
-    trace = np.asarray(activity, dtype=bool)
-    stats = IdleDetectorStats()
-    if trace.size == 0:
-        return stats
-
-    boundaries = np.flatnonzero(trace[1:] != trace[:-1])
-    starts = np.concatenate(([0], boundaries + 1))
-    lengths = np.diff(np.concatenate((starts, [trace.size])))
-    is_work = trace[starts]
-    idle_lengths = lengths[~is_work]
-
-    window = max(detection_window_cycles, 2)
-    stats.active_cycles = int(np.count_nonzero(trace))
-    stats.counting_cycles = int(np.minimum(idle_lengths, window).sum())
-    stats.gated_cycles = int(np.maximum(idle_lengths - window, 0).sum())
-    stats.gate_events = int(np.count_nonzero(idle_lengths >= window))
-
-    # Work runs that arrive while the detector is gated.
-    gated_then_work = (~is_work[:-1]) & (lengths[:-1] >= window) & is_work[1:]
-    wakes = int(np.count_nonzero(gated_then_work))
-    delay = wakeup_delay_cycles
-    if delay > 0 and wakes:
-        stats.waking_cycles = wakes * max(2, delay)
-        stats.exposed_wakeup_cycles = wakes * max(1, delay - 1)
-    return stats
-
-
 __all__ = [
     "DetectorState",
     "IdleDetector",
     "IdleDetectorStats",
-    "run_length_idle_stats",
 ]

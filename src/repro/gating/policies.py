@@ -21,7 +21,6 @@ energy of power-state transitions, and the exposed wake-up delays:
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 
@@ -48,6 +47,11 @@ from repro.simulator.engine import GapProfile, WorkloadProfile
 # The hardware VU idle detector waits at least 8 cycles to avoid blocking
 # the SA pipeline (§4.1 of the paper).
 MIN_VU_DETECTION_WINDOW_CYCLES = 8.0
+
+
+def _min_window_cycles(component: Component) -> float:
+    """The detection-window floor of a component (VUs only)."""
+    return MIN_VU_DETECTION_WINDOW_CYCLES if component is Component.VU else 0.0
 
 
 @dataclass
@@ -224,31 +228,20 @@ class PackedProfiles:
         self._reduce_totals(tables)
 
     @classmethod
-    def pack(cls, profiles: list[WorkloadProfile]) -> "PackedProfiles | None":
-        """Pack profiles for batch evaluation, or ``None`` off the fast path.
-
-        Returns ``None`` when the columnar fast path is disabled or any
-        profile cannot produce a table (duck-typed stand-ins) — callers
-        fall back to per-profile evaluation.
-        """
-        if not columnar.fast_path_enabled():
-            return None
-        tables = [profile._fast_table() for profile in profiles]
-        if any(table is None for table in tables):
-            return None
-        return cls(list(profiles), tables)
+    def pack(cls, profiles: list[WorkloadProfile]) -> "PackedProfiles":
+        """Pack single-chip profiles, reading each one's memoized table."""
+        profiles = list(profiles)
+        return cls(profiles, [profile.table for profile in profiles])
 
     @classmethod
-    def single(cls, profile: WorkloadProfile) -> "PackedProfiles | None":
-        """The memoized one-profile pack of ``profile`` (``None`` off the fast path).
+    def single(cls, profile: WorkloadProfile) -> "PackedProfiles":
+        """The memoized one-profile pack of ``profile``.
 
         Built once per profile table and kept in its memo, so the five
         policies evaluated on one profile share the pack and every
         derived array on it (:meth:`PowerGatingPolicy.evaluate`).
         """
-        table = profile._fast_table()
-        if table is None:
-            return None
+        table = profile.table
         pack = table.memo.get("pack")
         if pack is None:
             pack = table.memo["pack"] = cls([profile], [table])
@@ -410,11 +403,9 @@ class ChipMajorPacks:
         return [pack.chip for pack in self.packs]
 
     @classmethod
-    def pack(cls, profiles: list[WorkloadProfile]) -> "ChipMajorPacks | None":
-        """Pack a (possibly multi-chip) batch, or ``None`` off the fast path."""
+    def pack(cls, profiles: list[WorkloadProfile]) -> "ChipMajorPacks":
+        """Pack a (possibly multi-chip, possibly empty) batch chip-major."""
         profiles = list(profiles)
-        if not columnar.fast_path_enabled() or not profiles:
-            return None
         # Group positions by chip identity, in first-appearance
         # (chip-major) order, so each pack is single-chip.
         groups: dict[int, list[int]] = {}
@@ -423,10 +414,7 @@ class ChipMajorPacks:
         packs: list[PackedProfiles] = []
         index_map: list[tuple[int, int] | None] = [None] * len(profiles)
         for pack_index, indices in enumerate(groups.values()):
-            packed = PackedProfiles.pack([profiles[i] for i in indices])
-            if packed is None:
-                return None
-            packs.append(packed)
+            packs.append(PackedProfiles.pack([profiles[i] for i in indices]))
             for position, original in enumerate(indices):
                 index_map[original] = (pack_index, position)
         return cls(profiles, packs, index_map)
@@ -486,14 +474,10 @@ class GridEnergyReports:
         self.gating_events = gating_events
         self.peak_power_w = peak_power_w
         self.n_points, self.n_profiles = overhead_time_s.shape
-        # Oracle-built reports (fallback path) returned verbatim.
-        self._reports: list[list[EnergyReport]] | None = None
 
     # ------------------------------------------------------------------ #
     def report(self, point: int, profile: int) -> EnergyReport:
         """Materialize the report of one (parameter point, profile) cell."""
-        if self._reports is not None:
-            return self._reports[point][profile]
         return EnergyReport(
             policy=self.policy,
             baseline_time_s=self.baseline_time_s.item(point, profile),
@@ -515,44 +499,7 @@ class GridEnergyReports:
 
     def reports(self, point: int) -> list[EnergyReport]:
         """All profile reports of one parameter point (oracle order)."""
-        if self._reports is not None:
-            return list(self._reports[point])
         return [self.report(point, profile) for profile in range(self.n_profiles)]
-
-    @classmethod
-    def from_reports(
-        cls, policy: PolicyName, reports_per_point: list[list[EnergyReport]]
-    ) -> "GridEnergyReports":
-        """Wrap oracle-built per-point report lists in the grid API.
-
-        :meth:`report` hands back the original objects; the column
-        arrays are gathered from their scalars, so array-native
-        consumers see the same values either way.
-        """
-
-        def gather(read) -> np.ndarray:
-            return np.asarray(
-                [[read(report) for report in row] for row in reports_per_point],
-                dtype=np.float64,
-            )
-
-        def per_component(field: str) -> dict[Component, np.ndarray]:
-            return {
-                c: gather(lambda report: getattr(report, field).get(c, 0.0))
-                for c in Component.all()
-            }
-
-        grid = cls(
-            policy,
-            baseline_time_s=gather(lambda report: report.baseline_time_s),
-            overhead_time_s=gather(lambda report: report.overhead_time_s),
-            static_energy_j=per_component("static_energy_j"),
-            dynamic_energy_j=per_component("dynamic_energy_j"),
-            gating_events=per_component("gating_events"),
-            peak_power_w=gather(lambda report: report.peak_power_w),
-        )
-        grid._reports = [list(row) for row in reports_per_point]
-        return grid
 
 
 class PowerGatingPolicy:
@@ -569,15 +516,20 @@ class PowerGatingPolicy:
     def __init__(self, parameters: GatingParameters | None = None):
         self.parameters = parameters or DEFAULT_PARAMETERS
 
-    def _fast_kernels(self) -> bool:
-        """Whether the grid kernel may price this policy.
+    def __init_subclass__(cls, **kwargs):
+        """Refuse policy classes defined outside this module.
 
-        Only the five stock classes qualify: their hooks are mirrored
-        term by term by the vectorized kernel.  Any subclass is priced
-        by the object path, per profile and per grid point, so whatever
-        it overrides applies everywhere.
+        The grid kernel mirrors the hooks of the five classes below term
+        by term, so an override elsewhere would change the object path
+        only and the two paths would silently disagree.
         """
-        return type(self) in _STOCK_CLASSES
+        super().__init_subclass__(**kwargs)
+        if cls.__module__ != __name__:
+            raise TypeError(
+                f"{cls.__qualname__}: policies are not subclassable; the grid "
+                "kernel prices only the five classes get_policy returns "
+                "(configure them with GatingParameters instead)"
+            )
 
     # ------------------------------------------------------------------ #
     # Idle-period accounting
@@ -587,35 +539,21 @@ class PowerGatingPolicy:
             return "sa_pe" if self.spatial_sa_gating else "sa_full"
         return None
 
-    def _detection_window_s(self, component: Component, chip) -> float:
-        window = self.parameters.detection_window_cycles(
-            component, self._timing_variant(component)
-        )
-        if component is Component.VU:
-            window = max(window, MIN_VU_DETECTION_WINDOW_CYCLES)
-        return chip.cycles_to_seconds(window)
-
     def _uses_software_gating(self, component: Component) -> bool:
         return self.software_managed and component is Component.VU
 
     def _idle_coefficients(
         self, component: Component, static_power_w: float, chip
     ) -> IdleGatingCoefficients:
-        """Per-gap gating coefficients shared by both accounting paths.
-
-        The detection window is resolved through
-        :meth:`_detection_window_s`, so a subclass overriding that hook
-        changes the (object-path) accounting it is priced by.
-        """
-        software = self._uses_software_gating(component)
+        """Per-gap gating coefficients of the object-path accounting."""
         return idle_gating_coefficients(
             self.parameters,
             component,
             self._timing_variant(component),
             static_power_w,
             chip,
-            software=software,
-            window_s=None if software else self._detection_window_s(component, chip),
+            software=self._uses_software_gating(component),
+            min_window_cycles=_min_window_cycles(component),
         )
 
     def _idle_energy(
@@ -689,23 +627,19 @@ class PowerGatingPolicy:
     ) -> EnergyReport:
         """Compute the full energy report of this policy for one profile.
 
-        A stock policy (one of the five classes :func:`get_policy`
-        returns) on the fast path prices the profile as a one-point grid:
+        On the fast path the profile is priced as a one-point grid:
         :meth:`_evaluate_grid_pack` over the profile's memoized
         one-profile :class:`PackedProfiles` (:meth:`PackedProfiles.single`)
         at the memoized one-point :class:`ParameterTable` of
-        ``self.parameters`` (:meth:`ParameterTable.point`).  Every other
-        subclass, and every policy while the fast path is disabled, runs
-        the object-path loops below — the readable oracle — so a
-        subclass's overridden hooks always apply.  Both paths produce
-        bit-identical reports for the stock policies.
+        ``self.parameters`` (:meth:`ParameterTable.point`).  With the
+        fast path disabled the object-path loops below run instead — the
+        readable oracle.  Both produce bit-identical reports.
         """
         power_model = power_model or ChipPowerModel.for_chip(profile.chip)
-        if self._fast_kernels():
+        if columnar.fast_path_enabled():
             pack = PackedProfiles.single(profile)
-            if pack is not None:
-                ptable = ParameterTable.point(self.parameters)
-                return self._evaluate_grid_pack(pack, ptable, power_model).report(0, 0)
+            ptable = ParameterTable.point(self.parameters)
+            return self._evaluate_grid_pack(pack, ptable, power_model).report(0, 0)
 
         chip = profile.chip
         static = power_model.static_power_by_component()
@@ -817,23 +751,6 @@ class PowerGatingPolicy:
     # ------------------------------------------------------------------ #
     # Multi-profile evaluation (profiles × gating-parameter points)
     # ------------------------------------------------------------------ #
-    def batch_evaluate(
-        self,
-        profiles: "list[WorkloadProfile] | PackedProfiles | ChipMajorPacks",
-        power_model: ChipPowerModel | None = None,
-    ) -> list[EnergyReport]:
-        """Evaluate this policy across a batch of profiles at once.
-
-        Bit-identical to ``[self.evaluate(p, power_model) for p in
-        profiles]``: the batch is priced as a one-point
-        :meth:`grid_evaluate` at the memoized point table of
-        ``self.parameters``, which accepts a pre-built
-        :class:`PackedProfiles` or :class:`ChipMajorPacks` so several
-        policies can share one packing.
-        """
-        ptable = ParameterTable.point(self.parameters)
-        return self.grid_evaluate(profiles, ptable, power_model).reports(0)
-
     def grid_evaluate(
         self,
         profiles: "list[WorkloadProfile] | PackedProfiles | ChipMajorPacks",
@@ -856,28 +773,14 @@ class PowerGatingPolicy:
         coefficients come from the grid.  Accepts a pre-built
         :class:`PackedProfiles` (single chip), a :class:`ChipMajorPacks`
         (chip-heterogeneous batch) or a plain profile list, so one
-        packing can be shared by every policy of a sweep.
-
-        Only the stock policies run the kernel (see
-        :meth:`_fast_kernels`); other subclasses, and plain lists while
-        the fast path is off, are priced by :meth:`evaluate` per profile
-        and per point, on shallow copies of ``self`` with
-        ``parameters`` swapped (so a custom constructor signature can
-        never mis-bind a grid point's parameters).
+        packing can be shared by every policy of a sweep.  The kernel
+        runs whatever the fast-path switch says; an empty batch gives
+        ``(n_points, 0)`` arrays.
         """
         ptable = ParameterTable.of(parameter_grid)
-        fast = self._fast_kernels()
         batch = profiles
         if not isinstance(batch, (PackedProfiles, ChipMajorPacks)):
-            profiles = list(profiles)
-            batch = ChipMajorPacks.pack(profiles) if fast else None
-        if batch is None or not fast:
-            listed = profiles if isinstance(profiles, list) else profiles.profiles
-            per_point = [
-                [policy.evaluate(profile, power_model) for profile in listed]
-                for policy in map(self._policy_for_point, ptable.parameters)
-            ]
-            return GridEnergyReports.from_reports(self.name, per_point)
+            batch = ChipMajorPacks.pack(profiles)
         packs = [batch] if isinstance(batch, PackedProfiles) else batch.packs
         parts = [
             self._evaluate_grid_pack(
@@ -890,17 +793,6 @@ class PowerGatingPolicy:
         if len(parts) == 1:
             return parts[0]
         return self._merge_grid_parts(parts, batch.pack_indices, ptable)
-
-    def _policy_for_point(self, parameters: GatingParameters) -> "PowerGatingPolicy":
-        """This policy re-parameterized for one grid point.
-
-        A shallow copy of ``self`` with only ``parameters`` swapped, so
-        subclass state carries over and a grid point's parameters can
-        never bind to the wrong constructor argument.
-        """
-        clone = copy.copy(self)
-        clone.parameters = parameters
-        return clone
 
     def _merge_grid_parts(
         self,
@@ -1023,7 +915,7 @@ class PowerGatingPolicy:
 
         The vectorized derivation (:func:`grid_idle_coefficient_columns`)
         is elementwise-identical to the scalar
-        :meth:`_idle_coefficients` of a stock policy, whose coefficients
+        :meth:`_idle_coefficients`, whose coefficients
         depend on the policy only through the timing variant and the
         software flag.  The columns are memoized on the parameter table
         by those two, the component, the static power and the chip.  The
@@ -1043,11 +935,7 @@ class PowerGatingPolicy:
                 static_power_w,
                 chip,
                 software=software,
-                min_window_cycles=(
-                    MIN_VU_DETECTION_WINDOW_CYCLES
-                    if component is Component.VU
-                    else 0.0
-                ),
+                min_window_cycles=_min_window_cycles(component),
             )
             ptable.memo[key] = cached
         return cached
@@ -1356,9 +1244,6 @@ _POLICIES: dict[PolicyName, type[PowerGatingPolicy]] = {
     PolicyName.REGATE_FULL: ReGateFullPolicy,
     PolicyName.IDEAL: IdealPolicy,
 }
-
-
-_STOCK_CLASSES = frozenset(_POLICIES.values())
 
 
 def list_policies() -> list[PolicyName]:

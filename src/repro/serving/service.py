@@ -17,7 +17,7 @@ actually forms is simulated once (memoized), and the model exposes
 Only batch sizes that actually occur are simulated: a trace that forms
 batches of sizes {1, 7, 8} costs three simulations per workload.
 :meth:`ServiceModel.resolve` simulates a run's sizes together, pricing
-each policy for all of them with one grid-kernel call;
+each policy for all of them with one grid-kernel call on the fast path;
 :meth:`ServiceModel.result` simulates a single size on its own, through
 :func:`repro.core.regate.simulate_workload`.
 """
@@ -92,9 +92,11 @@ class ServiceModel:
         """Simulate every (pod, batch size) pair not yet memoized, in one pass.
 
         The missing pairs go through one :func:`simulate_cached_many`
-        call, which prices each policy for all of them with one N×1
-        grid-kernel call, into the memo :meth:`result` reads.  The
-        results are bit-identical to simulating each pair on its own.
+        call into the memo :meth:`result` reads.  On the fast path it
+        prices each policy for all of them with one N×1 grid-kernel
+        call; with ``REPRO_FAST_PATH=0`` each pair takes the object-path
+        oracle.  The results are bit-identical to simulating each pair
+        on its own.
         """
         missing: dict[tuple, tuple[str, SimulationConfig]] = {}
         for pod, batch_size in pairs:

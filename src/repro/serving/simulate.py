@@ -173,19 +173,18 @@ def simulate_serving(
     plans: dict[str, PodPlan],
     service_model: ServiceModel,
     max_wait_s: float = 0.050,
-    use_fast_path: bool | None = None,
 ) -> ServingReport:
     """Run the fleet serving simulation over one trace.
 
     ``plans`` must cover every workload tag in the trace (the
-    :class:`~repro.serving.autoscale.Autoscaler` produces them).
-    ``use_fast_path`` overrides the repo-wide columnar switch; the two
-    paths are bit-identical.
+    :class:`~repro.serving.autoscale.Autoscaler` produces them).  The
+    repo-wide columnar switch picks the batching and queueing
+    implementations; the two paths are bit-identical.
     """
     missing = [name for name in trace.workloads if name not in plans]
     if missing:
         raise KeyError(f"no pod plan for workload(s) {missing}")
-    fast = columnar.fast_path_enabled() if use_fast_path is None else use_fast_path
+    fast = columnar.fast_path_enabled()
     policies = {
         wid: BatchPolicy(
             max_batch=plans[name].pod.max_batch, max_wait_s=max_wait_s
@@ -288,7 +287,6 @@ def utilization_curve(
     service_model: ServiceModel,
     load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
     max_wait_s: float = 0.050,
-    use_fast_path: bool | None = None,
     *,
     operating_point: ServingReport | None = None,
 ) -> list[CurvePoint]:
@@ -324,7 +322,6 @@ def utilization_curve(
                 plans,
                 service_model,
                 max_wait_s=max_wait_s,
-                use_fast_path=use_fast_path,
             )
         assert report.fleet is not None
         points.append(

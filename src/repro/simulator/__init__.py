@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "columnar": (
             "ProfileTable",
-            "batch_simulate",
             "fast_path_enabled",
             "seq_sum",
             "set_fast_path",

@@ -5,10 +5,10 @@ The object-path simulator represents a workload as a list of
 aggregate (busy time, per-component active time, gap structure, energy)
 as a Python loop over them.  This module provides the NumPy-backed fast
 path: a :class:`ProfileTable` holds one aligned ``float64`` array per
-per-operator quantity, built either in one vectorized batch directly
-from an :class:`~repro.workloads.base.OperatorGraph`
-(:func:`batch_simulate`) or extracted from an existing object-path
-profile list (:meth:`ProfileTable.from_profiles`).
+per-operator quantity, built either in one vectorized batch from a
+:class:`~repro.workloads.table.GraphTable`
+(:func:`batch_simulate_table`) or extracted from an existing
+object-path profile list (:meth:`ProfileTable.from_profiles`).
 
 **Bit-for-bit equivalence with the object path is a hard contract**, not
 a best-effort goal: the golden regression fixtures and the experiment
@@ -47,7 +47,6 @@ from repro.simulator.timing import (
     OPERATOR_OVERHEAD_CYCLES,
     SA_MAPPING_MIN_M,
 )
-from repro.workloads.base import OperatorGraph
 from repro.workloads.table import GraphTable
 
 # ---------------------------------------------------------------------- #
@@ -250,21 +249,6 @@ class ProfileTable:
             has_dims=np.asarray([d is not None for d in dims], dtype=bool),
         )
 
-    def reset_caches(self) -> None:
-        """Drop every derived aggregate and memo (keep the base arrays).
-
-        Lets benchmarks and what-if analyses re-run the derived
-        accounting cold without rebuilding the table itself.
-        """
-        self._total_time_s = None
-        self._active_totals.clear()
-        self._dynamic_totals.clear()
-        self._gap_tables.clear()
-        self._sa_spatial = None
-        self._weighted_active.clear()
-        self._weighted_latency = None
-        self.memo.clear()
-
     # -- scalar aggregates ---------------------------------------------- #
     def total_time_s(self) -> float:
         """Busy time of one iteration: ``sum(latency * count)``."""
@@ -407,9 +391,9 @@ def batch_simulate_table(
     ``NPUSimulator._dynamic_energy`` compute one at a time — the scalar
     expression structure is mirrored operation-for-operation so the
     results are bit-identical doubles.  This is the core of the
-    columnar compiler frontend: the input arrays come straight from the
-    workload builders (or :meth:`GraphTable.from_graph`), so no
-    per-operator Python object is ever touched.
+    columnar compiler frontend: the input arrays are the columns
+    :meth:`GraphTable.from_graph` read off the workload graph, so no
+    per-operator Python object is touched here.
     """
     dyn = dynamic_model or DynamicEnergyModel(chip)
     tiling = tiling or TilingPass(chip)
@@ -529,27 +513,9 @@ def batch_simulate_table(
     )
 
 
-def batch_simulate(
-    graph: OperatorGraph | GraphTable,
-    chip: NPUChipSpec,
-    dynamic_model: DynamicEnergyModel | None = None,
-    tiling: TilingPass | None = None,
-) -> BatchSimulation:
-    """Vectorized whole-graph simulation (object-graph compatibility API).
-
-    Accepts either IR: an :class:`OperatorGraph` is converted to its
-    columnar form once (one C-level pass over the operator list) and
-    handed to :func:`batch_simulate_table`.
-    """
-    if not isinstance(graph, GraphTable):
-        graph = GraphTable.from_graph(graph)
-    return batch_simulate_table(graph, chip, dynamic_model, tiling)
-
-
 __all__ = [
     "BatchSimulation",
     "ProfileTable",
-    "batch_simulate",
     "batch_simulate_table",
     "fast_path_enabled",
     "gap_arrays",

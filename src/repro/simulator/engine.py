@@ -212,18 +212,10 @@ class WorkloadProfile:
         self.__dict__.pop("_table_token", None)
 
     def _fast_table(self) -> ProfileTable | None:
-        """The memoized table, or ``None`` when the fast path is off.
-
-        Also returns ``None`` when the profile list holds duck-typed
-        stand-ins (e.g. hand-built test doubles) that the columnar
-        extraction cannot read — those fall back to the object path.
-        """
+        """The memoized table, or ``None`` when the fast path is off."""
         if not columnar.fast_path_enabled():
             return None
-        try:
-            return self.table
-        except AttributeError:
-            return None
+        return self.table
 
     def _attach_table(self, table: ProfileTable) -> None:
         """Install a pre-built table (the batch-simulation fast path)."""

@@ -18,7 +18,6 @@ from repro.core.config import SimulationConfig
 from repro.core.regate import simulate_workload
 from repro.experiments import SimulationCache, SweepSpec, run_sweep
 from repro.gating.policies import get_policy
-from repro.gating.report import PolicyName
 from repro.hardware.chips import chips_in_order, get_chip
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
@@ -187,28 +186,3 @@ def test_random_graphs_bit_identical(graph, chip_name):
         with use_fast_path(True):
             fast_report = get_policy(policy_name).evaluate(fast, power_model)
         assert ref_report == fast_report, policy_name
-
-
-# ---------------------------------------------------------------------- #
-# Dispatch safety for user subclasses
-# ---------------------------------------------------------------------- #
-def test_partial_override_falls_back_to_object_path():
-    """A subclass overriding only a legacy hook must stay correct."""
-    from repro.gating.policies import ReGateBasePolicy
-
-    class DoubledIdle(ReGateBasePolicy):
-        def _idle_energy(self, component, gaps, static_power_w, chip):
-            accounting = super()._idle_energy(component, gaps, static_power_w, chip)
-            accounting.energy_j *= 2.0
-            return accounting
-
-    with use_fast_path(False):
-        profile = simulate_workload("llama3-8b-decode").profile
-        expected = DoubledIdle().evaluate(profile)
-    with use_fast_path(True):
-        observed = DoubledIdle().evaluate(profile)
-    # The columnar dispatch must detect the one-sided override and use
-    # the object path, so the custom accounting applies on both paths.
-    assert observed == expected
-    base = get_policy(PolicyName.REGATE_BASE).evaluate(profile)
-    assert observed.total_static_j > base.total_static_j

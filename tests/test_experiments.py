@@ -17,6 +17,7 @@ from repro.experiments import (
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.gating.report import PolicyName
 from repro.hardware.chips import get_chip
+from repro.simulator.columnar import use_fast_path
 
 
 class TestStableHash:
@@ -303,13 +304,16 @@ class TestBatchedEntryPoints:
             ("llama3-8b-decode", SimulationConfig(chip="NPU-D", batch_size=1)),
             (self._hand_built(), SimulationConfig(chip="NPU-D")),
         ]
-        for batched in (simulate_cached_many, simulate_cached_cells):
-            cache = SimulationCache()
-            with pytest.raises(ValueError, match="hand-built WorkloadSpec") as raised:
-                batched(items, cache)
-            assert "'llama3-8b-decode'" in str(raised.value)
-            # Refused before anything was simulated or cached.
-            assert cache.stats()["profiles"] == 0
+        for fast in (True, False):
+            for batched in (simulate_cached_many, simulate_cached_cells):
+                cache = SimulationCache()
+                with use_fast_path(fast), pytest.raises(
+                    ValueError, match="hand-built WorkloadSpec"
+                ) as raised:
+                    batched(items, cache)
+                assert "'llama3-8b-decode'" in str(raised.value)
+                # Refused before anything was simulated or cached.
+                assert cache.stats()["profiles"] == 0
 
     def test_registered_spec_object_is_batched(self):
         from repro.experiments import simulate_cached_many

@@ -2,9 +2,8 @@
 
 Covers the failure modes the bit-for-bit equivalence suite cannot see
 because it only exercises default configurations and fresh objects:
-fusion-pass reuse across graphs, non-default tiling configurations,
-in-place mutation of supposedly-frozen gating parameters, and custom
-detection-window overrides interacting with the cross-policy memos.
+fusion-pass reuse across graphs, non-default tiling configurations and
+in-place mutation of supposedly-frozen gating parameters.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import pytest
 from repro.compiler.fusion import FusionPass
 from repro.compiler.tiling import TilingPass
 from repro.gating.bet import DEFAULT_PARAMETERS, GatingParameters
-from repro.gating.policies import ReGateBasePolicy, get_policy
-from repro.gating.report import PolicyName
 from repro.hardware.chips import get_chip
-from repro.hardware.components import Component
 from repro.simulator.columnar import use_fast_path
 from repro.simulator.engine import NPUSimulator
 from repro.workloads.base import OperatorGraph, WorkloadPhase, elementwise_op, matmul_op
@@ -50,7 +46,7 @@ class TestFusionPassReuse:
 
 class TestCustomTiling:
     def test_non_default_double_buffer_stays_bit_identical(self):
-        """batch_simulate must honor the simulator's TilingPass config."""
+        """batch_simulate_table must honor the simulator's TilingPass config."""
         chip = get_chip("NPU-D")
         graph = _graph("db", elements=10_000)
 
@@ -97,29 +93,3 @@ class TestFrozenParameters:
         assert clone == parameters
         with pytest.raises(TypeError, match="immutable"):
             clone.timings["vu"] = clone.timings["hbm"]
-
-
-class TestDetectionWindowOverride:
-    def test_custom_window_affects_both_paths_identically(self):
-        """_detection_window_s stays a live extension point."""
-
-        class WideWindow(ReGateBasePolicy):
-            def _detection_window_s(self, component, chip):
-                return 50.0 * super()._detection_window_s(component, chip)
-
-        chip = get_chip("NPU-D")
-        graph = _graph("w", elements=10_000)
-        profile = NPUSimulator(chip).simulate(graph)
-
-        with use_fast_path(False):
-            reference = WideWindow().evaluate(profile)
-        with use_fast_path(True):
-            fast = WideWindow().evaluate(profile)
-            stock = get_policy(PolicyName.REGATE_BASE).evaluate(profile)
-        assert fast == reference
-        # The wider window gates less, and the subclass must not share
-        # memo entries with the stock policy evaluated on the same table.
-        assert fast.static_energy_j[Component.VU] >= stock.static_energy_j[
-            Component.VU
-        ]
-        assert fast != stock

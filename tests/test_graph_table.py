@@ -13,8 +13,8 @@ it at every stage —
   group boundaries and SRAM demands to the object passes;
 * a ``ProfileTable`` reached through the columnar frontend is
   byte-identical to one assembled from the object-path oracle;
-* ``batch_evaluate`` reproduces per-profile ``evaluate`` reports with
-  ``==`` across a mixed-chip batch;
+* a one-point ``grid_evaluate`` reproduces per-profile ``evaluate``
+  reports with ``==`` across a mixed-chip batch;
 
 plus hypothesis property tests over random graphs and the explicit
 fusion-demand regression (no ``_fused_demand`` attribute stashing, no
@@ -33,7 +33,8 @@ from repro.compiler.fusion import FusionPass
 from repro.compiler.tiling import TilingPass
 from repro.core.config import SimulationConfig
 from repro.core.regate import resolve_execution, simulate_workload
-from repro.gating.policies import PackedProfiles, ReGateBasePolicy, get_policy, list_policies
+from repro.gating.bet import DEFAULT_PARAMETERS
+from repro.gating.policies import PackedProfiles, get_policy, list_policies
 from repro.hardware.chips import chips_in_order, get_chip
 from repro.simulator.columnar import ProfileTable, use_fast_path
 from repro.simulator.engine import NPUSimulator
@@ -250,43 +251,27 @@ def test_batch_evaluate_equals_per_profile_evaluate(fleet):
     with use_fast_path(True):
         for policy_name in list_policies():
             expected = [get_policy(policy_name).evaluate(p) for p in fleet]
-            observed = get_policy(policy_name).batch_evaluate(fleet)
-            assert observed == expected, policy_name
+            observed = get_policy(policy_name).grid_evaluate(
+                fleet, [DEFAULT_PARAMETERS]
+            )
+            assert observed.reports(0) == expected, policy_name
 
 
 def test_batch_evaluate_shares_one_packing(fleet):
     with use_fast_path(True):
         single_chip = [p for p in fleet if p.chip.name == "NPU-D"]
         packed = PackedProfiles.pack(single_chip)
-        assert packed is not None
         for policy_name in list_policies():
             expected = [get_policy(policy_name).evaluate(p) for p in single_chip]
-            assert get_policy(policy_name).batch_evaluate(packed) == expected
+            observed = get_policy(policy_name).grid_evaluate(
+                packed, [DEFAULT_PARAMETERS]
+            )
+            assert observed.reports(0) == expected
 
 
 def test_packed_profiles_reject_mixed_chips(fleet):
     with pytest.raises(ValueError, match="single chip"):
         PackedProfiles(fleet, [p.table for p in fleet])
-
-
-def test_batch_evaluate_falls_back_for_custom_subclasses(fleet):
-    class DoubledIdle(ReGateBasePolicy):
-        def _idle_energy(self, component, gaps, static_power_w, chip):
-            accounting = super()._idle_energy(component, gaps, static_power_w, chip)
-            accounting.energy_j *= 2.0
-            return accounting
-
-    single = fleet[:3]
-    with use_fast_path(True):
-        expected = [DoubledIdle().evaluate(p) for p in single]
-        assert DoubledIdle().batch_evaluate(single) == expected
-
-
-def test_batch_evaluate_off_fast_path(fleet):
-    single = fleet[:3]
-    with use_fast_path(False):
-        expected = [get_policy("Ideal").evaluate(p) for p in single]
-        assert get_policy("Ideal").batch_evaluate(single) == expected
 
 
 # ---------------------------------------------------------------------- #

@@ -14,13 +14,13 @@ These tests hold, across workloads × chips × policies × the Figure
 * the grid's column arrays are byte-for-byte identical to arrays
   gathered from the per-point oracle's reports;
 * chip-heterogeneous batches (:class:`ChipMajorPacks`) reproduce the
-  per-profile reports in the caller's order;
-* custom subclasses and a disabled fast path fall back to per-profile
-  ``evaluate`` at every point.
+  per-profile reports in the caller's order, and an empty batch gives
+  an ``(n_points, 0)`` grid.
 
-The suite is written to pass with ``REPRO_FAST_PATH=0`` as well (CI
-runs it both ways): every fast-path expectation pins the switch with
-``use_fast_path(True)``.
+``grid_evaluate`` runs the kernel whatever the switch says; only
+``evaluate`` forks on it.  The suite is written to pass with
+``REPRO_FAST_PATH=0`` as well (CI runs it both ways): every fast-path
+expectation pins the switch with ``use_fast_path(True)``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from repro.gating.bet import (
 )
 from repro.gating.policies import (
     ChipMajorPacks,
-    GridEnergyReports,
     PackedProfiles,
-    ReGateBasePolicy,
     get_policy,
     list_policies,
 )
@@ -187,8 +185,9 @@ class TestOnePointEvaluate:
             for policy_name in list_policies():
                 get_policy(policy_name).evaluate(profile)
             assert PackedProfiles.single(profile) is pack
+        # The switch picks evaluate's route, not whether a pack exists.
         with use_fast_path(False):
-            assert PackedProfiles.single(profile) is None
+            assert PackedProfiles.single(profile) is pack
 
 
 # ---------------------------------------------------------------------- #
@@ -231,31 +230,34 @@ class TestGridEquivalence:
     def test_grid_arrays_byte_identical_to_oracle(self, single_chip, policy_name):
         with use_fast_path(True):
             packed = PackedProfiles.pack(single_chip)
-            oracle = GridEnergyReports.from_reports(
-                get_policy(policy_name).name,
-                _per_point_oracle(policy_name, single_chip),
-            )
+            per_point = _per_point_oracle(policy_name, single_chip)
             observed = get_policy(policy_name).grid_evaluate(packed, PARAMETER_GRID)
+
+        def gathered(read) -> bytes:
+            """One report scalar per cell, gathered into grid-shaped bytes."""
+            return np.asarray(
+                [[read(report) for report in row] for row in per_point],
+                dtype=np.float64,
+            ).tobytes()
+
+        def grid_bytes(values) -> bytes:
+            return np.ascontiguousarray(values).tobytes()
+
         for component in Component.all():
-            assert (
-                np.ascontiguousarray(observed.dynamic_energy_j[component]).tobytes()
-                == oracle.dynamic_energy_j[component].tobytes()
+            assert grid_bytes(observed.dynamic_energy_j[component]) == gathered(
+                lambda report: report.dynamic_energy_j[component]
             ), component
-            assert (
-                np.ascontiguousarray(observed.static_energy_j[component]).tobytes()
-                == oracle.static_energy_j[component].tobytes()
+            assert grid_bytes(observed.static_energy_j[component]) == gathered(
+                lambda report: report.static_energy_j[component]
             ), component
-        assert (
-            np.ascontiguousarray(observed.baseline_time_s).tobytes()
-            == oracle.baseline_time_s.tobytes()
+        assert grid_bytes(observed.baseline_time_s) == gathered(
+            lambda report: report.baseline_time_s
         )
-        assert (
-            np.ascontiguousarray(observed.overhead_time_s).tobytes()
-            == oracle.overhead_time_s.tobytes()
+        assert grid_bytes(observed.overhead_time_s) == gathered(
+            lambda report: report.overhead_time_s
         )
-        assert (
-            np.ascontiguousarray(observed.peak_power_w).tobytes()
-            == oracle.peak_power_w.tobytes()
+        assert grid_bytes(observed.peak_power_w) == gathered(
+            lambda report: report.peak_power_w
         )
 
     def test_grid_accepts_plain_profile_lists(self, single_chip):
@@ -295,16 +297,16 @@ class TestChipMajorPacks:
             assert pack.profiles[position] is fleet[original]
             assert multi.pack_indices[pack_index][position] == original
 
-    def test_pack_returns_none_off_fast_path(self, fleet):
-        with use_fast_path(False):
-            assert ChipMajorPacks.pack(fleet) is None
-
     @pytest.mark.parametrize("policy_name", list_policies())
     def test_batch_evaluate_multi_chip(self, fleet, policy_name):
+        """A one-point grid over a mixed-chip batch is per-profile evaluate."""
         with use_fast_path(True):
             multi = ChipMajorPacks.pack(fleet)
             expected = [get_policy(policy_name).evaluate(p) for p in fleet]
-            assert get_policy(policy_name).batch_evaluate(multi) == expected
+            observed = get_policy(policy_name).grid_evaluate(
+                multi, [DEFAULT_PARAMETERS]
+            )
+            assert observed.reports(0) == expected
 
     @pytest.mark.parametrize("policy_name", list_policies())
     def test_grid_evaluate_multi_chip(self, fleet, policy_name):
@@ -315,83 +317,16 @@ class TestChipMajorPacks:
         for index in range(len(PARAMETER_GRID)):
             assert observed.reports(index) == expected[index], (policy_name, index)
 
-
-# ---------------------------------------------------------------------- #
-# Fallbacks
-# ---------------------------------------------------------------------- #
-class TestFallbacks:
-    def test_custom_subclass_falls_back_to_oracle(self, single_chip):
-        class DoubledIdle(ReGateBasePolicy):
-            def _idle_energy(self, component, gaps, static_power_w, chip):
-                accounting = super()._idle_energy(
-                    component, gaps, static_power_w, chip
-                )
-                accounting.energy_j *= 2.0
-                return accounting
-
-        profiles = single_chip[:2]
-        with use_fast_path(True):
-            expected = [
-                [DoubledIdle(parameters).evaluate(p) for p in profiles]
-                for parameters in PARAMETER_GRID[:3]
-            ]
-            observed = DoubledIdle().grid_evaluate(profiles, PARAMETER_GRID[:3])
-        for index in range(3):
-            assert observed.reports(index) == expected[index]
-
-    def test_custom_init_subclass_binds_point_parameters(self, single_chip):
-        """Regression: a custom __init__ signature must never mis-bind a
-        grid point's parameters to another constructor argument."""
-
-        class Scaled(ReGateBasePolicy):
-            def __init__(self, scale: float = 2.0, parameters=None):
-                super().__init__(parameters)
-                self.scale = scale
-
-            def _idle_energy(self, component, gaps, static_power_w, chip):
-                accounting = super()._idle_energy(
-                    component, gaps, static_power_w, chip
-                )
-                accounting.energy_j *= self.scale
-                return accounting
-
-        profiles = single_chip[:2]
-        with use_fast_path(True):
-            observed = Scaled(scale=3.0).grid_evaluate(profiles, PARAMETER_GRID[:3])
-            for index, parameters in enumerate(PARAMETER_GRID[:3]):
-                expected = [
-                    Scaled(scale=3.0, parameters=parameters).evaluate(p)
-                    for p in profiles
-                ]
-                assert observed.reports(index) == expected, index
-
-    def test_off_fast_path_falls_back_to_oracle(self, single_chip):
-        profiles = single_chip[:2]
-        with use_fast_path(False):
-            expected = [
-                [get_policy("Ideal", parameters).evaluate(p) for p in profiles]
-                for parameters in PARAMETER_GRID[:3]
-            ]
-            observed = get_policy("Ideal").grid_evaluate(
-                profiles, PARAMETER_GRID[:3]
-            )
-        for index in range(3):
-            assert observed.reports(index) == expected[index]
-
-    def test_from_reports_round_trips_scalars(self, single_chip):
-        with use_fast_path(True):
-            per_point = _per_point_oracle("ReGate-HW", single_chip, PARAMETER_GRID[:2])
-        grid = GridEnergyReports.from_reports(
-            get_policy("ReGate-HW").name, per_point
-        )
-        # The wrapped oracle reports are handed back verbatim...
-        assert grid.report(1, 0) is per_point[1][0]
-        # ...and the gathered arrays agree with their scalars.
-        assert grid.peak_power_w[1, 0] == per_point[1][0].peak_power_w
-        assert (
-            grid.static_energy_j[Component.SA][0, 1]
-            == per_point[0][1].static_energy_j[Component.SA]
-        )
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "oracle"])
+    def test_empty_batch_is_an_empty_grid(self, fast):
+        with use_fast_path(fast):
+            grid = get_policy("ReGate-Full").grid_evaluate([], PARAMETER_GRID)
+        shape = (len(PARAMETER_GRID), 0)
+        assert (grid.n_points, grid.n_profiles) == shape
+        assert grid.peak_power_w.shape == shape
+        for component in Component.all():
+            assert grid.static_energy_j[component].shape == shape
+        assert grid.reports(0) == []
 
 
 # ---------------------------------------------------------------------- #

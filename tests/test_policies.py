@@ -54,6 +54,20 @@ class TestPolicyRegistry:
         assert get_policy(PolicyName.REGATE_FULL).software_managed
         assert not get_policy(PolicyName.REGATE_HW).software_managed
 
+    def test_subclassing_a_policy_is_refused(self):
+        """An override the grid kernel would not mirror is refused when
+        the class is defined, not silently ignored when it is priced."""
+        base = type(get_policy(PolicyName.REGATE_BASE))
+        with pytest.raises(TypeError, match="get_policy"):
+
+            class DoubledIdle(base):
+                def _idle_energy(self, component, gaps, static_power_w, chip):
+                    accounting = super()._idle_energy(
+                        component, gaps, static_power_w, chip
+                    )
+                    accounting.energy_j *= 2.0
+                    return accounting
+
 
 class TestEnergyOrdering:
     def test_savings_monotone_across_designs(self, reports):

@@ -31,6 +31,7 @@ from repro.gating.policies import get_policy
 from repro.gating.report import PolicyName
 from repro.hardware.chips import get_chip
 from repro.hardware.components import Component
+from repro.simulator.columnar import use_fast_path
 from repro.simulator.engine import NPUSimulator, UtilizationError, WorkloadProfile
 from repro.workloads.base import (
     CollectiveKind,
@@ -230,6 +231,13 @@ class _OverUnityProfile:
 
 
 class TestOverUnityUtilization:
+    @pytest.fixture(autouse=True)
+    def _object_path(self):
+        # The hand-built stand-in has no columnar table: only the
+        # object-path aggregates can read it.
+        with use_fast_path(False):
+            yield
+
     def _profile(self, npu_d, prefill_graph_small):
         return WorkloadProfile(
             graph=prefill_graph_small, chip=npu_d, profiles=[_OverUnityProfile()]

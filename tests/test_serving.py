@@ -430,8 +430,10 @@ class TestEndToEndEquivalence:
     )
     def test_fast_and_oracle_paths_are_bit_identical(self, trace, model):
         plans = manual_plans(trace, replicas=2, max_batch=4)
-        fast = simulate_serving(trace, plans, model, use_fast_path=True)
-        slow = simulate_serving(trace, plans, model, use_fast_path=False)
+        with columnar.use_fast_path(True):
+            fast = simulate_serving(trace, plans, model)
+        with columnar.use_fast_path(False):
+            slow = simulate_serving(trace, plans, model)
         for attribute in (
             "start_ns", "finish_ns", "queue_wait_ns", "latency_ns",
         ):
@@ -443,16 +445,33 @@ class TestEndToEndEquivalence:
         assert fast.to_json() == slow.to_json()
         assert fast.metrics_table() == slow.metrics_table()
 
-    def test_default_follows_the_repo_wide_columnar_switch(self, model):
+    def test_default_follows_the_repo_wide_columnar_switch(
+        self, model, monkeypatch
+    ):
+        import repro.serving.simulate as simulate_module
+
         trace = poisson_trace(["a"], 200.0, 2.0, seed=2)
         plans = manual_plans(trace)
+        calls: list[str] = []
+        for name in (
+            "form_batches", "form_batches_oracle",
+            "queue_batches", "queue_batches_oracle",
+        ):
+            original = getattr(simulate_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simulate_module, name, counted)
         with columnar.use_fast_path(False):
-            switched = simulate_serving(trace, plans, model)
-        explicit = simulate_serving(trace, plans, model, use_fast_path=False)
-        assert np.array_equal(switched.finish_ns, explicit.finish_ns)
+            oracle = simulate_serving(trace, plans, model)
+        assert set(calls) == {"form_batches_oracle", "queue_batches_oracle"}
+        calls.clear()
         with columnar.use_fast_path(True):
             fast = simulate_serving(trace, plans, model)
-        assert np.array_equal(fast.finish_ns, explicit.finish_ns)
+        assert set(calls) == {"form_batches", "queue_batches"}
+        assert np.array_equal(fast.finish_ns, oracle.finish_ns)
 
     def test_missing_plan_is_a_key_error(self, model):
         trace = poisson_trace(["a", "b"], 10.0, 1.0)
@@ -473,12 +492,10 @@ class TestEndToEndEquivalence:
             for name, cap, replicas in zip(trace.workloads, (8, 3, 1), (3, 2, 2))
         }
         factors = (0.25, 1.0, 4.0, 16.0)
-        fast = utilization_curve(
-            trace, plans, model, load_factors=factors, use_fast_path=True
-        )
-        slow = utilization_curve(
-            trace, plans, model, load_factors=factors, use_fast_path=False
-        )
+        with columnar.use_fast_path(True):
+            fast = utilization_curve(trace, plans, model, load_factors=factors)
+        with columnar.use_fast_path(False):
+            slow = utilization_curve(trace, plans, model, load_factors=factors)
         assert fast == slow
 
     def test_utilization_curve_savings_shrink_with_load(self, model):
@@ -521,10 +538,9 @@ class TestCurveOperatingPoint:
         import repro.serving.simulate as simulate_module
 
         plans = manual_plans(trace, replicas=2, max_batch=4)
-        plain = utilization_curve(
-            trace, plans, model, load_factors=factors, use_fast_path=fast
-        )
-        report = simulate_serving(trace, plans, model, use_fast_path=fast)
+        with columnar.use_fast_path(fast):
+            plain = utilization_curve(trace, plans, model, load_factors=factors)
+            report = simulate_serving(trace, plans, model)
         calls = []
 
         def counted(*args, **kwargs):
@@ -532,10 +548,11 @@ class TestCurveOperatingPoint:
             return simulate_serving(*args, **kwargs)
 
         monkeypatch.setattr(simulate_module, "simulate_serving", counted)
-        reused = utilization_curve(
-            trace, plans, model, load_factors=factors, use_fast_path=fast,
-            operating_point=report,
-        )
+        with columnar.use_fast_path(fast):
+            reused = utilization_curve(
+                trace, plans, model, load_factors=factors,
+                operating_point=report,
+            )
         assert reused == plain  # every CurvePoint field
         assert len(calls) == sum(factor != 1.0 for factor in factors)
         assert all(simulated is not trace for simulated in calls)
@@ -765,22 +782,50 @@ class TestRealServing:
             return grid_evaluate(self, *args, **kwargs)
 
         monkeypatch.setattr(PowerGatingPolicy, "grid_evaluate", counting)
-        batched_model = ServiceModel()
-        batched = simulate_serving(trace, plans, batched_model)
-        assert sorted(grid_calls) == sorted(batched_model.policies)
+        with columnar.use_fast_path(True):
+            batched_model = ServiceModel()
+            batched = simulate_serving(trace, plans, batched_model)
+            assert sorted(grid_calls) == sorted(batched_model.policies)
 
-        lazy_model = ServiceModel()
-        for wid, name in enumerate(trace.workloads):
-            pod = plans[name].pod
-            rows = batched.batches.workload_slice(wid)
-            sizes = np.unique(batched.batches.sizes[rows])
-            assert len(sizes) > 1
-            for size in [*sizes.tolist(), pod.max_batch]:
-                lazy_model.result(pod, size)
-        grid_calls.clear()
-        lazy = simulate_serving(trace, plans, lazy_model)
+            lazy_model = ServiceModel()
+            for wid, name in enumerate(trace.workloads):
+                pod = plans[name].pod
+                rows = batched.batches.workload_slice(wid)
+                sizes = np.unique(batched.batches.sizes[rows])
+                assert len(sizes) > 1
+                for size in [*sizes.tolist(), pod.max_batch]:
+                    lazy_model.result(pod, size)
+            grid_calls.clear()
+            lazy = simulate_serving(trace, plans, lazy_model)
         assert grid_calls == []
         assert lazy.to_json() == batched.to_json()
+
+    def test_oracle_resolve_prices_without_the_grid_kernel(self, monkeypatch):
+        """With the fast path off, ServiceModel.resolve prices every pair
+        on the object-path oracle (no grid_evaluate call) and reports
+        exactly what the fast route's grid kernel gives."""
+        from repro.gating.policies import PowerGatingPolicy
+
+        pod = PodSpec(workload="llama3-8b-decode", max_batch=4)
+        pairs = [(pod, size) for size in (1, 3, 4)]
+        with columnar.use_fast_path(True):
+            fast_model = ServiceModel()
+            fast_model.resolve(pairs)
+
+        grid_calls: list[PolicyName] = []
+        grid_evaluate = PowerGatingPolicy.grid_evaluate
+
+        def counting(self, *args, **kwargs):
+            grid_calls.append(self.name)
+            return grid_evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerGatingPolicy, "grid_evaluate", counting)
+        with columnar.use_fast_path(False):
+            oracle_model = ServiceModel()
+            oracle_model.resolve(pairs)
+        assert grid_calls == []
+        for pair in pairs:
+            assert oracle_model.result(*pair).reports == fast_model.result(*pair).reports
 
 
 # --------------------------------------------------------------------- #
