@@ -36,5 +36,7 @@ def test_fig16_simulator_validation(benchmark):
             title="Figure 16 — simulated vs. reference execution time correlation",
         )
     )
-    # The paper reports R^2 > 0.97 everywhere.
-    assert all(s.r_squared > 0.95 for s in series.values())
+    # Paper value: R^2 > 0.97 for every scenario (Fig. 16), held
+    # here with no tolerance; the lowest measured is 0.985
+    # (llama3-70b-decode), 0.015 above the bound.
+    assert all(s.r_squared > 0.97 for s in series.values()), rows

@@ -214,17 +214,25 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         result.to_json(args.json)
         lines.append(f"json written  : {args.json}")
     lines.append("")
+    # Every row is printed, built from the 7 columns it shows: a table
+    # read from a --cache file decodes only those columns.
     rows = [
         [
-            row["workload"],
-            row["chip"],
-            row["policy"],
-            f"{row['total_energy_j']:.3f}",
-            percentage(row["savings_vs_nopg"]),
-            f"{row['average_power_w']:.1f}",
-            percentage(row["overhead_vs_nopg"], 3),
+            workload,
+            chip,
+            policy,
+            f"{energy:.3f}",
+            percentage(savings),
+            f"{power:.1f}",
+            percentage(overhead, 3),
         ]
-        for row in result
+        for workload, chip, policy, energy, savings, power, overhead in zip(
+            *map(
+                result.column,
+                ("workload", "chip", "policy", "total_energy_j",
+                 "savings_vs_nopg", "average_power_w", "overhead_vs_nopg"),
+            )
+        )
     ]
     lines.append(
         format_table(

@@ -40,7 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "result": ("SweepResult",),
         "runner": (
-            "ROW_COLUMNS",
             "SweepRunner",
             "assemble_packed_rows",
             "rows_from_result",
@@ -48,6 +47,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "run_points_packed",
             "run_sweep",
         ),
+        "schema": ("ROW_COLUMNS", "ROW_KINDS"),
         "spec": ("DEFAULT_GATING_LABEL", "SweepPoint", "SweepSpec"),
     },
 )

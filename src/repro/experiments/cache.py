@@ -15,13 +15,15 @@ Three artifact classes are cached, each under a stable key from
   can only be re-priced from a profile, which a JSON cache file does
   not hold.
 * **Sweep rows** — the flat tables produced by
-  :class:`~repro.experiments.runner.SweepRunner`; JSON-serializable,
-  kept in memory and optionally on disk in *packed* form (one shared
-  column tuple plus one value tuple per row — see :data:`PackedRows`).
+  :class:`~repro.experiments.runner.SweepRunner`, one block per sweep
+  point.  A memory-only cache keeps each block as value tuples; a cache
+  backed by a JSON file keeps it as the rows' CSV lines, the text the
+  sweep's CSV export writes, under one ``ROW_COLUMNS`` header per file.
   A warm row cache lets a repeated sweep complete without a single
-  simulator call.  Rows are the only layer a JSON cache file persists,
-  and a stored block is checked against the shape its reader expects
-  before it counts as a hit.
+  simulator call, and a warm file-backed one writes its CSV without
+  formatting a float.  Rows are the only layer a JSON cache file
+  persists, and a stored block is checked against the shape its reader
+  expects before it counts as a hit.
 
 The simulator, the policy kernels and the power model are imported only
 on the paths that simulate or price, so a sweep whose every row is a
@@ -53,6 +55,8 @@ from repro.gating.report import EnergyReport, PolicyName
 from repro.workloads.registry import WorkloadSpec, get_workload
 
 from repro.experiments.keys import profile_key, report_key
+from repro.experiments.result import csv_width
+from repro.experiments.schema import ROW_COLUMNS
 
 if TYPE_CHECKING:
     from repro.simulator.engine import WorkloadProfile
@@ -63,10 +67,9 @@ _LOG = logging.getLogger(__name__)
 # ---------------------------------------------------------------------- #
 # Packed sweep rows
 # ---------------------------------------------------------------------- #
-#: Compact row format shared by the cache, the runner and the process
-#: pool: one column tuple plus one value tuple per row, instead of
-#: repeating every column name in every row dict (~40 string keys per
-#: row otherwise).
+#: Compact row format of the runner and the process pool: one column
+#: tuple plus one value tuple per row, instead of repeating every column
+#: name in every row dict (~40 string keys per row otherwise).
 PackedRows = tuple[tuple[str, ...], list[tuple[Any, ...]]]
 
 
@@ -105,11 +108,20 @@ class JsonFileStore:
     With a ``key_prefix``, only keys starting with it are loaded and
     merged back, so entries under any other prefix (a layer an older
     release persisted) are dropped the next time the file is written.
+
+    With a ``header`` (any JSON value), the file's entries are read only
+    when its :data:`HEADER_KEY` holds that same value: a file written
+    under another header, or under none (an older release), loads
+    empty, and every write stores the header next to the entries.
     """
 
-    def __init__(self, path: str | Path, key_prefix: str = ""):
+    #: The key a file's ``header`` is stored under.
+    HEADER_KEY = "header"
+
+    def __init__(self, path: str | Path, key_prefix: str = "", header: Any = None):
         self.path = Path(path)
         self.key_prefix = key_prefix
+        self.header = header
         self._warned = False
         self._data: dict[str, Any] = self._read()
         self._dirty = False
@@ -145,6 +157,8 @@ class JsonFileStore:
                 f"cache file {self.path} is not a JSON object; refusing to "
                 "overwrite it"
             )
+        if self.header is not None and loaded.pop(self.HEADER_KEY, None) != self.header:
+            return {}
         if self.key_prefix:
             return {
                 key: value
@@ -180,6 +194,9 @@ class JsonFileStore:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._data = {**self._read(), **self._data}
+        payload = self._data
+        if self.header is not None:
+            payload = {self.HEADER_KEY: self.header, **payload}
         # Temp file + os.replace: a reader racing this write sees the
         # complete old file or the complete new one, and a crashed
         # writer leaves only a *.tmp ghost behind.
@@ -188,7 +205,7 @@ class JsonFileStore:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(json.dumps(self._data).encode("utf-8"))
+                handle.write(json.dumps(payload).encode("utf-8"))
             os.replace(tmp, self.path)
         finally:
             if os.path.exists(tmp):
@@ -208,15 +225,18 @@ class SimulationCache:
     Parameters
     ----------
     path:
-        Optional JSON file backing the sweep-row layer.
+        Optional JSON file backing the sweep-row layer.  Its row blocks
+        are CSV lines under the header ``ROW_COLUMNS``.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._profiles: dict[str, WorkloadProfile] = {}
         self._reports: dict[str, EnergyReport] = {}
-        self._rows: dict[str, PackedRows] = {}
+        self._rows: dict[str, list] = {}
         self._store = (
-            JsonFileStore(path, key_prefix="rows:") if path is not None else None
+            JsonFileStore(path, key_prefix="rows:", header=list(ROW_COLUMNS))
+            if path is not None
+            else None
         )
         self.hits = 0
         self.misses = 0
@@ -259,70 +279,54 @@ class SimulationCache:
         self._reports[key] = self._copy_report(report)
 
     # -- sweep rows ---------------------------------------------------- #
-    # Rows live in the cache in *packed* form: one shared column tuple
-    # plus one immutable value tuple per row.  The packed entries make
-    # both layers cheap — no ~40-key dict per row in memory or in the
-    # JSON store — and copying on the way out reduces to copying the
-    # outer list, so a caller mutating a returned SweepResult still
-    # cannot poison the cache.
-    @staticmethod
-    def _freeze_packed(packed: PackedRows) -> PackedRows:
-        columns, values = packed
-        return tuple(columns), [tuple(row) for row in values]
+    # One block per sweep point, ``ROW_COLUMNS`` rows only.  A
+    # memory-only cache holds each block as immutable value tuples; a
+    # file-backed one holds it, in its store, as the rows' CSV lines
+    # (unterminated strings), so a warm sweep writes its CSV from the
+    # stored text.  Copying on the way out reduces to copying the outer
+    # list, so a caller mutating a returned block cannot poison the
+    # cache.
+    @property
+    def stores_text(self) -> bool:
+        """Whether row blocks are CSV lines (the cache is file-backed)."""
+        return self._store is not None
 
-    def get_rows_packed(
-        self, key: str, columns: tuple[str, ...], count: int
-    ) -> PackedRows | None:
-        """The rows stored under ``key``, if they are ``count`` rows of ``columns``.
+    def get_rows(self, key: str, count: int) -> list | None:
+        """The block stored under ``key``, if it holds ``count`` full-width rows.
 
-        A stored block of any other shape — other columns, a row too
-        many or too few, a row missing a cell — is a miss like a
-        malformed entry: its point is computed again and the entry is
-        replaced by :meth:`put_rows_packed`.
+        A block is value tuples or, when :attr:`stores_text`, CSV lines.
+        A stored block of any other shape — a row too many or too few, a
+        line that is not a string or does not split into one cell per
+        column — is a miss like a malformed entry: its point is computed
+        again and the entry is replaced by :meth:`put_rows`.
         """
-        packed = self._rows.get(key)
-        if packed is None and self._store is not None:
-            payload = self._store.get("rows:" + key)
-            if payload is not None:
-                try:
-                    packed = self._freeze_packed(self._decode_rows(payload))
-                except (KeyError, TypeError, ValueError):
-                    packed = None  # a malformed entry is a miss
-                else:
-                    self._rows[key] = packed
-        if packed is not None and not self._fits(packed, columns, count):
-            packed = None
-        self._count(packed is not None)
-        if packed is None:
+        if self._store is None:
+            block = self._rows.get(key)
+        else:
+            block = self._store.get("rows:" + key)
+        if block is not None and not self._fits(block, count):
+            block = None
+        self._count(block is not None)
+        if block is None:
             self.row_misses += 1
             return None
         self.row_hits += 1
-        columns, values = packed
-        return columns, list(values)
+        return list(block)
 
-    def put_rows_packed(self, key: str, packed: PackedRows) -> None:
-        packed = self._freeze_packed(packed)
-        self._rows[key] = packed
-        columns, values = packed
-        if self._store is not None:
-            self._store.put(
-                "rows:" + key, {"columns": list(columns), "values": values}
-            )
+    def put_rows(self, key: str, block: list) -> None:
+        """Store one point's block (CSV lines when :attr:`stores_text`)."""
+        if self._store is None:
+            self._rows[key] = [tuple(row) for row in block]
+        else:
+            self._store.put("rows:" + key, list(block))
 
-    @staticmethod
-    def _fits(packed: PackedRows, columns: tuple[str, ...], count: int) -> bool:
-        block_columns, values = packed
-        width = len(columns)
-        return (
-            block_columns == columns
-            and len(values) == count
-            and all(len(row) == width for row in values)
-        )
-
-    @staticmethod
-    def _decode_rows(payload: Any) -> PackedRows:
-        """Decode a disk row entry (a ``{"columns", "values"}`` dict)."""
-        return tuple(payload["columns"]), payload["values"]
+    def _fits(self, block: Any, count: int) -> bool:
+        width = len(ROW_COLUMNS)
+        if not isinstance(block, list) or len(block) != count:
+            return False
+        if self._store is None:
+            return all(len(row) == width for row in block)
+        return all(csv_width(line) == width for line in block)
 
     # ------------------------------------------------------------------ #
     def flush(self) -> None:
@@ -339,7 +343,7 @@ class SimulationCache:
             "row_misses": self.row_misses,
             "profiles": len(self._profiles),
             "reports": len(self._reports),
-            "rows": len(self._rows),
+            "rows": len(self._rows if self._store is None else self._store),
         }
 
     def _count(self, hit: bool) -> None:

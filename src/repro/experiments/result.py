@@ -9,16 +9,24 @@ cell).  The dict API — :attr:`~SweepResult.rows`, iteration, indexing —
 builds fresh dicts from the store on each access, so editing one never
 changes the table.
 
+Rows that arrive as CSV text (:meth:`SweepResult.from_lines`, a sweep
+backed by a ``--cache`` file) keep that text as the table's CSV memo
+and fill the value store lazily: :meth:`~SweepResult.column` decodes
+just its own column, by the column's declared type, and everything else
+decodes the whole table on first use.  Their CSV export writes the
+stored lines as they are.
+
 The export (CSV/JSON) and reshaping (filter/group-by/pivot) helpers
-read the store in place.  CSV export renders column by column, one
-chunk of at most :data:`_CSV_CHUNK_ROWS` rows at a time, so resident
-memory stays bounded by the chunk: float columns print one ``repr`` per
-distinct bit pattern in the chunk, int columns one ``str`` per cell,
-and every other cell goes through a per-chunk memo of its csv-quoted
-text.  Floats are exported with ``repr`` so a CSV written by a parallel
-run is byte-identical to one written by a serial run of the same sweep.
-:func:`iter_csv_oracle` is the per-row ``csv.writer`` reference the
-column renderer must match byte for byte.
+read the store in place.  CSV export of value rows renders column by
+column, one chunk of at most :data:`_CSV_CHUNK_ROWS` rows at a time
+(:func:`render_rows`), so resident memory stays bounded by the chunk:
+float columns print one ``repr`` per distinct bit pattern in the chunk,
+int columns one ``str`` per cell, and every other cell goes through a
+per-chunk memo of its csv-quoted text.  Floats are exported with
+``repr`` so a CSV written by a parallel run is byte-identical to one
+written by a serial run of the same sweep.  :func:`iter_csv_oracle` is
+the per-row ``csv.writer`` reference the column renderer must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -30,10 +38,8 @@ import operator
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
 
-
-#: Rows rendered per chunk by :meth:`SweepResult.iter_csv`.
+#: Rows rendered (or written) per chunk by :meth:`SweepResult.iter_csv`.
 _CSV_CHUNK_ROWS = 512
 
 
@@ -64,6 +70,8 @@ def _float_texts(values: Any) -> list[str]:
     call maps another ~0.6 MiB of numpy into a process that may not
     have touched it yet.
     """
+    import numpy as np
+
     doubles = np.asarray(values, dtype=np.float64)
     bits = doubles.view(np.int64).tolist()
     distinct = dict(zip(bits, doubles.tolist()))
@@ -88,14 +96,55 @@ def _column_texts(column: Any) -> list[str]:
 
 
 def _csv_lines(texts: list[list[str]], count: int) -> list[str]:
-    """The CSV lines of ``count`` rows, given each column's cell texts."""
+    """The unterminated CSV lines of ``count`` rows, given each column's texts."""
     if not texts:
-        return ["\n"] * count
+        return [""] * count
     if len(texts) == 1:
         # csv.writer quotes a row made of one empty field, so that it
         # does not read back as a blank line.
         texts = [['""' if text == "" else text for text in texts[0]]]
-    return [",".join(cells) + "\n" for cells in zip(*texts)]
+    return list(map(",".join, zip(*texts)))
+
+
+def _render_chunks(values: Sequence[tuple[Any, ...]]) -> Iterator[list[str]]:
+    """The CSV lines of value rows, one list per chunk of ``_CSV_CHUNK_ROWS``."""
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):
+        chunk = values[start : start + _CSV_CHUNK_ROWS]
+        yield _csv_lines([_column_texts(column) for column in zip(*chunk)], len(chunk))
+
+
+def render_rows(values: Sequence[tuple[Any, ...]]) -> list[str]:
+    """Each value row's CSV line, unterminated, as :meth:`SweepResult.iter_csv` writes it."""
+    return [line for lines in _render_chunks(values) for line in lines]
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of one unterminated CSV line, as ``csv.reader`` reads them.
+
+    Raises :class:`csv.Error` for text the writer never produces, such
+    as an unquoted line break or an unterminated quote.
+    """
+    return next(csv.reader((line,), strict=True), [])
+
+
+def csv_width(line: Any) -> int | None:
+    """The number of cells of one unterminated CSV line; ``None`` if it is not one."""
+    if not isinstance(line, str) or line.endswith(("\n", "\r")):
+        return None
+    if '"' not in line and "\n" not in line and "\r" not in line:
+        return line.count(",") + 1
+    try:
+        return len(_cells(line))
+    except csv.Error:
+        return None
+
+
+def _text_column(lines: list[str], index: int) -> list[str]:
+    """Cell ``index`` of every line, splitting a line no further than needed."""
+    return [
+        line.split(",", index + 1)[index] if '"' not in line else _cells(line)[index]
+        for line in lines
+    ]
 
 
 class SweepResult:
@@ -103,7 +152,8 @@ class SweepResult:
 
     ``rows`` (dicts, packed by ``columns``; a missing key is ``None``)
     and ``values`` (tuples in ``columns`` order) are two ways to pass
-    the same store; give at most one.
+    the same store; give at most one.  :meth:`from_lines` passes the
+    rows as CSV text instead.
     """
 
     def __init__(
@@ -118,9 +168,15 @@ class SweepResult:
         self.columns: tuple[str, ...] = tuple(columns)
         if rows is not None:
             values = (tuple(map(row.get, self.columns)) for row in rows)
-        self._values: list[tuple[Any, ...]] = [
+        #: The value store; ``None`` until rows given as text are decoded.
+        self._store: list[tuple[Any, ...]] | None = [
             tuple(row) for row in (values if values is not None else ())
         ]
+        #: The CSV memo: each row's line, unterminated (text rows only).
+        self._lines: list[str] | None = None
+        self._kinds: tuple[type, ...] = ()
+        #: Columns of a text table decoded so far, by column index.
+        self._decoded: dict[int, list[Any]] = {}
 
     # -- constructors --------------------------------------------------- #
     @classmethod
@@ -137,6 +193,51 @@ class SweepResult:
         """Build a result from packed (columns, value-tuples) rows."""
         return cls(columns=columns, values=values)
 
+    @classmethod
+    def from_lines(
+        cls, columns: Sequence[str], lines: Iterable[str], kinds: Sequence[type]
+    ) -> "SweepResult":
+        """Build a result from each row's CSV line (unterminated).
+
+        ``kinds`` gives each column's cell type (``str``, ``int`` or
+        ``float``; see :data:`~repro.experiments.schema.ROW_KINDS`),
+        which decodes a cell's text back to its value.  The lines are
+        the table's CSV export as given; values are decoded only when
+        read, and :meth:`column` decodes only its own column.
+        """
+        table = cls(columns)
+        table._kinds = tuple(kinds)
+        if len(table._kinds) != len(table.columns):
+            raise ValueError(
+                f"{len(table._kinds)} kinds for {len(table.columns)} columns"
+            )
+        table._store = None
+        table._lines = list(lines)
+        return table
+
+    # -- value store ---------------------------------------------------- #
+    @property
+    def _values(self) -> list[tuple[Any, ...]]:
+        """The value tuples (a text table decodes every column once)."""
+        if self._store is None:
+            columns = [self._decoded_column(i) for i in range(len(self.columns))]
+            self._store = (
+                list(zip(*columns)) if columns else [()] * len(self._lines)
+            )
+            self._decoded = {}
+        return self._store
+
+    def _decoded_column(self, index: int) -> list[Any]:
+        """The values of column ``index`` of a text table, decoded once."""
+        values = self._decoded.get(index)
+        if values is None:
+            values = _text_column(self._lines, index)
+            kind = self._kinds[index]
+            if kind is not str:
+                values = list(map(kind, values))
+            self._decoded[index] = values
+        return values
+
     # -- row access ----------------------------------------------------- #
     @property
     def rows(self) -> list[dict[str, Any]]:
@@ -145,7 +246,9 @@ class SweepResult:
         return [dict(zip(columns, row)) for row in self._values]
 
     def __len__(self) -> int:
-        return len(self._values)
+        if self._lines is not None:
+            return len(self._lines)
+        return len(self._store)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         columns = self.columns
@@ -188,6 +291,8 @@ class SweepResult:
     def column(self, name: str) -> list[Any]:
         """All values of one column, in row order."""
         self._check_columns(name)
+        if self._store is None and name in self.columns:
+            return list(self._decoded_column(self.columns.index(name)))
         return list(map(self._getter(name), self._values))
 
     # ------------------------------------------------------------------ #
@@ -242,29 +347,36 @@ class SweepResult:
         return table
 
     # ------------------------------------------------------------------ #
-    def _column_chunks(self) -> Iterator[tuple[int, list[Any]]]:
-        """``(rows, columns)`` per chunk of at most ``_CSV_CHUNK_ROWS`` rows."""
-        count = len(self)
-        for start in range(0, count, _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, count)
-            yield stop - start, list(zip(*self._values[start:stop]))
-
     def _csv_chunks(self) -> Iterator[list[str]]:
-        """CSV lines, header first, one list per chunk of rows."""
+        """Unterminated CSV lines, header first, one list per chunk of rows.
+
+        A text table's chunks are slices of its stored lines; value rows
+        are rendered a chunk at a time (:func:`render_rows`).
+        """
         yield _csv_lines([[text] for text in _csv_fields(self.columns)], 1)
-        for count, columns in self._column_chunks():
-            yield _csv_lines([_column_texts(column) for column in columns], count)
+        if self._lines is None:
+            yield from _render_chunks(self._store)
+            return
+        for start in range(0, len(self._lines), _CSV_CHUNK_ROWS):
+            yield self._lines[start : start + _CSV_CHUNK_ROWS]
+
+    def _csv_blocks(self) -> Iterator[str]:
+        """The CSV text, one newline-terminated block per chunk."""
+        for lines in self._csv_chunks():
+            yield "\n".join(lines) + "\n"
 
     def iter_csv(self) -> Iterator[str]:
         """Yield CSV lines (header first, trailing newline included).
 
-        Lines are rendered a chunk of at most ``_CSV_CHUNK_ROWS`` rows at
-        a time, column by column, straight off the value tuples — no row
-        dict is ever materialized, and memory stays bounded by one chunk
-        regardless of the table size.
+        Value rows are rendered a chunk of at most ``_CSV_CHUNK_ROWS``
+        rows at a time, column by column, straight off the value tuples
+        — no row dict is ever materialized, and memory stays bounded by
+        one chunk regardless of the table size.  A text table yields its
+        stored lines.
         """
         for lines in self._csv_chunks():
-            yield from lines
+            for line in lines:
+                yield line + "\n"
 
     def write_csv(self, path: str | Path) -> int:
         """Write the table to ``path`` one chunk at a time; returns row count.
@@ -273,16 +385,14 @@ class SweepResult:
         use this for very large grids.  The bytes written are identical
         to what :meth:`to_csv` produces.
         """
-        rows = -1  # the header is not a row
         with Path(path).open("w", newline="") as handle:
-            for lines in self._csv_chunks():
-                handle.writelines(lines)
-                rows += len(lines)
-        return rows
+            for block in self._csv_blocks():
+                handle.write(block)
+        return len(self)
 
     def to_csv(self, path: str | Path | None = None) -> str:
         """Render as CSV (and write it to ``path`` when given)."""
-        text = "".join(self.iter_csv())
+        text = "".join(self._csv_blocks())
         if path is not None:
             # newline="" matches write_csv: the rendered "\n" line
             # endings reach the file untranslated on every platform.
@@ -333,4 +443,4 @@ def iter_csv_oracle(table: SweepResult) -> Iterator[str]:
         yield render(row)
 
 
-__all__ = ["SweepResult", "iter_csv_oracle"]
+__all__ = ["SweepResult", "csv_width", "iter_csv_oracle", "render_rows"]

@@ -31,8 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-import numpy as np
-
 from repro.core.results import SimulationResult
 from repro.gating.report import PolicyName
 from repro.hardware.components import Component
@@ -45,58 +43,16 @@ from repro.experiments.cache import (
     simulate_cached_cells,
     unpack_rows,
 )
-from repro.experiments.result import SweepResult
+from repro.experiments.result import SweepResult, render_rows
+from repro.experiments.schema import (
+    ENERGY_COLUMNS,
+    ROW_COLUMNS,
+    ROW_KINDS,
+    UTILIZATION_COLUMNS,
+)
 from repro.experiments.spec import SweepPoint, SweepSpec
 
 _LOG = logging.getLogger(__name__)
-
-#: Temporal-utilization columns and the component each one reads.
-_UTILIZATION_COLUMNS = (
-    ("sa_temporal_util", Component.SA),
-    ("vu_temporal_util", Component.VU),
-    ("hbm_temporal_util", Component.HBM),
-    ("ici_temporal_util", Component.ICI),
-)
-
-#: Per-component energy column names, built once (not per row).
-_ENERGY_COLUMNS = tuple(
-    (component, f"energy_{component.value}_j", f"static_{component.value}_j")
-    for component in Component.all()
-)
-
-#: The full result-row schema, in column order.
-ROW_COLUMNS: tuple[str, ...] = (
-    (
-        "workload",
-        "chip",
-        "num_chips",
-        "batch_size",
-        "parallelism",
-        "gating_label",
-        "policy",
-        "time_s",
-        "overhead_time_s",
-        "total_energy_j",
-        "static_energy_j",
-        "dynamic_energy_j",
-        "static_fraction",
-        "average_power_w",
-        "peak_power_w",
-        "savings_vs_nopg",
-        "overhead_vs_nopg",
-        "pod_energy_j",
-        "energy_per_work_j",
-        "work_per_iteration",
-        "iteration_unit",
-    )
-    + tuple(
-        name
-        for _, energy_column, static_column in _ENERGY_COLUMNS
-        for name in (energy_column, static_column)
-    )
-    + tuple(column for column, _ in _UTILIZATION_COLUMNS)
-    + ("sa_spatial_util",)
-)
 
 
 def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[str, Any]]:
@@ -113,7 +69,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
     rows: list[dict[str, Any]] = []
     utilization = {
         column: result.temporal_utilization(component)
-        for column, component in _UTILIZATION_COLUMNS
+        for column, component in UTILIZATION_COLUMNS
     }
     sa_spatial = result.sa_spatial_utilization()
     nopg = result.report(PolicyName.NOPG)
@@ -156,7 +112,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
         }
         static_energy = report.static_energy_j
         dynamic_energy = report.dynamic_energy_j
-        for component, energy_column, static_column in _ENERGY_COLUMNS:
+        for component, energy_column, static_column in ENERGY_COLUMNS:
             static_c = static_energy.get(component, 0.0)
             row[energy_column] = static_c + dynamic_energy.get(component, 0.0)
             row[static_column] = static_c
@@ -204,6 +160,8 @@ def assemble_packed_cells(
     one ``float()`` at a time, so the assembled cells are bit-identical
     while skipping the per-cell report materialization entirely.
     """
+    import numpy as np
+
     n_rows = sum(len(row_cells) for row_cells in cells)
     baseline = np.empty(n_rows)
     overhead = np.empty(n_rows)
@@ -223,7 +181,7 @@ def assemble_packed_cells(
     policy_rows: list[str] = []
     unit_rows: list[str] = []
     util_rows: dict[str, list[float]] = {
-        column: [] for column, _ in _UTILIZATION_COLUMNS
+        column: [] for column, _ in UTILIZATION_COLUMNS
     }
     spatial_rows: list[float] = []
 
@@ -244,7 +202,7 @@ def assemble_packed_cells(
             utils = (
                 [
                     result.temporal_utilization(component)
-                    for _, component in _UTILIZATION_COLUMNS
+                    for _, component in UTILIZATION_COLUMNS
                 ],
                 result.sa_spatial_utilization(),
             )
@@ -290,7 +248,7 @@ def assemble_packed_cells(
         parallelism_rows.extend([parallelism] * n_policies)
         label_rows.extend([point.gating_label] * n_policies)
         unit_rows.extend([result.iteration_unit] * n_policies)
-        for (column, _), value in zip(_UTILIZATION_COLUMNS, utilization):
+        for (column, _), value in zip(UTILIZATION_COLUMNS, utilization):
             util_rows[column].extend([value] * n_policies)
         spatial_rows.extend([sa_spatial] * n_policies)
 
@@ -370,10 +328,10 @@ def assemble_packed_cells(
         "work_per_iteration": work,
         "iteration_unit": unit_rows,
     }
-    for component, energy_column, static_column in _ENERGY_COLUMNS:
+    for component, energy_column, static_column in ENERGY_COLUMNS:
         columns[energy_column] = static_c[component] + dynamic_c[component]
         columns[static_column] = static_c[component]
-    for column, _ in _UTILIZATION_COLUMNS:
+    for column, _ in UTILIZATION_COLUMNS:
         columns[column] = util_rows[column]
     columns["sa_spatial_util"] = spatial_rows
     assert tuple(columns) == ROW_COLUMNS
@@ -424,6 +382,17 @@ def run_points_packed(
         )
         return assemble_packed_cells(points, results, cells)
     return [pack_rows(run_point(point, cache)) for point in points]
+
+
+def _as_lines(blocks: list[list[tuple[Any, ...]]]) -> list[list[str]]:
+    """Each block of value rows as its CSV lines, rendered in one pass."""
+    lines = render_rows([row for block in blocks for row in block])
+    split: list[list[str]] = []
+    offset = 0
+    for block in blocks:
+        split.append(lines[offset : offset + len(block)])
+        offset += len(block)
+    return split
 
 
 # Per-worker-process cache: shares workload profiles between the points a
@@ -481,19 +450,16 @@ class SweepRunner:
 
         Every block is in ``ROW_COLUMNS`` order: computed blocks are
         assembled in it, and :meth:`execute_points` takes a cached block
-        only in that shape.
+        only in that shape.  With a file-backed cache the blocks are CSV
+        lines, and the table keeps them as its CSV text.
         """
         cache = self.resolve_cache()
-        packed_by_index = self.execute_points(self.spec.points(), cache)
+        blocks = self.execute_points(self.spec.points(), cache)
         cache.flush()
-        return SweepResult.from_packed(
-            ROW_COLUMNS,
-            [
-                row
-                for index in sorted(packed_by_index)
-                for row in packed_by_index[index][1]
-            ],
-        )
+        rows = [row for index in sorted(blocks) for row in blocks[index]]
+        if cache.stores_text:
+            return SweepResult.from_lines(ROW_COLUMNS, rows, ROW_KINDS)
+        return SweepResult.from_packed(ROW_COLUMNS, rows)
 
     def resolve_cache(self) -> SimulationCache:
         """The caller-supplied cache, or a run-scoped one.
@@ -507,25 +473,26 @@ class SweepRunner:
 
     def execute_points(
         self, points: list[SweepPoint], cache: SimulationCache | None = None
-    ) -> dict[int, PackedRows]:
-        """Evaluate a point subset into ``{point.index: packed rows}``.
+    ) -> dict[int, list]:
+        """Evaluate a point subset into ``{point.index: row block}``.
 
         The execution pipeline behind :meth:`run`: probe the row cache,
         batch the misses through the packed serial or pool path, write
         fresh rows back.  A cached block counts only when it holds one
         full ``ROW_COLUMNS`` row per policy of its point; any other
-        block is a miss, recomputed and replaced.  The caller owns
-        ``cache.flush()``.
+        block is a miss, recomputed and replaced.  A block is the rows'
+        value tuples, or their CSV lines when the cache stores text
+        (:attr:`SimulationCache.stores_text`): fresh rows are then
+        rendered once, and the same lines go to the cache and to the
+        caller.  The caller owns ``cache.flush()``.
         """
         cache = cache if cache is not None else self.resolve_cache()
-        packed_by_index: dict[int, PackedRows] = {}
+        blocks: dict[int, list] = {}
         pending: list[SweepPoint] = []
         for point in points:
-            cached = cache.get_rows_packed(
-                point.cache_key, ROW_COLUMNS, len(point.config.policies)
-            )
+            cached = cache.get_rows(point.cache_key, len(point.config.policies))
             if cached is not None:
-                packed_by_index[point.index] = cached
+                blocks[point.index] = cached
             else:
                 pending.append(point)
 
@@ -534,10 +501,13 @@ class SweepRunner:
                 computed = self._run_parallel(pending, cache)
             else:
                 computed = run_points_packed(pending, cache)
-            for point, packed in zip(pending, computed):
-                packed_by_index[point.index] = packed
-                cache.put_rows_packed(point.cache_key, packed)
-        return packed_by_index
+            fresh = [values for _, values in computed]
+            if cache.stores_text:
+                fresh = _as_lines(fresh)
+            for point, block in zip(pending, fresh):
+                blocks[point.index] = block
+                cache.put_rows(point.cache_key, block)
+        return blocks
 
     # ------------------------------------------------------------------ #
     def _run_parallel(

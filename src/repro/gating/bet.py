@@ -16,12 +16,13 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.hardware.chips import NPUChipSpec
 from repro.hardware.components import Component
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Monotonic per-instance tokens for GatingParameters (see
 # :func:`parameters_token`): a hashable stand-in for the (unhashable,
@@ -309,6 +310,8 @@ def grid_idle_coefficient_columns(
     so the columns are bit-identical to stacking the per-point scalar
     results of the policies' coefficient hooks.
     """
+    import numpy as np
+
     key = variant or GatingParameters._COMPONENT_KEYS[component]
     delay_cycles = table.delay_cycles[key]
     bet_cycles = table.bet_cycles[key]
@@ -376,6 +379,8 @@ class ParameterTable:
 
     @staticmethod
     def _column(values: Iterable[float]) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(list(values), dtype=np.float64)
 
     # -- timing columns (lazy: the grid kernel derives its coefficients

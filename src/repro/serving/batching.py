@@ -48,9 +48,6 @@ class BatchPolicy:
     def window_ns(self) -> int:
         return max(1, int(round(self.max_wait_s * NS)))
 
-    def with_max_batch(self, max_batch: int) -> "BatchPolicy":
-        return BatchPolicy(max_batch=max_batch, max_wait_s=self.max_wait_s)
-
 
 @dataclass(frozen=True)
 class BatchTable:

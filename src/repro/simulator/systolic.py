@@ -69,10 +69,6 @@ class SystolicArraySimulator:
         self.power_gating = power_gating
 
     # ------------------------------------------------------------------ #
-    def matmul_reference(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Reference result for validation: ``inputs @ weights``."""
-        return inputs @ weights
-
     def run(self, inputs: np.ndarray, weights: np.ndarray) -> SystolicRunResult:
         """Stream ``inputs`` ([M, K]) through the array loaded with ``weights``.
 

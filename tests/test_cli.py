@@ -170,19 +170,30 @@ class TestSweepCommand:
     ONE_POINT = ["sweep", "-w", "llama3-8b-decode", "--chip", "NPU-D",
                  "--batch-size", "1"]
 
+    @staticmethod
+    def _old_release_entry(lines):
+        """The ``{"columns", "values"}`` entry an older release wrote for ``lines``."""
+        from repro.experiments import ROW_COLUMNS, ROW_KINDS, SweepResult
+
+        table = SweepResult.from_lines(ROW_COLUMNS, lines, ROW_KINDS)
+        return {
+            "columns": list(ROW_COLUMNS),
+            "values": [list(row.values()) for row in table.rows],
+        }
+
     @pytest.mark.parametrize(
         "foreign",
         [
             lambda entry: {"columns": ["a"], "values": [[1]]},
             lambda entry: {"columns": ["a"], "values": []},
-            lambda entry: {**entry, "values": entry["values"][:-1]},
-            lambda entry: {
-                **entry,
-                "values": [entry["values"][0][:-1], *entry["values"][1:]],
-            },
+            lambda entry: TestSweepCommand._old_release_entry(entry),
+            lambda entry: entry[:-1],
+            lambda entry: [entry[0].rsplit(",", 1)[0], *entry[1:]],
+            lambda entry: [entry[0] + ",1.0", *entry[1:]],
+            lambda entry: [None, *entry[1:]],
         ],
-        ids=["other-columns", "other-columns-no-rows", "row-removed",
-             "cell-dropped"],
+        ids=["other-columns", "other-columns-no-rows", "old-release-entry",
+             "row-removed", "cell-dropped", "cell-added", "non-string-line"],
     )
     def test_sweep_treats_a_foreign_row_entry_as_a_miss(
         self, capsys, tmp_path, foreign
@@ -191,8 +202,10 @@ class TestSweepCommand:
         cold_csv, rerun_csv = tmp_path / "cold.csv", tmp_path / "rerun.csv"
         assert main([*self.ONE_POINT, "--cache", str(cache),
                      "--csv", str(cold_csv)]) == 0
-        (key, entry), = json.loads(cache.read_text()).items()
-        cache.write_text(json.dumps({key: foreign(entry)}))
+        payload = json.loads(cache.read_text())
+        header = payload.pop("header")
+        (key, entry), = payload.items()
+        cache.write_text(json.dumps({"header": header, key: foreign(entry)}))
         capsys.readouterr()
 
         assert main([*self.ONE_POINT, "--cache", str(cache),
@@ -202,7 +215,27 @@ class TestSweepCommand:
         assert "cache         : 0 hits / 1 misses" in output
         assert rerun_csv.read_bytes() == cold_csv.read_bytes()
         # The recomputed rows replaced the foreign entry at flush.
-        assert json.loads(cache.read_text()) == {key: entry}
+        assert json.loads(cache.read_text()) == {"header": header, key: entry}
+
+    def test_warm_sweep_prints_the_cold_runs_table(self, capsys, tmp_path):
+        """A warm sweep prints every row of the cold run's table, byte for
+        byte: only the cache statistics line differs."""
+        argv = [*self.GRID, "--cache", str(tmp_path / "cache.json")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "cache         : 0 hits / 6 misses" in cold
+        assert "cache         : 6 hits / 0 misses" in warm
+
+        def without_cache_line(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith("cache         :")]
+
+        assert without_cache_line(warm) == without_cache_line(cold)
+        assert len(without_cache_line(warm)) == len(cold.splitlines()) - 1
+        # The full table: all 30 rows (6 points x 5 policies) are printed.
+        assert sum("NPU-" in line for line in warm.splitlines()) == 30
 
     @pytest.mark.parametrize(
         "flags",
@@ -373,19 +406,22 @@ def test_registry_commands_load_no_numpy_or_kernels(argv):
 
 
 def test_warm_sweep_loads_no_simulator(tmp_path):
-    """A sweep whose every row is a cache hit never loads the simulator,
-    the compiler, the policy kernels or a workload family; the cold run
-    that filled the cache loads all of them."""
+    """A sweep whose every row is a cache hit never loads numpy, the
+    simulator, the compiler, the policy kernels or a workload family,
+    even while it writes its CSV; the cold run that filled the cache
+    loads all of them."""
     argv = ["sweep", *_WARM_GRID, "--cache", str(tmp_path / "cache.json")]
     families = ("repro.workloads.llm", "repro.workloads.dlrm",
                 "repro.workloads.diffusion")
-    layers = ("repro.simulator", "repro.compiler", "repro.gating.policies",
-              *families)
-    _, cold = _run_probe(argv)
+    layers = ("numpy", "repro.simulator", "repro.compiler",
+              "repro.gating.policies", *families)
+    _, cold = _run_probe([*argv, "--csv", str(tmp_path / "cold.csv")])
     assert "repro.simulator.engine" in cold and "repro.gating.policies" in cold
-    output, warm = _run_probe(argv)
+    assert "numpy" in cold
+    output, warm = _run_probe([*argv, "--csv", str(tmp_path / "warm.csv")])
     assert " 0 misses" in output
     assert _loaded(warm, (*layers, *_NETWORK)) == []
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
 def test_serve_loads_no_sweep_runner():

@@ -158,8 +158,10 @@ class TestRowsOnlyPersistence:
         run_sweep(small_spec, cache=SimulationCache(parallel), max_workers=2)
         keys = self._keys(serial)
         assert keys == self._keys(parallel)
-        assert len(keys) == small_spec.num_points
-        assert all(key.startswith("rows:") for key in keys)
+        # One entry per point, plus the file's one header key.
+        assert len(keys) == small_spec.num_points + 1
+        assert "header" in keys
+        assert all(key.startswith("rows:") for key in keys - {"header"})
 
     def test_legacy_report_entries_are_ignored_then_dropped(
         self, small_spec, tmp_path
@@ -188,37 +190,122 @@ class TestRowsOnlyPersistence:
         )
         run_sweep(wider, cache=SimulationCache(path))  # adds rows, flushes
         keys = self._keys(path)
-        assert len(keys) == wider.num_points
-        assert all(key.startswith("rows:") for key in keys)
+        # One entry per point, plus the file's one header key.
+        assert len(keys) == wider.num_points + 1
+        assert all(key.startswith("rows:") for key in keys - {"header"})
+
+    @staticmethod
+    def _old_release_entry(lines):
+        """The ``{"columns", "values"}`` entry an older release wrote for ``lines``."""
+        from repro.experiments import ROW_KINDS, SweepResult
+
+        table = SweepResult.from_lines(ROW_COLUMNS, lines, ROW_KINDS)
+        return {
+            "columns": list(ROW_COLUMNS),
+            "values": [list(row.values()) for row in table.rows],
+        }
 
     @pytest.mark.parametrize(
-        "payload",
+        "foreign",
         [
-            5,
-            "rows",
-            [],
-            {"values": []},
-            {"columns": 5, "values": []},
-            {"columns": ["workload"], "values": 5},
-            {"columns": ["workload"], "values": [5]},
+            lambda lines: 5,
+            lambda lines: "rows",
+            lambda lines: [],
+            lambda lines: {"values": []},
+            lambda lines: {"columns": 5, "values": []},
+            lambda lines: {"columns": ["workload"], "values": 5},
+            lambda lines: {"columns": ["workload"], "values": [5]},
+            lambda lines: TestRowsOnlyPersistence._old_release_entry(lines),
+            lambda lines: [lines[0] + ",0.0", *lines[1:]],
+            lambda lines: [lines[0].rsplit(",", 1)[0], *lines[1:]],
+            lambda lines: [5, *lines[1:]],
+            lambda lines: [lines[0].split(","), *lines[1:]],
+            lambda lines: lines[:-1],
+            lambda lines: [*lines, lines[-1]],
+            lambda lines: [lines[0][:1] + "\n" + lines[0][1:], *lines[1:]],
+            lambda lines: [lines[0] + "\n", *lines[1:]],
+            lambda lines: ['"' + lines[0], *lines[1:]],
         ],
         ids=["int", "str", "list", "no-columns", "int-columns", "int-values",
-             "int-row"],
+             "int-row", "old-release-entry", "cell-added", "cell-dropped",
+             "int-line", "list-line", "row-removed", "row-added",
+             "unquoted-line-break", "line-terminator", "unterminated-quote"],
     )
-    def test_malformed_row_entries_are_misses(self, small_spec, tmp_path, payload):
+    def test_malformed_row_entries_are_misses(self, small_spec, tmp_path, foreign):
         import json
 
         path = tmp_path / "cache.json"
         cold = run_sweep(small_spec, cache=SimulationCache(path))
-        path.write_text(json.dumps(dict.fromkeys(self._keys(path), payload)))
+        payload = json.loads(path.read_text())
+        header = payload.pop("header")
+        assert header == list(ROW_COLUMNS)
+        stored = dict(payload)
+        payload = {key: foreign(lines) for key, lines in payload.items()}
+        path.write_text(json.dumps({"header": header, **payload}))
 
         cache = SimulationCache(path)
         rerun = run_sweep(small_spec, cache=cache)
         assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
         assert rerun.to_csv() == cold.to_csv()
-        # The re-simulated rows replace the malformed entries at flush.
+        # The re-simulated rows replace the malformed entries at flush,
+        # as CSV lines under the same header.
+        assert json.loads(path.read_text()) == {"header": header, **stored}
         warm_cache = SimulationCache(path)
         assert run_sweep(small_spec, cache=warm_cache).to_csv() == cold.to_csv()
+        assert warm_cache.row_hits == small_spec.num_points
+
+    @pytest.mark.parametrize(
+        "header",
+        [None, list(ROW_COLUMNS)[::-1], list(ROW_COLUMNS)[:-1], ",".join(ROW_COLUMNS)],
+        ids=["no-header", "reordered", "column-missing", "csv-text"],
+    )
+    def test_a_file_under_another_header_is_all_misses(
+        self, small_spec, tmp_path, header
+    ):
+        import json
+
+        path = tmp_path / "cache.json"
+        cold = run_sweep(small_spec, cache=SimulationCache(path))
+        payload = json.loads(path.read_text())
+        stored = dict(payload)
+        if header is None:
+            del payload["header"]
+        else:
+            payload["header"] = header
+        path.write_text(json.dumps(payload))
+
+        cache = SimulationCache(path)
+        assert run_sweep(small_spec, cache=cache).to_csv() == cold.to_csv()
+        assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
+        # Rewritten under the ROW_COLUMNS header, every point once.
+        assert json.loads(path.read_text()) == stored
+
+    def test_an_old_release_file_is_re_simulated_once_and_rewritten(
+        self, small_spec, tmp_path
+    ):
+        """A file of ``{"columns", "values"}`` entries and no header (what
+        an older release wrote) is all misses once, then hits as lines."""
+        import json
+
+        path = tmp_path / "cache.json"
+        cold = run_sweep(small_spec, cache=SimulationCache(path))
+        payload = json.loads(path.read_text())
+        header = payload.pop("header")
+        old = {key: self._old_release_entry(lines) for key, lines in payload.items()}
+        path.write_text(json.dumps(old))
+
+        NPUSimulator.reset_simulate_calls()
+        cache = SimulationCache(path)
+        rerun = run_sweep(small_spec, cache=cache)
+        assert NPUSimulator.simulate_calls > 0
+        assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
+        assert rerun.to_csv() == cold.to_csv()
+        assert json.loads(path.read_text()) == {"header": header, **payload}
+
+        NPUSimulator.reset_simulate_calls()
+        warm_cache = SimulationCache(path)
+        assert run_sweep(small_spec, cache=warm_cache).to_csv() == cold.to_csv()
+        assert NPUSimulator.simulate_calls == 0
         assert warm_cache.row_hits == small_spec.num_points
 
 
@@ -377,19 +464,28 @@ class TestPackedRowPipeline:
             assert unpack_rows(block) == oracle
 
     def test_disk_cache_stores_packed_rows(self, small_spec, tmp_path):
+        """A file-backed cache stores each point's rows as the CSV lines
+        the sweep exports, under one ``ROW_COLUMNS`` header per file."""
+        import csv
         import json
 
         path = tmp_path / "cache.json"
-        run_sweep(small_spec, cache=SimulationCache(path))
+        table = run_sweep(small_spec, cache=SimulationCache(path))
         payload = json.loads(path.read_text())
-        row_entries = [
-            value for key, value in payload.items() if key.startswith("rows:")
-        ]
-        assert row_entries
-        for entry in row_entries:
-            assert set(entry) == {"columns", "values"}
-            assert entry["columns"] == list(ROW_COLUMNS)
-            assert all(len(row) == len(ROW_COLUMNS) for row in entry["values"])
+        assert payload.pop("header") == list(ROW_COLUMNS)
+        assert len(payload) == small_spec.num_points
+        lines = []
+        for key, entry in payload.items():
+            assert key.startswith("rows:")
+            assert len(entry) == len(small_spec.policies)
+            assert all(isinstance(line, str) for line in entry)
+            assert all(
+                len(next(csv.reader([line]))) == len(ROW_COLUMNS) for line in entry
+            )
+            lines.extend(entry)
+        # The stored lines are the CSV body, byte for byte.
+        body = table.to_csv().splitlines(keepends=True)[1:]
+        assert sorted(line + "\n" for line in lines) == sorted(body)
 
     def test_flush_refuses_a_file_replaced_by_a_non_object(self, tmp_path):
         from repro.experiments.cache import CacheFileError, JsonFileStore
@@ -447,6 +543,92 @@ class TestColumnarSweepResult:
         assert clone.to_csv() == table.to_csv()
         assert clone.to_json() == table.to_json()
         assert clone == table
+
+
+class TestTextRows:
+    """Rows stored as CSV text: the file-backed cache and the tables it feeds."""
+
+    def test_awkward_cells_round_trip_through_a_cache_file(self, tmp_path):
+        """Non-finite, signed-zero and subnormal floats and a label that
+        needs quoting come back from a cache file bit for bit, and the
+        table's CSV equals the freshly computed block's."""
+        import json
+        import math
+
+        from repro.experiments import ROW_KINDS, SweepResult
+        from repro.experiments.result import render_rows
+        from repro.experiments.runner import run_points_packed
+
+        spec = SweepSpec(
+            workloads=("llama3-8b-decode",), chips=("NPU-D",), batch_sizes=(1,)
+        )
+        (point,) = spec.points()
+        ((columns, values),) = run_points_packed([point], SimulationCache())
+        awkward = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
+        floats = [i for i, kind in enumerate(ROW_KINDS) if kind is float]
+        label = ROW_COLUMNS.index("gating_label")
+        block = []
+        for row_index, row in enumerate(values):
+            row = list(row)
+            for offset, column in enumerate(floats):
+                row[column] = awkward[(row_index + offset) % len(awkward)]
+            row[label] = 'leak, "hot"'
+            block.append(tuple(row))
+        fresh = SweepResult.from_packed(columns, block)
+
+        path = tmp_path / "cache.json"
+        writer = SimulationCache(path)
+        writer.put_rows(point.cache_key, render_rows(block))
+        writer.flush()
+        json.loads(path.read_text())  # strict JSON: no NaN/Infinity tokens
+        reader = SimulationCache(path)
+        lines = reader.get_rows(point.cache_key, len(block))
+        assert lines is not None and reader.row_hits == 1
+        table = SweepResult.from_lines(ROW_COLUMNS, lines, ROW_KINDS)
+
+        assert table.to_csv() == fresh.to_csv()
+        for decoded, expected in zip(table.rows, fresh.rows):
+            for name, kind in zip(ROW_COLUMNS, ROW_KINDS):
+                if kind is float:
+                    assert decoded[name].hex() == expected[name].hex(), name
+                else:
+                    assert type(decoded[name]) is kind
+                    assert decoded[name] == expected[name], name
+
+    def test_column_decodes_only_its_own_column(self):
+        from repro.experiments import SweepResult
+
+        table = SweepResult.from_lines(
+            ("name", "count", "value"),
+            ['a,1,0.5', '"b,""c""",2,-0.0', 'd,3,inf'],
+            (str, int, float),
+        )
+        assert len(table) == 3
+        assert table.column("name") == ["a", 'b,"c"', "d"]
+        assert table.column("count") == [1, 2, 3]
+        # Neither read decoded the float column, nor built a row.
+        assert table._store is None and set(table._decoded) == {0, 1}
+        assert table.to_csv() == 'name,count,value\na,1,0.5\n"b,""c""",2,-0.0\nd,3,inf\n'
+        assert table.rows[1] == {"name": 'b,"c"', "count": 2, "value": -0.0}
+        assert table == SweepResult.from_packed(
+            ("name", "count", "value"),
+            [("a", 1, 0.5), ('b,"c"', 2, -0.0), ("d", 3, float("inf"))],
+        )
+        assert table.filter(count=3).to_csv().splitlines()[1] == "d,3,inf"
+
+    def test_text_and_value_tables_of_one_sweep_agree(self, small_spec, tmp_path):
+        """A file-backed run (text rows) and a memory-only run (value rows)
+        give equal tables, CSV, JSON and oracle CSV."""
+        from repro.experiments.result import iter_csv_oracle
+
+        text = run_sweep(small_spec, cache=SimulationCache(tmp_path / "cache.json"))
+        values = run_sweep(small_spec, cache=SimulationCache())
+        assert text._lines is not None and values._lines is None
+        assert text.to_csv() == values.to_csv()
+        assert "".join(iter_csv_oracle(text)) == text.to_csv()
+        assert text.to_json() == values.to_json()
+        assert text == values
+        assert text.column("total_energy_j") == values.column("total_energy_j")
 
 
 class TestSavingsConsistency:
