@@ -105,22 +105,17 @@ class JsonFileStore:
     (a CSV passed by mistake, a JSON list) raises :class:`CacheFileError`
     at load and again at flush, and is never overwritten.
 
-    With a ``key_prefix``, only keys starting with it are loaded and
-    merged back, so entries under any other prefix (a layer an older
-    release persisted) are dropped the next time the file is written.
-
-    With a ``header`` (any JSON value), the file's entries are read only
-    when its :data:`HEADER_KEY` holds that same value: a file written
-    under another header, or under none (an older release), loads
-    empty, and every write stores the header next to the entries.
+    The file's entries are read only when its :data:`HEADER_KEY` holds
+    ``header`` (any JSON value): a file written under another header, or
+    under none (any older release), loads empty and is replaced at the
+    next write, which stores the header next to the entries.
     """
 
     #: The key a file's ``header`` is stored under.
     HEADER_KEY = "header"
 
-    def __init__(self, path: str | Path, key_prefix: str = "", header: Any = None):
+    def __init__(self, path: str | Path, header: Any):
         self.path = Path(path)
-        self.key_prefix = key_prefix
         self.header = header
         self._warned = False
         self._data: dict[str, Any] = self._read()
@@ -157,14 +152,8 @@ class JsonFileStore:
                 f"cache file {self.path} is not a JSON object; refusing to "
                 "overwrite it"
             )
-        if self.header is not None and loaded.pop(self.HEADER_KEY, None) != self.header:
+        if loaded.pop(self.HEADER_KEY, None) != self.header:
             return {}
-        if self.key_prefix:
-            return {
-                key: value
-                for key, value in loaded.items()
-                if key.startswith(self.key_prefix)
-            }
         return loaded
 
     def __len__(self) -> int:
@@ -194,9 +183,7 @@ class JsonFileStore:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._data = {**self._read(), **self._data}
-        payload = self._data
-        if self.header is not None:
-            payload = {self.HEADER_KEY: self.header, **payload}
+        payload = {self.HEADER_KEY: self.header, **self._data}
         # Temp file + os.replace: a reader racing this write sees the
         # complete old file or the complete new one, and a crashed
         # writer leaves only a *.tmp ghost behind.
@@ -234,7 +221,7 @@ class SimulationCache:
         self._reports: dict[str, EnergyReport] = {}
         self._rows: dict[str, list] = {}
         self._store = (
-            JsonFileStore(path, key_prefix="rows:", header=list(ROW_COLUMNS))
+            JsonFileStore(path, header=list(ROW_COLUMNS))
             if path is not None
             else None
         )

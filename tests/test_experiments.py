@@ -57,28 +57,30 @@ class TestStableHash:
 
 
 class TestJsonFileStore:
+    HEADER = ["key", "value"]
+
     def test_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "store.json"
-        store = JsonFileStore(path)
+        store = JsonFileStore(path, self.HEADER)
         store.put("a", {"x": 1.5})
         store.flush()
-        reloaded = JsonFileStore(path)
+        reloaded = JsonFileStore(path, self.HEADER)
         assert "a" in reloaded and reloaded.get("a") == {"x": 1.5}
 
     def test_corrupt_file_starts_empty(self, tmp_path):
         path = tmp_path / "store.json"
         path.write_text("{ not json")
-        assert len(JsonFileStore(path)) == 0
+        assert len(JsonFileStore(path, self.HEADER)) == 0
 
     def test_damaged_file_is_logged_once_by_name(self, tmp_path, caplog):
         path = tmp_path / "store.json"
         path.write_text('{"rows:a": {"columns": [')  # truncated mid-write
         with caplog.at_level("WARNING", logger="repro.experiments.cache"):
-            store = JsonFileStore(path)
+            store = JsonFileStore(path, self.HEADER)
             assert len(store) == 0
             store.put("rows:b", 1)
             store.flush()  # re-reads the damaged file: still one warning
-        assert JsonFileStore(path).get("rows:b") == 1
+        assert JsonFileStore(path, self.HEADER).get("rows:b") == 1
         records = [r for r in caplog.records if r.name == "repro.experiments.cache"]
         assert len(records) == 1 and records[0].levelname == "WARNING"
         assert str(path) in records[0].getMessage()
@@ -90,23 +92,23 @@ class TestJsonFileStore:
         path = tmp_path / "store.json"
         path.write_text(content)
         with caplog.at_level("WARNING", logger="repro.experiments.cache"):
-            assert len(JsonFileStore(path)) == 0
+            assert len(JsonFileStore(path, self.HEADER)) == 0
         assert not caplog.records
 
     def test_flush_merges_concurrent_writers(self, tmp_path):
         path = tmp_path / "store.json"
-        first = JsonFileStore(path)
-        second = JsonFileStore(path)
+        first = JsonFileStore(path, self.HEADER)
+        second = JsonFileStore(path, self.HEADER)
         first.put("a", 1)
         second.put("b", 2)
         first.flush()
         second.flush()  # must not drop the first writer's entry
-        reloaded = JsonFileStore(path)
+        reloaded = JsonFileStore(path, self.HEADER)
         assert reloaded.get("a") == 1 and reloaded.get("b") == 2
 
     def test_flush_without_changes_is_noop(self, tmp_path):
         path = tmp_path / "store.json"
-        store = JsonFileStore(path)
+        store = JsonFileStore(path, self.HEADER)
         store.flush()
         assert not path.exists()
 

@@ -166,33 +166,33 @@ class TestRowsOnlyPersistence:
     def test_legacy_report_entries_are_ignored_then_dropped(
         self, small_spec, tmp_path
     ):
+        """A file as an older release wrote it (no header, ``{"columns",
+        "values"}`` rows and ``report:`` entries) is all misses once and is
+        rewritten as header plus row lines, without the ``report:`` keys."""
         import json
 
         path = tmp_path / "cache.json"
         cold = run_sweep(small_spec, cache=SimulationCache(path))
-        # Entries an older release wrote next to the rows.
         payload = json.loads(path.read_text())
+        header = payload.pop("header")
+        old = {key: self._old_release_entry(lines) for key, lines in payload.items()}
         for index in range(3):
-            payload[f"report:legacy{index}"] = {"policy": "NoPG", "peak_power_w": 1.0}
-        path.write_text(json.dumps(payload))
+            old[f"report:legacy{index}"] = {"policy": "NoPG", "peak_power_w": 1.0}
+        path.write_text(json.dumps(old))
 
         NPUSimulator.reset_simulate_calls()
         cache = SimulationCache(path)
-        warm = run_sweep(small_spec, cache=cache)
-        assert NPUSimulator.simulate_calls == 0
-        assert cache.row_hits == small_spec.num_points and cache.row_misses == 0
-        assert warm.to_csv() == cold.to_csv()
+        rerun = run_sweep(small_spec, cache=cache)
+        assert NPUSimulator.simulate_calls > 0
+        assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
+        assert rerun.to_csv() == cold.to_csv()
+        assert json.loads(path.read_text()) == {"header": header, **payload}
 
-        wider = SweepSpec(
-            workloads=small_spec.workloads,
-            chips=small_spec.chips,
-            batch_sizes=(1, 2),
-        )
-        run_sweep(wider, cache=SimulationCache(path))  # adds rows, flushes
-        keys = self._keys(path)
-        # One entry per point, plus the file's one header key.
-        assert len(keys) == wider.num_points + 1
-        assert all(key.startswith("rows:") for key in keys - {"header"})
+        NPUSimulator.reset_simulate_calls()
+        warm_cache = SimulationCache(path)
+        assert run_sweep(small_spec, cache=warm_cache).to_csv() == cold.to_csv()
+        assert NPUSimulator.simulate_calls == 0
+        assert warm_cache.row_hits == small_spec.num_points
 
     @staticmethod
     def _old_release_entry(lines):
@@ -279,34 +279,6 @@ class TestRowsOnlyPersistence:
         assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
         # Rewritten under the ROW_COLUMNS header, every point once.
         assert json.loads(path.read_text()) == stored
-
-    def test_an_old_release_file_is_re_simulated_once_and_rewritten(
-        self, small_spec, tmp_path
-    ):
-        """A file of ``{"columns", "values"}`` entries and no header (what
-        an older release wrote) is all misses once, then hits as lines."""
-        import json
-
-        path = tmp_path / "cache.json"
-        cold = run_sweep(small_spec, cache=SimulationCache(path))
-        payload = json.loads(path.read_text())
-        header = payload.pop("header")
-        old = {key: self._old_release_entry(lines) for key, lines in payload.items()}
-        path.write_text(json.dumps(old))
-
-        NPUSimulator.reset_simulate_calls()
-        cache = SimulationCache(path)
-        rerun = run_sweep(small_spec, cache=cache)
-        assert NPUSimulator.simulate_calls > 0
-        assert cache.row_misses == small_spec.num_points and cache.row_hits == 0
-        assert rerun.to_csv() == cold.to_csv()
-        assert json.loads(path.read_text()) == {"header": header, **payload}
-
-        NPUSimulator.reset_simulate_calls()
-        warm_cache = SimulationCache(path)
-        assert run_sweep(small_spec, cache=warm_cache).to_csv() == cold.to_csv()
-        assert NPUSimulator.simulate_calls == 0
-        assert warm_cache.row_hits == small_spec.num_points
 
 
 class TestSweepResultHelpers:
@@ -491,8 +463,8 @@ class TestPackedRowPipeline:
         from repro.experiments.cache import CacheFileError, JsonFileStore
 
         path = tmp_path / "cache.json"
-        store = JsonFileStore(path)
-        store.put("rows:k", {"columns": ["x"], "values": [[1.0]]})
+        store = JsonFileStore(path, list(ROW_COLUMNS))
+        store.put("rows:k", ["a,1.0"])
         path.write_text("[1, 2]")
         with pytest.raises(CacheFileError, match="not a JSON object"):
             store.flush()
