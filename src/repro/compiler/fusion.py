@@ -98,28 +98,15 @@ class FusionPass:
         self.chip = chip
         self.tiling = TilingPass(chip)
 
-    def operator_demands(self, operators: list[Operator]) -> list[float]:
-        """Per-operator SRAM demands, aligned with ``operators``.
-
-        One tiling per operator; vectorized in a single batch when the
-        columnar fast path is enabled (bit-identical either way).  The
-        demands are *returned*, never cached on the pass or the
-        operators, so reuse across runs cannot alias.
-        """
-        # Imported lazily: the columnar module reaches this one through
-        # the engine at import time.
-        from repro.simulator import columnar
-
-        if columnar.fast_path_enabled() and len(operators) > 1:
-            return self.tiling.operator_demands(operators).tolist()
-        return [self.tiling.tile(op).sram_demand_bytes for op in operators]
-
     def run(self, graph: OperatorGraph) -> tuple[OperatorGraph, list[FusionGroup]]:
         """Apply fusion, returning the rewritten graph and fusion groups.
 
-        The original graph is not modified.
+        The original graph is not modified.  Each operator is tiled
+        once for its SRAM demand; the demands are *returned* in the
+        groups, never cached on the pass or the operators, so reuse
+        across runs cannot alias.
         """
-        demands = self.operator_demands(graph.operators)
+        demands = [self.tiling.tile(op).sram_demand_bytes for op in graph.operators]
         sram_bytes = self.chip.sram_bytes
         fused_ops: list[Operator] = []
         groups: list[FusionGroup] = []

@@ -8,9 +8,14 @@ computes that demand per operator and derives the tile counts used by
 the performance simulator (number of weight panels pushed into an SA,
 number of output tiles post-processed by the VUs, number of DMA bursts).
 
-Two implementations produce bit-identical doubles: the scalar
-:meth:`TilingPass.tile` (the object-path oracle) and the vectorized
-:meth:`TilingPass.tile_table`, which rewrites a whole
+Streamed operands (activation and output panels, DMA staging) are
+double-buffered, so their SRAM footprint counts twice.
+
+The pass has three entry points with one contract, bit-identical
+doubles: the scalar :meth:`TilingPass.tile` (the object-path oracle),
+the vectorized :meth:`TilingPass.demand_arrays` (the SRAM demand alone,
+which the fusion pass sizes its candidates with) and
+:meth:`TilingPass.tile_table`, which tiles a whole
 :class:`~repro.workloads.table.GraphTable` with masked array ops (the
 columnar compiler frontend).  The array expressions mirror the scalar
 ones operation for operation — the same contract the columnar simulator
@@ -40,22 +45,13 @@ class TileInfo:
     num_weight_tiles: int  # weight panels loaded into the SA
     num_output_tiles: int  # output tiles handed to the VUs
     num_dma_bursts: int  # discrete HBM transfers
-    tile_m: int = 0
-    tile_k: int = 0
-    tile_n: int = 0
-
-    @property
-    def double_buffered_bytes(self) -> float:
-        """Demand including double buffering of the streamed operand."""
-        return self.sram_demand_bytes
 
 
 class TilingPass:
     """Computes :class:`TileInfo` for each operator on a given chip."""
 
-    def __init__(self, chip: NPUChipSpec, double_buffer: bool = True):
+    def __init__(self, chip: NPUChipSpec):
         self.chip = chip
-        self.double_buffer = double_buffer
         self._streaming_demand: float | None = None
 
     # ------------------------------------------------------------------ #
@@ -65,8 +61,7 @@ class TilingPass:
             inflight = (
                 self.chip.hbm_bandwidth_bytes * self.chip.hbm.access_latency_ns * 1e-9
             )
-            factor = 2.0 if self.double_buffer else 1.0
-            self._streaming_demand = inflight * factor
+            self._streaming_demand = inflight * 2.0
         return self._streaming_demand
 
     def matmul_demand_bytes(self, m: int, k: int, n: int, dtype_bytes: int) -> float:
@@ -82,8 +77,7 @@ class TilingPass:
         panel_rows = min(m, 4 * self.chip.sa_width)
         activations = panel_rows * k * dtype_bytes
         outputs = panel_rows * n * dtype_bytes
-        factor = 2.0 if self.double_buffer else 1.0
-        demand = weights + factor * (activations + outputs)
+        demand = weights + 2.0 * (activations + outputs)
         return max(demand, self.streaming_demand_bytes())
 
     # ------------------------------------------------------------------ #
@@ -101,9 +95,6 @@ class TilingPass:
                 num_weight_tiles=weight_tiles,
                 num_output_tiles=output_tiles,
                 num_dma_bursts=dma_bursts,
-                tile_m=min(dims.m, width),
-                tile_k=min(dims.k, width),
-                tile_n=min(dims.n, width),
             )
         if op.kind is OpKind.COLLECTIVE:
             demand = min(op.hbm_read_bytes, 8 * self.streaming_demand_bytes())
@@ -123,10 +114,6 @@ class TilingPass:
             num_output_tiles=vu_tiles,
             num_dma_bursts=bursts,
         )
-
-    def graph_demands(self, operators: list[Operator]) -> list[tuple[Operator, TileInfo]]:
-        """Tile every operator of a graph."""
-        return [(op, self.tile(op)) for op in operators]
 
     # ------------------------------------------------------------------ #
     # Vectorized counterparts (columnar compiler frontend)
@@ -150,14 +137,13 @@ class TilingPass:
         """
         streaming_demand = self.streaming_demand_bytes()
         width = self.chip.sa_width
-        factor = 2.0 if self.double_buffer else 1.0
         matmul_mask = uses_sa & has_dims
         weights = dims_k * dims_n * dtype_bytes
         panel_rows = np.minimum(dims_m, 4 * width)
         activations = panel_rows * dims_k * dtype_bytes
         outputs = panel_rows * dims_n * dtype_bytes
         matmul_demand = np.maximum(
-            weights + factor * (activations + outputs), streaming_demand
+            weights + 2.0 * (activations + outputs), streaming_demand
         )
         collective_demand = np.maximum(
             np.minimum(hbm_read, 8 * streaming_demand), streaming_demand
@@ -168,33 +154,16 @@ class TilingPass:
             np.where(is_collective, collective_demand, streaming_demand),
         )
 
-    def operator_demands(self, operators: list[Operator]) -> np.ndarray:
-        """Vectorized demands for an object-path operator list."""
-        dims = [op.dims for op in operators]
-        as_float = lambda values: np.asarray(values, dtype=np.float64)  # noqa: E731
-        return self.demand_arrays(
-            dims_m=as_float([d.m if d is not None else 1 for d in dims]),
-            dims_k=as_float([d.k if d is not None else 1 for d in dims]),
-            dims_n=as_float([d.n if d is not None else 1 for d in dims]),
-            has_dims=np.asarray([d is not None for d in dims], dtype=bool),
-            uses_sa=np.asarray([op.kind.uses_sa for op in operators], dtype=bool),
-            is_collective=np.asarray(
-                [op.kind.is_collective for op in operators], dtype=bool
-            ),
-            dtype_bytes=as_float([op.dtype_bytes for op in operators]),
-            hbm_read=as_float([op.hbm_read_bytes for op in operators]),
-        )
-
     def tile_table(self, table, demand: np.ndarray | None = None) -> "TileTable":
         """Vectorized :meth:`tile` over a whole ``GraphTable``.
 
         Produces, per operator, exactly the :class:`TileInfo` fields the
         scalar pass computes one at a time, as aligned arrays.
         ``demand`` short-circuits the SRAM-demand computation with a
-        precomputed array — only valid when it was produced by *this*
-        pass configuration (the fusion pass hands its fuse-decision
-        demands through; fusion never changes any input of the demand
-        expressions).
+        precomputed array — only valid when :meth:`demand_arrays`
+        produced it for the same chip and operators (the fusion pass
+        hands its fuse-decision demands through; fusion never changes
+        any input of the demand expressions).
         """
         width = self.chip.sa_width
         dims_m, dims_k, dims_n = table.dims_m, table.dims_k, table.dims_n
@@ -240,9 +209,6 @@ class TilingPass:
             num_weight_tiles=num_weight_tiles,
             num_output_tiles=num_output_tiles,
             num_dma_bursts=num_dma_bursts,
-            tile_m=np.where(matmul_mask, np.minimum(dims_m, width), 0.0),
-            tile_k=np.where(matmul_mask, np.minimum(dims_k, width), 0.0),
-            tile_n=np.where(matmul_mask, np.minimum(dims_n, width), 0.0),
         )
 
 
@@ -254,9 +220,6 @@ class TileTable:
     num_weight_tiles: np.ndarray
     num_output_tiles: np.ndarray
     num_dma_bursts: np.ndarray
-    tile_m: np.ndarray
-    tile_k: np.ndarray
-    tile_n: np.ndarray
 
 
 __all__ = ["DMA_BURST_BYTES", "TileInfo", "TileTable", "TilingPass"]

@@ -631,12 +631,13 @@ class PowerGatingPolicy:
         :meth:`_evaluate_grid_pack` over the profile's memoized
         one-profile :class:`PackedProfiles` (:meth:`PackedProfiles.single`)
         at the memoized one-point :class:`ParameterTable` of
-        ``self.parameters`` (:meth:`ParameterTable.point`).  With the
-        fast path disabled the object-path loops below run instead — the
-        readable oracle.  Both produce bit-identical reports.
+        ``self.parameters`` (:meth:`ParameterTable.point`).  An oracle
+        profile priced with the fast path disabled runs the object-path
+        loops below instead — the readable oracle.  Both produce
+        bit-identical reports.
         """
         power_model = power_model or ChipPowerModel.for_chip(profile.chip)
-        if columnar.fast_path_enabled():
+        if profile.on_fast_path:
             pack = PackedProfiles.single(profile)
             ptable = ParameterTable.point(self.parameters)
             return self._evaluate_grid_pack(pack, ptable, power_model).report(0, 0)

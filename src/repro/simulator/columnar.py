@@ -1,14 +1,16 @@
 """Columnar (structure-of-arrays) simulation core.
 
-The object-path simulator represents a workload as a list of
+The object-path oracle represents a workload as a tuple of
 :class:`~repro.simulator.engine.OperatorProfile` objects and every
 aggregate (busy time, per-component active time, gap structure, energy)
 as a Python loop over them.  This module provides the NumPy-backed fast
 path: a :class:`ProfileTable` holds one aligned ``float64`` array per
-per-operator quantity, built either in one vectorized batch from a
-:class:`~repro.workloads.table.GraphTable`
-(:func:`batch_simulate_table`) or extracted from an existing
-object-path profile list (:meth:`ProfileTable.from_profiles`).
+per-operator quantity.  The fast path builds it in one vectorized batch
+from a :class:`~repro.workloads.table.GraphTable`
+(:func:`batch_simulate_table`), and that table *is* the profile: no
+per-operator object is ever built from it.  An oracle profile's table
+is extracted from its objects (:meth:`ProfileTable.from_profiles`), so
+an oracle profile can be priced on the fast path too.
 
 **Bit-for-bit equivalence with the object path is a hard contract**, not
 a best-effort goal: the golden regression fixtures and the experiment
@@ -24,16 +26,17 @@ exactly equal:
   rather than ``np.sum``, whose pairwise summation rounds differently.
 
 The fast path can be globally disabled with :func:`use_fast_path` (or
-:func:`set_fast_path`), which makes every consumer fall back to the
-original loop implementations — that object path stays in the tree as
-the reference oracle for the equivalence tests.
+:func:`set_fast_path`, or ``REPRO_FAST_PATH=0`` at startup): the
+simulator then builds oracle profiles, whose aggregates and policy
+pricing run the original loop implementations — the reference oracle
+for the equivalence tests.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -344,46 +347,13 @@ class ProfileTable:
 # ---------------------------------------------------------------------- #
 # Batch simulation (vectorized timing + tiling + dynamic energy)
 # ---------------------------------------------------------------------- #
-class BatchSimulation:
-    """Raw arrays of one batch simulation plus the derived ProfileTable.
-
-    The raw per-component times (un-clamped), the dispatch overhead and
-    the tile shapes are what the engine needs to materialize the
-    object-path ``OperatorProfile`` list; the :class:`ProfileTable` is
-    what the aggregates and policies consume.
-    """
-
-    def __init__(
-        self,
-        *,
-        table: ProfileTable,
-        sa_s: np.ndarray,
-        vu_s: np.ndarray,
-        hbm_s: np.ndarray,
-        ici_s: np.ndarray,
-        overhead_s: float,
-        tile_m: np.ndarray,
-        tile_k: np.ndarray,
-        tile_n: np.ndarray,
-    ):
-        self.table = table
-        self.sa_s = sa_s
-        self.vu_s = vu_s
-        self.hbm_s = hbm_s
-        self.ici_s = ici_s
-        self.overhead_s = overhead_s
-        self.tile_m = tile_m
-        self.tile_k = tile_k
-        self.tile_n = tile_n
-
-
 def batch_simulate_table(
     table: GraphTable,
     chip: NPUChipSpec,
     dynamic_model: DynamicEnergyModel | None = None,
     tiling: TilingPass | None = None,
     sram_demand: np.ndarray | None = None,
-) -> BatchSimulation:
+) -> ProfileTable:
     """Simulate every operator of a :class:`GraphTable` in one batch.
 
     Produces, for each operator, exactly the values
@@ -484,7 +454,7 @@ def batch_simulate_table(
         Component.OTHER: e_other,
     }
 
-    profile_table = ProfileTable(
+    return ProfileTable(
         count=count,
         latency_s=latency,
         sa_mapped=sa_mapped,
@@ -500,21 +470,9 @@ def batch_simulate_table(
         dims_n=dims_n,
         has_dims=has_dims,
     )
-    return BatchSimulation(
-        table=profile_table,
-        sa_s=sa_s,
-        vu_s=vu_s,
-        hbm_s=hbm_s,
-        ici_s=ici_s,
-        overhead_s=overhead_s,
-        tile_m=tiles.tile_m,
-        tile_k=tiles.tile_k,
-        tile_n=tiles.tile_n,
-    )
 
 
 __all__ = [
-    "BatchSimulation",
     "ProfileTable",
     "batch_simulate_table",
     "fast_path_enabled",

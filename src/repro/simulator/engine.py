@@ -8,14 +8,20 @@ in :mod:`repro.gating.policies` consume this :class:`WorkloadProfile` to
 account static energy under the different gating schemes — the same
 split the paper uses between its performance simulator backend and its
 power/energy analysis.
+
+:meth:`NPUSimulator.simulate` fixes each profile's representation when
+it builds it.  On the columnar fast path the profile *is* its
+:class:`~repro.simulator.columnar.ProfileTable` (with the fused
+:class:`~repro.workloads.table.GraphTable` as its graph); the object-path
+oracle (``REPRO_FAST_PATH=0``) builds one :class:`OperatorProfile` per
+fused operator instead.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
+from typing import ClassVar, Iterable
 
 from repro.compiler.fusion import FusionPass
 from repro.compiler.tiling import TileInfo, TilingPass
@@ -23,10 +29,10 @@ from repro.hardware.chips import NPUChipSpec
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
 from repro.simulator import columnar
-from repro.simulator.columnar import BatchSimulation, ProfileTable
+from repro.simulator.columnar import ProfileTable
 from repro.simulator.timing import ComponentTimes, OperatorTimingModel
-from repro.workloads.base import Operator, OperatorGraph, OpKind
-from repro.workloads.table import GraphTable, LazyList
+from repro.workloads.base import Operator, OperatorGraph
+from repro.workloads.table import GraphTable
 
 _LOG = logging.getLogger(__name__)
 
@@ -56,7 +62,7 @@ class GapProfile:
         return self.gap_s * self.num_gaps
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorProfile:
     """Simulation results for one operator (per single invocation)."""
 
@@ -145,82 +151,81 @@ class OperatorProfile:
         return gaps
 
 
-class _LazyOperatorProfiles(LazyList):
-    """Operator-profile list materialized from a batch on first access.
-
-    A cold columnar simulation produces its aggregates from the
-    :class:`~repro.simulator.columnar.ProfileTable`; the per-operator
-    :class:`OperatorProfile` objects are only needed when somebody
-    actually walks :attr:`WorkloadProfile.profiles`, so their
-    construction is deferred to that first access.  Materialization
-    yields exactly the objects the eager path would have built.
-    """
-
-    __slots__ = ()
-
-
-@dataclass
 class WorkloadProfile:
     """Aggregated simulation results for one workload iteration on one chip.
 
+    A profile holds one of two representations, fixed when it is built:
+
+    * a fast-path profile (:meth:`from_table`) holds its
+      :class:`~repro.simulator.columnar.ProfileTable` and, as ``graph``,
+      the fused :class:`~repro.workloads.table.GraphTable`.  It has no
+      per-operator objects: reading :attr:`profiles` raises.
+    * an oracle profile holds an immutable tuple of
+      :class:`OperatorProfile` objects and the fused
+      :class:`OperatorGraph`.  Its :attr:`table` is extracted from the
+      tuple once, on first read, so it can be priced on the fast path
+      too.
+
     Every aggregate has two implementations producing bit-identical
-    doubles: a vectorized reduction over the memoized
-    :class:`~repro.simulator.columnar.ProfileTable` (the default), and
-    the original object-path loop, kept as the reference oracle and
-    selected with :func:`repro.simulator.columnar.use_fast_path`.
+    doubles: a vectorized reduction over :attr:`table` and the original
+    object-path loop over :attr:`profiles`, the reference oracle.  The
+    loop runs only for an oracle profile while the fast path is switched
+    off (:func:`repro.simulator.columnar.use_fast_path`).
     """
 
-    graph: OperatorGraph
-    chip: NPUChipSpec
-    profiles: list[OperatorProfile] = field(default_factory=list)
+    def __init__(
+        self,
+        graph: OperatorGraph | GraphTable,
+        chip: NPUChipSpec,
+        profiles: Iterable[OperatorProfile] = (),
+    ):
+        self.graph = graph
+        self.chip = chip
+        self._profiles: tuple[OperatorProfile, ...] | None = tuple(profiles)
+        self._table: ProfileTable | None = None
 
-    # ------------------------------------------------------------------ #
-    # Columnar table memoization
-    # ------------------------------------------------------------------ #
-    def _profiles_token(self) -> tuple:
-        """Cheap fingerprint of the profile list for cache invalidation."""
-        profiles = self.profiles
-        if isinstance(profiles, _LazyOperatorProfiles) and profiles.pending:
-            # Fingerprinting would force materialization; an untouched
-            # lazy list cannot have been mutated, so its identity is
-            # fingerprint enough.  (After materialization the token
-            # changes and the table is rebuilt — bit-identically.)
-            return ("lazy", id(profiles))
-        return (len(profiles), tuple(map(id, profiles)))
+    @classmethod
+    def from_table(
+        cls, graph: GraphTable, chip: NPUChipSpec, table: ProfileTable
+    ) -> "WorkloadProfile":
+        """A fast-path profile: the simulated ``table`` of fused ``graph``."""
+        profile = cls(graph, chip)
+        profile._profiles = None
+        profile._table = table
+        return profile
+
+    @property
+    def profiles(self) -> tuple[OperatorProfile, ...]:
+        """The per-operator results of an oracle-built profile."""
+        if self._profiles is None:
+            raise AttributeError(
+                f"the profile of {self.graph.name!r} was built on the columnar "
+                "fast path and holds only its ProfileTable (.table); per-operator "
+                "OperatorProfile objects exist only on the object-path oracle: "
+                "simulate with REPRO_FAST_PATH=0 or inside "
+                "repro.simulator.columnar.use_fast_path(False)"
+            )
+        return self._profiles
 
     @property
     def table(self) -> ProfileTable:
-        """The columnar view of this profile, built once and memoized.
+        """The columnar view of this profile (built once for an oracle one)."""
+        if self._table is None:
+            self._table = ProfileTable.from_profiles(self._profiles)
+        return self._table
 
-        Appending/replacing entries of :attr:`profiles` invalidates the
-        cache automatically (the fingerprint covers list length and
-        element identities); after mutating an :class:`OperatorProfile`
-        *in place*, call :meth:`invalidate_caches` explicitly.
+    @property
+    def on_fast_path(self) -> bool:
+        """Whether aggregates and policy pricing read :attr:`table`.
+
+        Always for a fast-path profile, which holds nothing else; for an
+        oracle profile while the columnar fast path is switched on.
         """
-        cache = self.__dict__
-        token = self._profiles_token()
-        table = cache.get("_table")
-        if table is None or cache.get("_table_token") != token:
-            table = ProfileTable.from_profiles(self.profiles)
-            cache["_table"] = table
-            cache["_table_token"] = token
-        return table
-
-    def invalidate_caches(self) -> None:
-        """Drop the memoized columnar table and its derived aggregates."""
-        self.__dict__.pop("_table", None)
-        self.__dict__.pop("_table_token", None)
+        return self._profiles is None or columnar.fast_path_enabled()
 
     def _fast_table(self) -> ProfileTable | None:
-        """The memoized table, or ``None`` when the fast path is off."""
-        if not columnar.fast_path_enabled():
-            return None
-        return self.table
-
-    def _attach_table(self, table: ProfileTable) -> None:
-        """Install a pre-built table (the batch-simulation fast path)."""
-        self.__dict__["_table"] = table
-        self.__dict__["_table_token"] = self._profiles_token()
+        """The table when :attr:`on_fast_path`, else ``None``."""
+        return self.table if self.on_fast_path else None
 
     # ------------------------------------------------------------------ #
     @property
@@ -391,12 +396,10 @@ class NPUSimulator:
         Accepts either IR.  On the columnar fast path the graph runs
         through the array-native frontend end to end — vectorized
         fusion, tiling, timing and dynamic energy over a
-        :class:`~repro.workloads.table.GraphTable` — and the fused
-        :class:`OperatorGraph` plus the per-operator profile objects are
-        only materialized when somebody walks them.  The per-operator
-        loop below is the reference oracle
-        (``columnar.use_fast_path(False)``).  Both produce bit-identical
-        profiles.
+        :class:`~repro.workloads.table.GraphTable` — into a profile that
+        holds only its :class:`ProfileTable`.  The per-operator loop
+        below is the reference oracle (``columnar.use_fast_path(False)``).
+        Both produce bit-identical tables.
         """
         NPUSimulator.simulate_calls += 1
         if columnar.fast_path_enabled():
@@ -405,89 +408,22 @@ class NPUSimulator:
             demand = None
             if self.apply_fusion:
                 fusion = FusionPass(self.chip).run_table(table)
-                table = fusion.table
                 # Fusion never changes an input of the demand expressions,
-                # so its fuse-decision demands are reusable — but only when
-                # the simulator's tiling matches the fusion pass's default
-                # (double-buffered) configuration.
-                if self.tiling.double_buffer:
-                    demand = fusion.demands
-            batch = columnar.batch_simulate_table(
+                # so its fuse-decision demands are the fused table's.
+                table, demand = fusion.table, fusion.demands
+            profile_table = columnar.batch_simulate_table(
                 table, self.chip, self.power_model.dynamic, self.tiling,
                 sram_demand=demand,
             )
-            fused_graph = table.lazy_graph()
-            profile = WorkloadProfile(
-                graph=fused_graph,
-                chip=self.chip,
-                profiles=_LazyOperatorProfiles(
-                    lambda: self._materialize(fused_graph, batch)
-                ),
-            )
-            profile._attach_table(batch.table)
-            return profile
+            return WorkloadProfile.from_table(table, self.chip, profile_table)
         if isinstance(graph, GraphTable):
             graph = graph.to_graph()
         graph.validate()
         if self.apply_fusion:
             graph, _groups = FusionPass(self.chip).run(graph)
-        profile = WorkloadProfile(graph=graph, chip=self.chip)
-        for op in graph.operators:
-            profile.profiles.append(self.simulate_operator(op))
-        return profile
-
-    # ------------------------------------------------------------------ #
-    def _materialize(
-        self, graph: OperatorGraph, batch: BatchSimulation
-    ) -> list[OperatorProfile]:
-        """Build the per-operator objects from one batch simulation."""
-        table = batch.table
-        profiles: list[OperatorProfile] = []
-        components = Component.all()
-        dynamic_columns = [table.dynamic[c].tolist() for c in components]
-        sa_s = batch.sa_s.tolist()
-        vu_s = batch.vu_s.tolist()
-        hbm_s = batch.hbm_s.tolist()
-        ici_s = batch.ici_s.tolist()
-        sa_mapped = table.sa_mapped.tolist()
-        sa_util = table.sa_spatial_util.tolist()
-        demand = table.sram_demand_bytes.tolist()
-        weight_tiles = table.num_weight_tiles.tolist()
-        output_tiles = table.num_output_tiles.tolist()
-        dma_bursts = table.num_dma_bursts.tolist()
-        tile_m = batch.tile_m.tolist()
-        tile_k = batch.tile_k.tolist()
-        tile_n = batch.tile_n.tolist()
-        for index, op in enumerate(graph.operators):
-            times = ComponentTimes(
-                sa_s=sa_s[index],
-                vu_s=vu_s[index],
-                hbm_s=hbm_s[index],
-                ici_s=ici_s[index],
-                overhead_s=batch.overhead_s,
-                sa_mapped=sa_mapped[index],
-                sa_spatial_util=sa_util[index],
-            )
-            tile_info = TileInfo(
-                sram_demand_bytes=demand[index],
-                num_weight_tiles=int(weight_tiles[index]),
-                num_output_tiles=int(output_tiles[index]),
-                num_dma_bursts=int(dma_bursts[index]),
-                tile_m=int(tile_m[index]),
-                tile_k=int(tile_k[index]),
-                tile_n=int(tile_n[index]),
-            )
-            energy = {
-                component: dynamic_columns[position][index]
-                for position, component in enumerate(components)
-            }
-            profiles.append(
-                OperatorProfile(
-                    operator=op, times=times, tile_info=tile_info,
-                    dynamic_energy_j=energy,
-                )
-            )
-        return profiles
+        return WorkloadProfile(
+            graph, self.chip, [self.simulate_operator(op) for op in graph.operators]
+        )
 
 
 __all__ = [

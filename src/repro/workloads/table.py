@@ -9,10 +9,9 @@ off an object graph once, so the compiler frontend (fusion, tiling,
 batch simulation) works on arrays instead of per-operator Python
 objects on the fast path.
 
-The object path remains fully supported: :meth:`GraphTable.to_graph`
-materializes the equivalent :class:`OperatorGraph` eagerly, and
-:meth:`GraphTable.lazy_graph` defers operator construction until
-somebody actually walks ``graph.operators`` (the oracle/compat path).
+:meth:`GraphTable.to_graph` materializes the equivalent
+:class:`OperatorGraph`, which is how the object-path oracle runs a
+table.
 """
 
 from __future__ import annotations
@@ -48,57 +47,6 @@ _PTP_CODES = (
     COLLECTIVE_CODE[CollectiveKind.ALL_TO_ALL],
     COLLECTIVE_CODE[CollectiveKind.SEND_RECV],
 )
-
-
-class LazyList(list):
-    """A list whose contents are produced by a builder on first access.
-
-    Used for the compat surfaces of the columnar frontend (operator
-    lists, operator-profile lists): the cold fast path never touches
-    them, so their construction is deferred until somebody does.
-    Materialization yields exactly the objects the eager path would have
-    built.
-    """
-
-    __slots__ = ("_builder",)
-
-    def __init__(self, builder=None):
-        super().__init__()
-        self._builder = builder
-
-    @property
-    def pending(self) -> bool:
-        """Whether the list is still an unmaterialized placeholder."""
-        return self._builder is not None
-
-    def _materialize(self) -> None:
-        builder, self._builder = self._builder, None
-        if builder is not None:
-            super().extend(builder())
-
-    def __reduce__(self):
-        # The builder is a process-local closure, so pickling
-        # materializes and ships a plain list: the receiving process
-        # gets exactly the items the eager path would have built.
-        return (list, (list(self),))
-
-    def _make_accessor(name):  # noqa: N805 - class-body helper
-        def accessor(self, *args, **kwargs):
-            self._materialize()
-            return getattr(super(LazyList, self), name)(*args, **kwargs)
-
-        accessor.__name__ = name
-        return accessor
-
-    for _name in (
-        "__len__", "__iter__", "__getitem__", "__setitem__", "__delitem__",
-        "__contains__", "__reversed__", "__eq__", "__ne__", "__add__",
-        "__iadd__", "__mul__", "__imul__", "__repr__", "append", "extend",
-        "insert", "remove", "pop", "clear", "index", "count", "copy",
-        "sort", "reverse",
-    ):
-        locals()[_name] = _make_accessor(_name)
-    del _name, _make_accessor
 
 
 @dataclass(eq=False)
@@ -322,30 +270,18 @@ class GraphTable:
             for i in range(self.n_ops)
         ]
 
-    def _graph_shell(self, operators: list) -> OperatorGraph:
+    def to_graph(self) -> OperatorGraph:
+        """Materialize the equivalent :class:`OperatorGraph`."""
         return OperatorGraph(
             name=self.name,
             phase=self.phase,
-            operators=operators,
+            operators=self.to_operators(),
             parallelism=self.parallelism,
             iteration_unit=self.iteration_unit,
             work_per_iteration=self.work_per_iteration,
             model_name=self.model_name,
             batch_size=self.batch_size,
         )
-
-    def to_graph(self) -> OperatorGraph:
-        """Materialize the equivalent :class:`OperatorGraph` eagerly."""
-        return self._graph_shell(self.to_operators())
-
-    def lazy_graph(self) -> OperatorGraph:
-        """An :class:`OperatorGraph` whose operator list materializes lazily.
-
-        The graph's metadata (name, phase, parallelism, work accounting)
-        is populated immediately; the per-operator objects are only
-        built when ``graph.operators`` is actually walked.
-        """
-        return self._graph_shell(LazyList(self.to_operators))
 
     def replace(self, **overrides) -> "GraphTable":
         """A copy with selected columns/metadata replaced."""
@@ -358,6 +294,5 @@ __all__ = [
     "GraphTable",
     "KIND_CODE",
     "KIND_LIST",
-    "LazyList",
     "NO_COLLECTIVE",
 ]

@@ -4,9 +4,11 @@ The columnar core's contract is exact equality, not approximation: the
 golden fixtures and every cached artifact were produced by the loop
 implementations, so the vectorized reductions must reproduce the same
 doubles bit for bit.  These tests sweep **every registry workload on
-every NPU generation under every policy** and compare both paths field
-by field with ``==`` (no tolerances anywhere), plus hypothesis-generated
-random graphs for structures the registry does not cover.
+every NPU generation under every policy** and compare both paths with
+``==`` (no tolerances anywhere), plus hypothesis-generated random graphs
+for structures the registry does not cover.  A fast-path profile holds
+only its ``ProfileTable``, so the per-operator comparison is array by
+array against the table extracted from the oracle's objects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.gating.policies import get_policy
 from repro.hardware.chips import chips_in_order, get_chip
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
-from repro.simulator.columnar import use_fast_path
+from repro.simulator.columnar import ProfileTable, use_fast_path
 from repro.simulator.engine import NPUSimulator
 from repro.workloads.base import (
     CollectiveKind,
@@ -36,14 +38,31 @@ from repro.workloads.registry import list_workloads
 ALL_CHIPS = tuple(chip.name for chip in chips_in_order())
 
 
-def _assert_profiles_identical(reference, fast):
-    assert len(reference.profiles) == len(fast.profiles)
-    for ref_op, fast_op in zip(reference.profiles, fast.profiles):
-        assert ref_op.times == fast_op.times, ref_op.operator.name
-        assert ref_op.tile_info == fast_op.tile_info, ref_op.operator.name
-        assert ref_op.dynamic_energy_j == fast_op.dynamic_energy_j, (
-            ref_op.operator.name
+def _table_arrays(table: ProfileTable) -> dict:
+    arrays = {
+        name: getattr(table, name)
+        for name in (
+            "count", "latency_s", "sa_mapped", "sa_spatial_util",
+            "sram_demand_bytes", "num_weight_tiles", "num_output_tiles",
+            "num_dma_bursts", "dims_m", "dims_k", "dims_n", "has_dims",
         )
+    }
+    for component in Component.all():
+        arrays[f"active[{component.value}]"] = table.active[component]
+        arrays[f"dynamic[{component.value}]"] = table.dynamic[component]
+    return arrays
+
+
+def _assert_tables_byte_identical(reference, fast):
+    """Every array of the fast table equals the oracle objects' bytes."""
+    assert not hasattr(fast, "profiles")  # built as its table alone
+    assert fast.graph.name == reference.graph.name
+    expected = _table_arrays(ProfileTable.from_profiles(reference.profiles))
+    observed = _table_arrays(fast.table)
+    assert observed.keys() == expected.keys()
+    for name, array in expected.items():
+        assert observed[name].dtype == array.dtype, name
+        assert observed[name].tobytes() == array.tobytes(), name
 
 
 def _assert_aggregates_identical(reference, fast):
@@ -81,7 +100,7 @@ def test_registry_workloads_bit_identical_on_all_chips(workload):
             reference = simulate_workload(workload, chip=chip)
         with use_fast_path(True):
             fast = simulate_workload(workload, chip=chip)
-        _assert_profiles_identical(reference.profile, fast.profile)
+        _assert_tables_byte_identical(reference.profile, fast.profile)
         _assert_aggregates_identical(reference.profile, fast.profile)
         assert set(reference.reports) == set(fast.reports)
         for policy in reference.reports:
@@ -176,7 +195,7 @@ def test_random_graphs_bit_identical(graph, chip_name):
         reference = NPUSimulator(chip).simulate(graph)
     with use_fast_path(True):
         fast = NPUSimulator(chip).simulate(graph)
-    _assert_profiles_identical(reference, fast)
+    _assert_tables_byte_identical(reference, fast)
     _assert_aggregates_identical(reference, fast)
 
     power_model = ChipPowerModel.for_chip(chip)

@@ -1,9 +1,8 @@
 """Contract hazards around the columnar fast path (review regressions).
 
 Covers the failure modes the bit-for-bit equivalence suite cannot see
-because it only exercises default configurations and fresh objects:
-fusion-pass reuse across graphs, non-default tiling configurations and
-in-place mutation of supposedly-frozen gating parameters.
+because it only exercises fresh objects: fusion-pass reuse across
+graphs and in-place mutation of supposedly-frozen gating parameters.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ import pickle
 import pytest
 
 from repro.compiler.fusion import FusionPass
-from repro.compiler.tiling import TilingPass
 from repro.gating.bet import DEFAULT_PARAMETERS, GatingParameters
 from repro.hardware.chips import get_chip
 from repro.simulator.columnar import use_fast_path
-from repro.simulator.engine import NPUSimulator
 from repro.workloads.base import OperatorGraph, WorkloadPhase, elementwise_op, matmul_op
 
 
@@ -42,32 +39,6 @@ class TestFusionPassReuse:
                 assert [op.hbm_read_bytes for op in fused.operators] == [
                     op.hbm_read_bytes for op in fresh.operators
                 ]
-
-
-class TestCustomTiling:
-    def test_non_default_double_buffer_stays_bit_identical(self):
-        """batch_simulate_table must honor the simulator's TilingPass config."""
-        chip = get_chip("NPU-D")
-        graph = _graph("db", elements=10_000)
-
-        def simulate():
-            simulator = NPUSimulator(chip)
-            simulator.tiling = TilingPass(chip, double_buffer=False)
-            return simulator.simulate(graph)
-
-        with use_fast_path(False):
-            reference = simulate()
-        with use_fast_path(True):
-            fast = simulate()
-        for ref_op, fast_op in zip(reference.profiles, fast.profiles):
-            assert ref_op.tile_info == fast_op.tile_info
-        # Single-buffered demand differs from the default, so this test
-        # would catch a fast path that ignores the configuration.
-        default = NPUSimulator(chip).simulate(graph)
-        assert (
-            fast.profiles[0].sram_demand_bytes
-            != default.profiles[0].sram_demand_bytes
-        )
 
 
 class TestFrozenParameters:

@@ -7,23 +7,20 @@ the same hard contract as the columnar simulation core: **exact
 equality with the object path, not approximation**.  These tests hold
 it at every stage —
 
-* a table round-trips through ``to_graph`` and ``lazy_graph`` to the
-  same operators;
+* a table round-trips through ``to_graph`` to the same operators;
 * the vectorized fusion/tiling passes produce bit-identical rewrites,
   group boundaries and SRAM demands to the object passes;
-* a ``ProfileTable`` reached through the columnar frontend is
-  byte-identical to one assembled from the object-path oracle;
 * a one-point ``grid_evaluate`` reproduces per-profile ``evaluate``
   reports with ``==`` across a mixed-chip batch;
 
 plus hypothesis property tests over random graphs and the explicit
 fusion-demand regression (no ``_fused_demand`` attribute stashing, no
-``id()``-keyed staleness when passes or operators are reused).
+``id()``-keyed staleness when passes or operators are reused).  The
+``ProfileTable`` the frontend ends in is compared with the object-path
+oracle's in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -36,8 +33,7 @@ from repro.core.regate import resolve_execution, simulate_workload
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.gating.policies import PackedProfiles, get_policy, list_policies
 from repro.hardware.chips import chips_in_order, get_chip
-from repro.simulator.columnar import ProfileTable, use_fast_path
-from repro.simulator.engine import NPUSimulator
+from repro.simulator.columnar import use_fast_path
 from repro.workloads.base import (
     CollectiveKind,
     OperatorGraph,
@@ -47,7 +43,7 @@ from repro.workloads.base import (
     matmul_op,
 )
 from repro.workloads.registry import get_workload
-from repro.workloads.table import GraphTable, LazyList
+from repro.workloads.table import GraphTable
 
 ALL_CHIPS = tuple(chip.name for chip in chips_in_order())
 
@@ -87,33 +83,6 @@ def test_roundtrip_through_operator_graph():
     _chip, graph, table = _build_pair("llama3-70b-decode", "NPU-D")
     rebuilt = GraphTable.from_graph(table.to_graph())
     _assert_tables_identical(rebuilt, GraphTable.from_graph(graph))
-
-
-def test_lazy_graph_defers_operator_materialization():
-    _chip, graph, table = _build_pair("dlrm-m-inference", "NPU-D")
-    lazy = table.lazy_graph()
-    assert isinstance(lazy.operators, LazyList)
-    assert lazy.operators.pending
-    assert lazy.name == graph.name
-    assert lazy.batch_size == graph.batch_size
-    # First touch materializes exactly the object builder's operators.
-    assert len(lazy.operators) == len(graph.operators)
-    assert not lazy.operators.pending
-    for lazy_op, ref_op in zip(lazy.operators, graph.operators):
-        assert lazy_op.name == ref_op.name
-        assert lazy_op.kind is ref_op.kind
-        assert lazy_op.count == ref_op.count
-
-
-def test_lazy_list_pickles_as_its_materialized_items():
-    _chip, graph, table = _build_pair("llama3-8b-decode", "NPU-D")
-    lazy = table.lazy_graph().operators
-    assert lazy.pending
-    clone = pickle.loads(pickle.dumps(lazy))
-    assert type(clone) is list
-    assert [(op.name, op.kind, op.count) for op in clone] == [
-        (op.name, op.kind, op.count) for op in graph.operators
-    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -186,46 +155,12 @@ def test_fusion_demands_follow_operator_reuse_across_chips():
 
 
 def test_fusion_demands_identical_across_paths():
-    chip, graph, _table = _build_pair("llama3-8b-decode", "NPU-D")
+    chip, graph, table = _build_pair("llama3-8b-decode", "NPU-D")
     fusion = FusionPass(chip)
-    with use_fast_path(True):
-        fast = fusion.operator_demands(graph.operators)
-    with use_fast_path(False):
-        oracle = fusion.operator_demands(graph.operators)
-    assert list(fast) == list(oracle)
-
-
-# ---------------------------------------------------------------------- #
-# End to end: byte-identical ProfileTables from both frontends
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "workload", ["llama3-70b-prefill", "dlrm-m-inference", "gligen-inference"]
-)
-def test_profile_tables_byte_identical_across_frontends(workload):
-    for chip_name in ALL_CHIPS:
-        chip, graph, table = _build_pair(workload, chip_name)
-        with use_fast_path(False):
-            reference = NPUSimulator(chip).simulate(graph)
-            oracle = ProfileTable.from_profiles(reference.profiles)
-        with use_fast_path(True):
-            fast = NPUSimulator(chip).simulate(table).table
-        assert fast.count.tobytes() == oracle.count.tobytes()
-        assert fast.latency_s.tobytes() == oracle.latency_s.tobytes()
-        assert fast.sa_mapped.tobytes() == oracle.sa_mapped.tobytes()
-        assert fast.sa_spatial_util.tobytes() == oracle.sa_spatial_util.tobytes()
-        assert fast.sram_demand_bytes.tobytes() == oracle.sram_demand_bytes.tobytes()
-        assert fast.num_weight_tiles.tobytes() == oracle.num_weight_tiles.tobytes()
-        assert fast.num_output_tiles.tobytes() == oracle.num_output_tiles.tobytes()
-        assert fast.num_dma_bursts.tobytes() == oracle.num_dma_bursts.tobytes()
-        for component in fast.active:
-            assert (
-                fast.active[component].tobytes()
-                == oracle.active[component].tobytes()
-            )
-            assert (
-                fast.dynamic[component].tobytes()
-                == oracle.dynamic[component].tobytes()
-            )
+    fast = fusion.run_table(table).demands
+    _fused, groups = fusion.run(graph)
+    oracle = [demand for group in groups for demand in group.demands]
+    assert fast.tolist() == oracle
 
 
 # ---------------------------------------------------------------------- #

@@ -9,8 +9,8 @@ These tests hold, across workloads × chips × policies × the Figure
   every parameter point with ``==`` (exact float comparison on every
   cell) — ``evaluate`` runs the same kernel as a one-point grid on a
   one-profile pack, so this checks the batching, not the formulas;
-* both equal the object-path ``evaluate`` oracle with the fast path
-  disabled;
+* both equal the object-path ``evaluate`` oracle: oracle-built
+  profiles priced with the fast path disabled;
 * the grid's column arrays are byte-for-byte identical to arrays
   gathered from the per-point oracle's reports;
 * chip-heterogeneous batches (:class:`ChipMajorPacks`) reproduce the
@@ -78,6 +78,16 @@ def single_chip(fleet):
     return [profile for profile in fleet if profile.chip.name == "NPU-D"]
 
 
+@pytest.fixture(scope="module")
+def oracle_single_chip():
+    """``single_chip``'s profiles built by the object-path oracle."""
+    with use_fast_path(False):
+        return [
+            simulate_workload(workload, chip="NPU-D").profile
+            for workload in FLEET_WORKLOADS
+        ]
+
+
 def _per_point_oracle(policy_name, profiles, grid=PARAMETER_GRID):
     """The documented oracle: per-profile ``evaluate`` at every point."""
     return [
@@ -137,16 +147,15 @@ class TestOnePointEvaluate:
         stale entry."""
         with use_fast_path(True):
             profile = simulate_workload("llama3-8b-prefill", chip="NPU-D").profile
+        with use_fast_path(False):
+            reference = simulate_workload("llama3-8b-prefill", chip="NPU-D").profile
         assert profile.active_s(Component.SA) > 0.0  # spatial gating matters
         packs = []
 
         def check(parameters):
             policy = get_policy(policy_name, parameters)
-            # The oracle first: it materializes the operator profiles,
-            # which rebuilds the table once; every fast call below then
-            # prices on one and the same pack.
             with use_fast_path(False):
-                oracle = policy.evaluate(profile)
+                oracle = policy.evaluate(reference)
             with use_fast_path(True):
                 fast = policy.evaluate(profile)
                 packs.append(PackedProfiles.single(profile))
@@ -210,12 +219,14 @@ class TestGridEquivalence:
                 )
 
     @pytest.mark.parametrize("policy_name", list_policies())
-    def test_grid_equals_object_path_oracle(self, single_chip, policy_name):
+    def test_grid_equals_object_path_oracle(
+        self, single_chip, oracle_single_chip, policy_name
+    ):
         with use_fast_path(False):
             expected = [
                 [
                     get_policy(policy_name, parameters).evaluate(profile)
-                    for profile in single_chip
+                    for profile in oracle_single_chip
                 ]
                 for parameters in PARAMETER_GRID
             ]

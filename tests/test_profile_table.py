@@ -1,4 +1,4 @@
-"""ProfileTable memoization, invalidation, lazy profiles and seq_sum."""
+"""ProfileTable memoization, the two profile representations and seq_sum."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ from repro.core.regate import simulate_workload
 from repro.gating.policies import get_policy
 from repro.hardware.chips import get_chip
 from repro.hardware.components import Component
-from repro.simulator.columnar import seq_sum, set_fast_path, use_fast_path
-from repro.simulator.engine import NPUSimulator, _LazyOperatorProfiles
+from repro.simulator.columnar import ProfileTable, seq_sum, set_fast_path, use_fast_path
+from repro.simulator.engine import NPUSimulator
 from repro.workloads.base import OperatorGraph, WorkloadPhase, matmul_op
-from repro.workloads.registry import get_workload
+from repro.workloads.table import GraphTable
 
 
 @pytest.fixture()
@@ -57,41 +57,50 @@ class TestTableMemoization:
         assert profile.table is table
         assert table.gap_table(Component.VU) is first
 
-    def test_append_invalidates(self, profile):
-        table = profile.table
-        extra = NPUSimulator(profile.chip).simulate(_small_graph()).profiles[0]
-        old_total = profile.total_time_s
-        profile.profiles.append(extra)
-        assert profile.table is not table
-        assert profile.total_time_s > old_total
-
-    def test_replacement_invalidates(self, profile):
-        table = profile.table
-        other = NPUSimulator(profile.chip).simulate(_small_graph()).profiles[0]
-        profile.profiles[0] = other
-        assert profile.table is not table
-
-    def test_invalidate_caches(self, profile):
-        table = profile.table
-        profile.invalidate_caches()
-        rebuilt = profile.table
-        assert rebuilt is not table
-        # The rebuilt table reduces to the same aggregates.
-        assert rebuilt.total_time_s() == table.total_time_s()
-
     def test_aggregates_match_between_table_builds(self, profile):
-        """from_profiles (rebuild) equals the attached batch table."""
-        attached = profile.table
-        profile.invalidate_caches()
-        rebuilt = profile.table
+        """from_profiles of the oracle's objects equals the batch table."""
+        with use_fast_path(False):
+            oracle = simulate_workload("llama3-8b-decode").profile
+        batch = profile.table
+        rebuilt = ProfileTable.from_profiles(oracle.profiles)
         for component in Component.all():
-            assert rebuilt.active_total_s(component) == attached.active_total_s(
+            assert rebuilt.active_total_s(component) == batch.active_total_s(
                 component
             )
-            assert rebuilt.dynamic_total_j(component) == attached.dynamic_total_j(
+            assert rebuilt.dynamic_total_j(component) == batch.dynamic_total_j(
                 component
             )
-        assert rebuilt.sa_spatial_utilization() == attached.sa_spatial_utilization()
+        assert rebuilt.sa_spatial_utilization() == batch.sa_spatial_utilization()
+
+
+class TestProfileRepresentations:
+    def test_fast_profile_holds_only_its_table(self):
+        chip = get_chip("NPU-D")
+        with use_fast_path(True):
+            profile = NPUSimulator(chip).simulate(_small_graph())
+        assert isinstance(profile.graph, GraphTable)
+        assert profile.table.n_ops == 2
+        with pytest.raises(AttributeError, match="REPRO_FAST_PATH=0"):
+            profile.profiles
+        # Switching the oracle on does not make the objects appear: the
+        # profile is still priced from its table.
+        with use_fast_path(False):
+            assert not hasattr(profile, "profiles")
+            assert profile.on_fast_path
+            report = get_policy("ReGate-Full").evaluate(profile)
+        with use_fast_path(True):
+            assert get_policy("ReGate-Full").evaluate(profile) == report
+
+    def test_oracle_profile_is_immutable_and_tabled_once(self):
+        chip = get_chip("NPU-D")
+        with use_fast_path(False):
+            profile = NPUSimulator(chip).simulate(_small_graph())
+            assert not profile.on_fast_path
+        assert isinstance(profile.profiles, tuple)
+        assert len(profile.profiles) == 2
+        assert profile.table is profile.table
+        with use_fast_path(True):
+            assert profile.on_fast_path
 
 
 class TestFastPathSwitch:
@@ -110,42 +119,3 @@ class TestFastPathSwitch:
             with use_fast_path(not before):
                 raise RuntimeError("boom")
         assert fast_path_enabled() is before
-
-
-class TestLazyProfiles:
-    def test_simulate_returns_lazy_list(self):
-        chip = get_chip("NPU-D")
-        with use_fast_path(True):
-            profile = NPUSimulator(chip).simulate(_small_graph())
-            assert isinstance(profile.profiles, _LazyOperatorProfiles)
-            assert profile.profiles.pending
-            # Aggregates do not force materialization.
-            _ = profile.total_time_s
-            assert profile.profiles.pending
-        # Any list access materializes the real objects.
-        assert len(profile.profiles) == 2
-        assert not profile.profiles.pending
-
-    def test_lazy_list_materializes_same_objects_as_object_path(self):
-        chip = get_chip("NPU-D")
-        graph = _small_graph()
-        with use_fast_path(True):
-            fast = NPUSimulator(chip).simulate(graph)
-        with use_fast_path(False):
-            reference = NPUSimulator(chip).simulate(graph)
-        for fast_op, ref_op in zip(fast.profiles, reference.profiles):
-            assert fast_op.times == ref_op.times
-            assert fast_op.tile_info == ref_op.tile_info
-            assert fast_op.dynamic_energy_j == ref_op.dynamic_energy_j
-
-    def test_mutation_after_materialization_is_seen(self):
-        chip = get_chip("NPU-D")
-        profile = NPUSimulator(chip).simulate(_small_graph())
-        spec = get_workload("llama3-8b-decode")
-        extra_graph = spec.build_graph(
-            batch_size=1, parallelism=profile.graph.parallelism
-        )
-        extra = NPUSimulator(chip).simulate(extra_graph).profiles[0]
-        profile.profiles.append(extra)
-        assert len(profile.profiles) == 3
-        assert profile.table.n_ops == 3

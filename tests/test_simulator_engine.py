@@ -128,7 +128,7 @@ class TestEngine:
 
     def test_sram_demand_distribution_covers_all_operators(self, prefill_profile_small):
         distribution = prefill_profile_small.sram_demand_distribution()
-        assert len(distribution) == len(prefill_profile_small.profiles)
+        assert len(distribution) == prefill_profile_small.table.n_ops
         assert all(demand >= 0 and duration >= 0 for demand, duration in distribution)
 
     def test_collective_graph_has_ici_activity(self, chip):
