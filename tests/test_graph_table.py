@@ -10,14 +10,14 @@ it at every stage —
 * a table round-trips through ``to_graph`` to the same operators;
 * the vectorized fusion/tiling passes produce bit-identical rewrites,
   group boundaries and SRAM demands to the object passes;
+* a ``ProfileTable`` reached through the columnar frontend is
+  byte-identical to one assembled from the object-path oracle;
 * a one-point ``grid_evaluate`` reproduces per-profile ``evaluate``
   reports with ``==`` across a mixed-chip batch;
 
 plus hypothesis property tests over random graphs and the explicit
 fusion-demand regression (no ``_fused_demand`` attribute stashing, no
-``id()``-keyed staleness when passes or operators are reused).  The
-``ProfileTable`` the frontend ends in is compared with the object-path
-oracle's in ``tests/test_columnar_equivalence.py``.
+``id()``-keyed staleness when passes or operators are reused).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from repro.core.regate import resolve_execution, simulate_workload
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.gating.policies import PackedProfiles, get_policy, list_policies
 from repro.hardware.chips import chips_in_order, get_chip
-from repro.simulator.columnar import use_fast_path
+from repro.simulator.columnar import ProfileTable, use_fast_path
+from repro.simulator.engine import NPUSimulator
 from repro.workloads.base import (
     CollectiveKind,
     OperatorGraph,
@@ -161,6 +162,39 @@ def test_fusion_demands_identical_across_paths():
     _fused, groups = fusion.run(graph)
     oracle = [demand for group in groups for demand in group.demands]
     assert fast.tolist() == oracle
+
+
+# ---------------------------------------------------------------------- #
+# End to end: byte-identical ProfileTables from both frontends
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "workload", ["llama3-70b-prefill", "dlrm-m-inference", "gligen-inference"]
+)
+def test_profile_tables_byte_identical_across_frontends(workload):
+    for chip_name in ALL_CHIPS:
+        chip, graph, table = _build_pair(workload, chip_name)
+        with use_fast_path(False):
+            reference = NPUSimulator(chip).simulate(graph)
+            oracle = ProfileTable.from_profiles(reference.profiles)
+        with use_fast_path(True):
+            fast = NPUSimulator(chip).simulate(table).table
+        assert fast.count.tobytes() == oracle.count.tobytes()
+        assert fast.latency_s.tobytes() == oracle.latency_s.tobytes()
+        assert fast.sa_mapped.tobytes() == oracle.sa_mapped.tobytes()
+        assert fast.sa_spatial_util.tobytes() == oracle.sa_spatial_util.tobytes()
+        assert fast.sram_demand_bytes.tobytes() == oracle.sram_demand_bytes.tobytes()
+        assert fast.num_weight_tiles.tobytes() == oracle.num_weight_tiles.tobytes()
+        assert fast.num_output_tiles.tobytes() == oracle.num_output_tiles.tobytes()
+        assert fast.num_dma_bursts.tobytes() == oracle.num_dma_bursts.tobytes()
+        for component in fast.active:
+            assert (
+                fast.active[component].tobytes()
+                == oracle.active[component].tobytes()
+            )
+            assert (
+                fast.dynamic[component].tobytes()
+                == oracle.dynamic[component].tobytes()
+            )
 
 
 # ---------------------------------------------------------------------- #
