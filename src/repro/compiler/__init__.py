@@ -9,7 +9,6 @@ IR defined in :mod:`repro.workloads.base`:
 
 * :mod:`repro.compiler.tiling`        — tile-size selection and SRAM demand.
 * :mod:`repro.compiler.fusion`        — operator fusion.
-* :mod:`repro.compiler.parallelism`   — pod partitioning search.
 * :mod:`repro.compiler.allocation`    — SRAM buffer allocation and lifetimes.
 * :mod:`repro.compiler.scheduling`    — tile-level VLIW instruction traces.
 * :mod:`repro.compiler.idleness`      — component idleness analysis.
@@ -25,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "fusion": ("FusionPass",),
         "idleness": ("IdleInterval", "IdlenessAnalysis"),
         "instrumentation": ("InstrumentationPass", "SetpmPlan"),
-        "parallelism": ("enumerate_parallelism", "valid_parallelism"),
         "tiling": ("TileInfo", "TilingPass"),
     },
 )

@@ -49,12 +49,6 @@ class BufferAllocation:
             or other.end_address <= self.start_address
         )
 
-    def overlaps_lifetime(self, other: "BufferAllocation") -> bool:
-        return not (
-            self.request.end_index < other.request.start_index
-            or other.request.end_index < self.request.start_index
-        )
-
 
 @dataclass
 class SegmentLifetime:

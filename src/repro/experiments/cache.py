@@ -468,52 +468,6 @@ def simulate_cached(
     return result
 
 
-class _ReportGroup:
-    """The (profile, gating-parameter) cells one policy prices in a batch.
-
-    Collects the distinct profiles (by profile key, insertion order) and
-    distinct parameter points (by token) of a batch's items, then
-    prices the whole grid at once.  A sweep grid is a full cartesian
-    product by construction, so the product of the distinct axes is
-    exactly the cell set its items address.
-    """
-
-    def __init__(self) -> None:
-        self.profiles: dict[str, WorkloadProfile] = {}
-        self.parameters: dict[int, GatingParameters] = {}
-
-    def add(
-        self, pkey: str, profile: WorkloadProfile, parameters: GatingParameters
-    ) -> tuple[str, int]:
-        """Enter one item's cell; returns its (profile key, token) address."""
-        token = parameters_token(parameters)
-        self.profiles.setdefault(pkey, profile)
-        self.parameters.setdefault(token, parameters)
-        return pkey, token
-
-    def evaluate_cells(self, policy_name: PolicyName) -> dict[tuple[str, int], tuple]:
-        """``{(profile key, token): (grid, point_row, profile_col)}`` for every cell.
-
-        The whole group is priced by one
-        :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
-        call; each triple indexes into the resulting
-        :class:`~repro.gating.policies.GridEnergyReports`, so the sweep
-        assembles its result columns straight from the grid arrays
-        without ever turning the triple into a report object.
-        """
-        from repro.gating.policies import get_policy
-
-        parameters = list(self.parameters.values())
-        grid = get_policy(policy_name, parameters[0]).grid_evaluate(
-            list(self.profiles.values()), parameters
-        )
-        return {
-            (pkey, token): (grid, row, col)
-            for col, pkey in enumerate(self.profiles)
-            for row, token in enumerate(self.parameters)
-        }
-
-
 def _price_prepared(
     items: list[tuple[WorkloadSpec, SimulationConfig]],
     cache: SimulationCache,
@@ -522,24 +476,39 @@ def _price_prepared(
 
     One pass: profiles are resolved through the cache with the
     execution resolution memoized per distinct (workload, chip, batch)
-    combination, then each policy's cells — the items' distinct
-    profiles (chip-major packed) × distinct gating parameters — are
-    priced by one
-    :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate`
-    call; with one parameter point it is an N×1 grid.  Cells are
-    bit-identical to the per-item :func:`simulate_cached`, so a sweep's
-    rows (and CSV bytes) do not depend on the route.  The report layer
-    is neither probed nor filled: nothing re-reads a batch's cells.
+    combination.  The batch's distinct profiles (by profile key, in
+    first-appearance order) are packed once, chip-major, into one
+    :class:`~repro.gating.policies.ChipMajorPacks`, and its distinct
+    gating-parameter points (by token) form one
+    :class:`~repro.gating.bet.ParameterTable`; each policy then prices
+    the whole profiles × points grid with one
+    :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate` call
+    on that shared pack and table, so the policies share every memoized
+    array (ReGate-Base/HW/Full gate the HBM and ICI controllers alike,
+    and compute those idle grids once).  With one parameter point it is
+    an N×1 grid.  A sweep grid is a full cartesian product by
+    construction, so the grid holds exactly the cells its items
+    address.  Cells are bit-identical to the per-item
+    :func:`simulate_cached`, so a sweep's rows (and CSV bytes) do not
+    depend on the route.  The report layer is neither probed nor
+    filled: nothing re-reads a batch's cells.
 
     Returns ``(results, cells)``: per item, a metadata
     :class:`SimulationResult` shell (its ``reports`` dict left empty)
-    and one ``(policy_name, (grid, row, col))`` pair per
-    ``config.policies`` entry (see :meth:`_ReportGroup.evaluate_cells`).
+    and one ``(policy_name, (grid, point_row, profile_col))`` pair per
+    ``config.policies`` entry.  Each triple indexes into that policy's
+    :class:`~repro.gating.policies.GridEnergyReports`, so the sweep
+    assembles its result columns straight from the grid arrays without
+    ever turning the triple into a report object.
     """
     from repro.core.regate import build_result
+    from repro.gating.bet import ParameterTable
+    from repro.gating.policies import ChipMajorPacks, get_policy
 
     prepared: list[tuple] = []
-    groups: dict[PolicyName, _ReportGroup] = {}
+    profiles: dict[str, WorkloadProfile] = {}
+    parameters: dict[int, GatingParameters] = {}
+    policies: dict[PolicyName, None] = {}
     # Graphs are chip-independent: two points differing only in chip
     # (same workload, batch and parallelism) share one built graph.
     built_graphs: dict[tuple, Any] = {}
@@ -548,28 +517,34 @@ def _price_prepared(
         _, parallelism, pkey, profile = _cached_profile(
             spec, config, cache, built_graphs, resolutions
         )
-        addresses = [
-            groups.setdefault(policy_name, _ReportGroup()).add(
-                pkey, profile, config.gating_parameters
-            )
-            for policy_name in config.policies
-        ]
-        prepared.append((spec, config, parallelism, profile, addresses))
-    priced = {
-        policy_name: group.evaluate_cells(policy_name)
-        for policy_name, group in groups.items()
-    }
+        token = parameters_token(config.gating_parameters)
+        profiles.setdefault(pkey, profile)
+        parameters.setdefault(token, config.gating_parameters)
+        policies.update(dict.fromkeys(config.policies))
+        prepared.append((spec, config, parallelism, profile, pkey, token))
+
+    grids = {}
+    if policies:
+        packs = ChipMajorPacks.pack(list(profiles.values()))
+        ptable = ParameterTable(tuple(parameters.values()))
+        grids = {
+            policy_name: get_policy(policy_name).grid_evaluate(packs, ptable)
+            for policy_name in policies
+        }
+    columns = {pkey: col for col, pkey in enumerate(profiles)}
+    rows = {token: row for row, token in enumerate(parameters)}
 
     results: list[SimulationResult] = []
     cells: list[list] = []
-    for spec, config, parallelism, profile, addresses in prepared:
+    for spec, config, parallelism, profile, pkey, token in prepared:
         results.append(
             build_result(spec.name, profile, parallelism, profile.graph, config)
         )
+        row, col = rows[token], columns[pkey]
         cells.append(
             [
-                (policy_name, priced[policy_name][address])
-                for policy_name, address in zip(config.policies, addresses)
+                (policy_name, (grids[policy_name], row, col))
+                for policy_name in config.policies
             ]
         )
     return results, cells

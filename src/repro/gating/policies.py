@@ -40,8 +40,12 @@ from repro.gating.sa_gating import SpatialGatingModel
 from repro.gating.sram_gating import SramGatingModel
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
-from repro.simulator import columnar
-from repro.simulator.columnar import ProfileTable, seq_sum
+from repro.simulator.columnar import (
+    GAP_COMPONENTS,
+    ProfileTable,
+    ProfileTotals,
+    seq_sum,
+)
 from repro.simulator.engine import GapProfile, WorkloadProfile
 
 # The hardware VU idle detector waits at least 8 cycles to avoid blocking
@@ -165,15 +169,15 @@ def _spatial_shares(pack: "PackedProfiles") -> tuple[np.ndarray, ...]:
     return shares
 
 
-#: Components with per-operator idle gaps: the policies account their
-#: idle time and read their per-profile active seconds.
-_IDLE_COMPONENTS = (Component.SA, Component.VU, Component.HBM, Component.ICI)
-
-
 def _join(arrays: list[np.ndarray]) -> np.ndarray:
     """Concatenate per-table arrays; a one-profile pack shares its table's
     (never mutated) array instead of copying it."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _floats(values: list[float]) -> np.ndarray:
+    """Per-profile totals (Python floats) as one ``float64`` array."""
+    return np.asarray(values, dtype=np.float64)
 
 
 class PackedProfiles:
@@ -182,15 +186,20 @@ class PackedProfiles:
     The storage of the grid kernel: ``n`` profiles of one chip are
     concatenated into single per-operator arrays so a policy can
     evaluate all of them with single NumPy calls
-    (:meth:`PowerGatingPolicy.grid_evaluate`).  Derived arrays that do
-    not depend on the policy (gap tables, active fractions, leakage
-    factor arrays) are memoized on the pack and shared by every policy
-    evaluated on it — pack once, evaluate many.
+    (:meth:`PowerGatingPolicy.grid_evaluate`).  A pack reduces nothing
+    itself: its per-operator arrays join its tables' arrays (the idle-gap
+    and weighted rows included, from each table's
+    :attr:`~repro.simulator.columnar.ProfileTable.totals`), and its
+    per-profile totals are arrays of those reductions' floats.  Derived
+    arrays that do not depend on the policy (active fractions, leakage
+    factor arrays, shared idle grids) are memoized on the pack and
+    shared by every policy evaluated on it — pack once, evaluate many.
 
-    Per-profile reductions slice the packed arrays at the segment
-    offsets and reduce each segment with :func:`seq_sum`, keeping the
-    strictly sequential accumulation the bit-exactness contract
-    requires (``np.add.reduceat`` rounds differently).
+    The parameter-dependent sums of the kernel slice the packed arrays
+    at the segment offsets and reduce each segment with a sequential
+    ``cumsum``, keeping the strictly left-to-right accumulation the
+    bit-exactness contract requires (``np.add.reduceat`` rounds
+    differently).
     """
 
     def __init__(self, profiles: list[WorkloadProfile], tables: list[ProfileTable]):
@@ -205,13 +214,8 @@ class PackedProfiles:
         self.segments = list(zip(bounds[:-1], bounds[1:]))
         self.n_profiles = len(tables)
         self.n_ops = np.asarray(lengths, dtype=np.float64)
-        self.count = _join([t.count for t in tables])
         self.latency_s = _join([t.latency_s for t in tables])
-        self.sa_mapped = _join([t.sa_mapped for t in tables])
         self.sram_demand_bytes = _join([t.sram_demand_bytes for t in tables])
-        self.num_weight_tiles = _join([t.num_weight_tiles for t in tables])
-        self.num_output_tiles = _join([t.num_output_tiles for t in tables])
-        self.num_dma_bursts = _join([t.num_dma_bursts for t in tables])
         self.dims_m = _join([t.dims_m for t in tables])
         self.dims_k = _join([t.dims_k for t in tables])
         self.dims_n = _join([t.dims_n for t in tables])
@@ -220,12 +224,35 @@ class PackedProfiles:
         self.dynamic = {
             c: _join([t.dynamic[c] for t in tables]) for c in Component.all()
         }
-        #: Per component, the ``(gap_s, num_gaps, idle_s)`` idle-gap
-        #: arrays: gap length, gaps per iteration and their product.
-        self.gaps = {c: self._gap_arrays(c) for c in _IDLE_COMPONENTS}
+        totals = [table.totals for table in tables]
+        arrays = (
+            totals[0].arrays
+            if len(totals) == 1
+            else np.concatenate([t.arrays for t in totals], axis=1)
+        )
+        #: Per-operator ``latency * count`` and SA ``active * count``, and
+        #: per gap component the ``(gap_s, num_gaps, idle_s)`` arrays:
+        #: gap length, gaps per iteration and their product.
+        self.weighted_latency, self.weighted_sa_active, self.gaps = (
+            ProfileTotals.rows(arrays)
+        )
+        #: Per-profile busy time, active seconds and dynamic energies.
+        self.total_time_s = _floats([t.total_time_s for t in totals])
+        self.active_total_s = {
+            c: _floats([t.active_total_s[c] for t in totals]) for c in GAP_COMPONENTS
+        }
+        self.dynamic_total_j = {
+            c: _floats([t.dynamic_total_j[c] for t in totals]) for c in Component.all()
+        }
+        #: Per-profile idle seconds and gap counts of the gap components.
+        self.idle_total_s = {
+            c: _floats([t.idle_total_s[c] for t in totals]) for c in GAP_COMPONENTS
+        }
+        self.gap_count = {
+            c: _floats([t.gap_count[c] for t in totals]) for c in GAP_COMPONENTS
+        }
         #: Cross-policy scratchpad (packed analogue of ``ProfileTable.memo``).
         self.memo: dict = {}
-        self._reduce_totals(tables)
 
     @classmethod
     def pack(cls, profiles: list[WorkloadProfile]) -> "PackedProfiles":
@@ -279,48 +306,6 @@ class PackedProfiles:
             out[:, index] = values[:, start:end].max(axis=1, initial=0.0)
         return out
 
-    def _reduce_totals(self, tables: list[ProfileTable]) -> None:
-        """Reduce the per-profile totals every policy reads, in one fused pass.
-
-        Busy time, the active seconds of the gap components, the dynamic
-        energy of every component, and each gap component's idle seconds
-        and gap count reduce together (19 rows, one pass), from the same
-        products the object path sums.
-        """
-        components = Component.all()
-        #: Per-operator ``latency * count`` and SA ``active * count``.
-        self.weighted_latency = self.latency_s * self.count
-        self.weighted_sa_active = self.active[Component.SA] * self.count
-        totals = self.seg_sums_matrix(
-            np.vstack(
-                (
-                    self.weighted_latency,
-                    self.weighted_sa_active,
-                    *(self.active[c] * self.count for c in _IDLE_COMPONENTS[1:]),
-                    *(self.dynamic[c] * self.count for c in components),
-                    *(self.gaps[c][2] for c in _IDLE_COMPONENTS),
-                    *(self.gaps[c][1] for c in _IDLE_COMPONENTS),
-                )
-            )
-        )
-        #: Per-profile busy time, active seconds and dynamic energies.
-        self.total_time_s = totals[0]
-        self.active_total_s = dict(zip(_IDLE_COMPONENTS, totals[1:5]))
-        self.dynamic_total_j = dict(zip(components, totals[5:11]))
-        #: Per-profile idle seconds and gap counts of the gap components.
-        self.idle_total_s = dict(zip(_IDLE_COMPONENTS, totals[11:15]))
-        self.gap_count = dict(zip(_IDLE_COMPONENTS, totals[15:19]))
-        # Share the reductions with the per-table aggregate caches: the
-        # sweep's row assembly reads the same totals per profile, and
-        # the fused pass produced bit-identical doubles.
-        for table, column in zip(tables, totals[:11].T.tolist()):
-            if table._total_time_s is None:
-                table._total_time_s = column[0]
-            for offset, component in enumerate(_IDLE_COMPONENTS):
-                table._active_totals.setdefault(component, column[1 + offset])
-            for offset, component in enumerate(components):
-                table._dynamic_totals.setdefault(component, column[5 + offset])
-
     def grid_totals(
         self, shape: tuple[int, int]
     ) -> tuple[np.ndarray, dict[Component, np.ndarray], np.ndarray]:
@@ -344,28 +329,6 @@ class PackedProfiles:
             self.memo[key] = cached
         return cached
 
-    def _gap_arrays(
-        self, component: Component
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Packed ``(gap_s, num_gaps, idle_s)`` of one gap component.
-
-        Elementwise-identical to concatenating each table's
-        :meth:`~repro.simulator.columnar.ProfileTable.gap_table`: the
-        burst model lives in one shared helper,
-        :func:`repro.simulator.columnar.gap_arrays`.
-        """
-        gap_s, num_per_invocation = columnar.gap_arrays(
-            component,
-            latency=self.latency_s,
-            active=self.active[component],
-            sa_mapped=self.sa_mapped,
-            num_weight_tiles=self.num_weight_tiles,
-            num_output_tiles=self.num_output_tiles,
-            num_dma_bursts=self.num_dma_bursts,
-        )
-        num_gaps = num_per_invocation * self.count
-        return gap_s, num_gaps, gap_s * num_gaps
-
 
 class ChipMajorPacks:
     """A chip-heterogeneous profile batch packed chip-major.
@@ -375,8 +338,9 @@ class ChipMajorPacks:
     packs its profiles *chip-major*: one contiguous
     :class:`PackedProfiles` per distinct chip, in first-appearance
     order, plus the index map back to the caller's profile order.  The
-    whole batch is packed once per sweep and shared by every policy and
-    every gating-parameter point evaluated on it.
+    fused sweep pass (:func:`repro.experiments.cache.simulate_cached_cells`)
+    packs its whole batch once and prices every policy and every
+    gating-parameter point on it, so the packs' memos are shared.
     """
 
     def __init__(

@@ -103,50 +103,155 @@ def _as_float_array(values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def gap_arrays(
-    component: Component,
-    *,
-    latency: np.ndarray,
-    active: np.ndarray,
-    sa_mapped: np.ndarray,
-    num_weight_tiles: np.ndarray,
-    num_output_tiles: np.ndarray,
-    num_dma_bursts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-operator ``(gap_s, num_gaps_per_invocation)`` of one component.
+def _row_sums(rows: np.ndarray) -> list[float]:
+    """:func:`seq_sum` of every row of a ``(R, n)`` matrix, in one call.
+
+    ``cumsum(axis=1)`` accumulates each row strictly left to right, so
+    every entry is bit-identical to :func:`seq_sum` of its row.
+    """
+    if rows.shape[1] == 0:
+        return [0.0] * rows.shape[0]
+    return rows.cumsum(axis=1)[:, -1].tolist()
+
+
+#: Components with per-operator idle gaps, in the row order of
+#: :attr:`ProfileTotals.arrays`.  SRAM and OTHER have none.
+GAP_COMPONENTS = (Component.SA, Component.VU, Component.HBM, Component.ICI)
+
+
+def _burst_gaps(table: "ProfileTable") -> tuple[np.ndarray, np.ndarray]:
+    """``(gap_s, num_gaps_per_invocation)`` of every gap component.
 
     The single definition of the idle-gap burst model
     (:meth:`~repro.simulator.engine.OperatorProfile.gap_profiles`
-    vectorized), shared by :meth:`ProfileTable.gap_table` and the packed
-    multi-profile policy evaluation so the two can never drift apart.
-    Returns ``None`` for components without per-operator gap structure
-    (SRAM/OTHER).
+    vectorized): ``(len(GAP_COMPONENTS), n_ops)`` matrices whose rows
+    follow :data:`GAP_COMPONENTS`.  An active SA splits its idle time
+    into one gap per weight tile when it is mapped; an active VU into
+    one per output tile (SA-mapped) or per DMA burst; an active HBM into
+    one per DMA burst; the ICI idles in one gap.  An operator without
+    idle time has no gap (zeros in both rows).
     """
+    latency = table.latency_s
+    sa_mapped = table.sa_mapped
+    dma_bursts = np.maximum(1.0, table.num_dma_bursts)
+    active = np.array([table.active[c] for c in GAP_COMPONENTS])
     idle = np.maximum(0.0, latency - active)
     has_gap = idle > 0.0
-    if component is Component.SA:
-        bursts = np.where(
-            sa_mapped & (active > 0.0), np.maximum(1.0, num_weight_tiles), 1.0
-        )
-    elif component is Component.VU:
-        bursts = np.where(
-            active > 0.0,
-            np.where(
-                sa_mapped,
-                np.maximum(1.0, num_output_tiles),
-                np.maximum(1.0, num_dma_bursts),
-            ),
-            1.0,
-        )
-    elif component is Component.HBM:
-        bursts = np.where(active > 0.0, np.maximum(1.0, num_dma_bursts), 1.0)
-    elif component is Component.ICI:
-        bursts = np.ones_like(latency)
-    else:
-        return None
+    busy_bursts = np.array(
+        [
+            np.where(sa_mapped, np.maximum(1.0, table.num_weight_tiles), 1.0),
+            np.where(sa_mapped, np.maximum(1.0, table.num_output_tiles), dma_bursts),
+            dma_bursts,
+            np.ones_like(latency),
+        ]
+    )
+    bursts = np.where(active > 0.0, busy_bursts, 1.0)
     gap_s = np.where(has_gap, idle / bursts, 0.0)
-    num_per_invocation = np.where(has_gap, bursts, 0.0)
-    return gap_s, num_per_invocation
+    return gap_s, np.where(has_gap, bursts, 0.0)
+
+
+class ProfileTotals:
+    """The one reduction of a :class:`ProfileTable` (:attr:`ProfileTable.totals`).
+
+    Every per-profile sum the aggregates and the policies read comes
+    from one :func:`_row_sums` pass over the products the object path
+    sums, so each is bit-identical to the oracle's loop:
+
+    * ``total_time_s``: busy time, ``sum(latency * count)``;
+    * ``active_total_s`` / ``dynamic_total_j``: per component;
+    * ``idle_total_s`` / ``gap_count``: per gap component, the idle
+      seconds and the number of idle gaps per iteration;
+    * ``sa_spatial_utilization``: the Figure 5 metric.
+
+    ``arrays`` keeps the per-operator rows the policies price (and a
+    :class:`~repro.gating.policies.PackedProfiles` joins): the
+    ``latency * count`` and SA ``active * count`` rows, then one block
+    each of ``gap_s``, ``num_gaps`` (gaps per iteration) and ``idle_s``
+    (``gap_s * num_gaps``) rows in :data:`GAP_COMPONENTS` order.
+    :meth:`rows` names them.
+    """
+
+    __slots__ = (
+        "arrays",
+        "total_time_s",
+        "active_total_s",
+        "dynamic_total_j",
+        "gap_count",
+        "idle_total_s",
+        "sa_spatial_utilization",
+        "_gaps",
+    )
+
+    def __init__(self, table: "ProfileTable"):
+        count = table.count
+        components = Component.all()
+        n = len(components)
+        # Rows: latency, then active and dynamic per component, all
+        # weighted by the invocation count.
+        weighted = (
+            np.array(
+                [
+                    table.latency_s,
+                    *(table.active[c] for c in components),
+                    *(table.dynamic[c] for c in components),
+                ]
+            )
+            * count
+        )
+        sa_row = 1 + components.index(Component.SA)
+        sa_active = weighted[sa_row]
+        gap_s, per_invocation = _burst_gaps(table)
+        num_gaps = per_invocation * count
+        idle_s = gap_s * num_gaps
+        self.arrays = np.concatenate(
+            (weighted[[0, sa_row]], gap_s, num_gaps, idle_s)
+        )
+        self._gaps: dict | None = None
+        sa_mask = sa_active > 0.0
+        spatial = np.array(
+            [
+                np.where(sa_mask, table.sa_spatial_util * sa_active, 0.0),
+                np.where(sa_mask, sa_active, 0.0),
+            ]
+        )
+        sums = _row_sums(np.concatenate((weighted, num_gaps, idle_s, spatial)))
+        self.total_time_s: float = sums[0]
+        self.active_total_s = dict(zip(components, sums[1 : 1 + n]))
+        self.dynamic_total_j = dict(zip(components, sums[1 + n : 1 + 2 * n]))
+        gap_sums = sums[1 + 2 * n : -2]
+        self.gap_count = dict(zip(GAP_COMPONENTS, gap_sums))
+        self.idle_total_s = dict(zip(GAP_COMPONENTS, gap_sums[len(GAP_COMPONENTS) :]))
+        weighted_util, total = sums[-2:]
+        self.sa_spatial_utilization = 0.0 if total <= 0 else weighted_util / total
+
+    @property
+    def weighted_latency(self) -> np.ndarray:
+        """Per-operator ``latency * count``."""
+        return self.arrays[0]
+
+    @property
+    def gaps(self) -> dict[Component, tuple[np.ndarray, ...]]:
+        """Per gap component, its ``(gap_s, num_gaps, idle_s)`` rows."""
+        if self._gaps is None:
+            self._gaps = self.rows(self.arrays)[2]
+        return self._gaps
+
+    @staticmethod
+    def rows(
+        arrays: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, dict[Component, tuple[np.ndarray, ...]]]:
+        """``(weighted_latency, weighted_sa_active, gaps)`` views of ``arrays``.
+
+        Reads the layout of :attr:`arrays`, or of any column-wise join of
+        several tables' ``arrays``; ``gaps`` maps each gap component to
+        its ``(gap_s, num_gaps, idle_s)`` rows.
+        """
+        n = len(GAP_COMPONENTS)
+        gaps = {
+            component: tuple(arrays[2 + index :: n])
+            for index, component in enumerate(GAP_COMPONENTS)
+        }
+        return arrays[0], arrays[1], gaps
 
 
 # ---------------------------------------------------------------------- #
@@ -158,8 +263,11 @@ class ProfileTable:
     All arrays have one entry per operator (post-fusion program order).
     ``active``/``dynamic`` map each :class:`Component` to its per-
     invocation active seconds (clamped to the operator latency) and
-    dynamic energy.  Derived aggregates (busy time, per-component
-    totals, idle-gap tables) are computed once on first use and cached.
+    dynamic energy.  Every derived aggregate (busy time, per-component
+    totals, idle-gap arrays and their sums) comes from one reduction,
+    :attr:`totals`, computed on first use and cached; the gating
+    policies read it too, so a profile is reduced once however many
+    policies and packs price it.
     """
 
     def __init__(
@@ -195,14 +303,7 @@ class ProfileTable:
         self.dims_n = dims_n
         self.has_dims = has_dims
         self.n_ops = int(count.size)
-        # Lazily-filled aggregate caches.
-        self._total_time_s: float | None = None
-        self._active_totals: dict[Component, float] = {}
-        self._dynamic_totals: dict[Component, float] = {}
-        self._gap_tables: dict[Component, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._sa_spatial: float | None = None
-        self._weighted_active: dict[Component, np.ndarray] = {}
-        self._weighted_latency: np.ndarray | None = None
+        self._totals: ProfileTotals | None = None
         #: Cross-policy scratchpad: the gating policies keep the
         #: profile's one-profile ``PackedProfiles`` here, so five
         #: policies evaluated on one profile share its derived arrays.
@@ -252,96 +353,54 @@ class ProfileTable:
             has_dims=np.asarray([d is not None for d in dims], dtype=bool),
         )
 
-    # -- scalar aggregates ---------------------------------------------- #
+    # -- aggregates (all read the one reduction) ------------------------ #
+    @property
+    def totals(self) -> ProfileTotals:
+        """The profile's reduction, computed on first use."""
+        if self._totals is None:
+            self._totals = ProfileTotals(self)
+        return self._totals
+
     def total_time_s(self) -> float:
         """Busy time of one iteration: ``sum(latency * count)``."""
-        if self._total_time_s is None:
-            self._total_time_s = seq_sum(self.weighted_latency())
-        return self._total_time_s
+        return self.totals.total_time_s
 
     def active_total_s(self, component: Component) -> float:
         """Total active seconds of one component per iteration."""
-        cached = self._active_totals.get(component)
-        if cached is None:
-            cached = seq_sum(self.weighted_active(component))
-            self._active_totals[component] = cached
-        return cached
+        return self.totals.active_total_s[component]
 
     def dynamic_total_j(self, component: Component) -> float:
         """Total dynamic energy of one component per iteration."""
-        cached = self._dynamic_totals.get(component)
-        if cached is None:
-            cached = seq_sum(self.dynamic[component] * self.count)
-            self._dynamic_totals[component] = cached
-        return cached
+        return self.totals.dynamic_total_j[component]
 
     def sa_spatial_utilization(self) -> float:
         """SA-active-time-weighted spatial utilization (Figure 5)."""
-        if self._sa_spatial is None:
-            active = self.weighted_active(Component.SA)
-            mask = active > 0.0
-            weighted = seq_sum(np.where(mask, self.sa_spatial_util * active, 0.0))
-            total = seq_sum(np.where(mask, active, 0.0))
-            self._sa_spatial = 0.0 if total <= 0 else weighted / total
-        return self._sa_spatial
-
-    def weighted_active(self, component: Component) -> np.ndarray:
-        """Per-operator ``active * count`` array, computed once."""
-        cached = self._weighted_active.get(component)
-        if cached is None:
-            cached = self.active[component] * self.count
-            self._weighted_active[component] = cached
-        return cached
-
-    def weighted_latency(self) -> np.ndarray:
-        """Per-operator ``latency * count`` array, computed once."""
-        if self._weighted_latency is None:
-            self._weighted_latency = self.latency_s * self.count
-        return self._weighted_latency
+        return self.totals.sa_spatial_utilization
 
     def sram_demand_distribution(self) -> list[tuple[float, float]]:
         """(demand_bytes, time_s) pairs, one per operator (Figure 7)."""
-        times = self.weighted_latency()
+        times = self.totals.weighted_latency
         return list(zip(self.sram_demand_bytes.tolist(), times.tolist()))
 
-    # -- idle-gap tables ------------------------------------------------ #
     def gap_table(
         self, component: Component
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-operator idle-gap family of one component.
+        """Per-operator ``(gap_s, num_gaps, idle_s)`` of one component.
 
-        Returns ``(gap_s, num_gaps_per_invocation, num_gaps_total)``
-        arrays aligned with the operator order; operators without an
-        idle gap for this component hold zeros in all three (adding a
-        zero term to a running float sum is exact, so the zero-padded
-        arrays reduce bit-identically to the object path's filtered gap
-        lists).  Computed once per profile; the object path's idle
-        accounting reads it through
+        ``num_gaps`` counts the gaps per iteration and ``idle_s`` is
+        ``gap_s * num_gaps``.  Operators without an idle gap for this
+        component hold zeros (adding a zero term to a running float sum
+        is exact, so the zero-padded arrays reduce bit-identically to the
+        object path's filtered gap lists), and SRAM/OTHER, which have no
+        per-operator gap structure, are all zeros.  The object path's
+        idle accounting reads it through
         :meth:`~repro.simulator.engine.WorkloadProfile.gap_profiles`.
         """
-        cached = self._gap_tables.get(component)
-        if cached is not None:
-            return cached
-
-        family = gap_arrays(
-            component,
-            latency=self.latency_s,
-            active=self.active[component],
-            sa_mapped=self.sa_mapped,
-            num_weight_tiles=self.num_weight_tiles,
-            num_output_tiles=self.num_output_tiles,
-            num_dma_bursts=self.num_dma_bursts,
-        )
-        if family is None:
-            # SRAM/OTHER have no per-operator idle-gap structure; the
-            # object path produces an empty gap list for them.
+        gaps = self.totals.gaps.get(component)
+        if gaps is None:
             zeros = np.zeros_like(self.latency_s)
-            table = (zeros, zeros, zeros)
-        else:
-            gap_s, num_per_invocation = family
-            table = (gap_s, num_per_invocation, num_per_invocation * self.count)
-        self._gap_tables[component] = table
-        return table
+            return zeros, zeros, zeros
+        return gaps
 
 
 # ---------------------------------------------------------------------- #
@@ -473,10 +532,11 @@ def batch_simulate_table(
 
 
 __all__ = [
+    "GAP_COMPONENTS",
     "ProfileTable",
+    "ProfileTotals",
     "batch_simulate_table",
     "fast_path_enabled",
-    "gap_arrays",
     "seq_sum",
     "set_fast_path",
     "use_fast_path",

@@ -312,10 +312,10 @@ class WorkloadProfile:
         """All idle-gap families of one component per iteration."""
         table = self._fast_table()
         if table is not None:
-            gap_s, _, num_total = table.gap_table(component)
+            gap_s, num_gaps, _ = table.gap_table(component)
             return [
                 GapProfile(component=component, gap_s=gap, num_gaps=num)
-                for gap, num in zip(gap_s.tolist(), num_total.tolist())
+                for gap, num in zip(gap_s.tolist(), num_gaps.tolist())
                 if num > 0
             ]
         gaps: list[GapProfile] = []

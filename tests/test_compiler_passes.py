@@ -1,15 +1,9 @@
-"""Tests for tiling, fusion, parallelism search and SRAM allocation."""
+"""Tests for tiling, fusion and SRAM allocation."""
 
 import pytest
 
 from repro.compiler.allocation import BufferAllocation, BufferRequest, SramAllocator
 from repro.compiler.fusion import FusionPass
-from repro.compiler.parallelism import (
-    best_parallelism,
-    divisors,
-    enumerate_parallelism,
-    valid_parallelism,
-)
 from repro.compiler.tiling import TilingPass
 from repro.hardware.chips import get_chip
 from repro.workloads.base import (
@@ -18,7 +12,6 @@ from repro.workloads.base import (
     elementwise_op,
     matmul_op,
 )
-from repro.workloads.registry import get_workload
 
 
 class TestTiling:
@@ -96,46 +89,6 @@ class TestFusion:
         before = graph.total_hbm_bytes
         FusionPass(chip).run(graph)
         assert graph.total_hbm_bytes == before
-
-
-class TestParallelismSearch:
-    def test_divisors(self):
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(1) == [1]
-
-    def test_divisors_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            divisors(0)
-
-    def test_enumerate_covers_all_factorizations(self):
-        configs = list(enumerate_parallelism(8))
-        assert all(c.num_chips == 8 for c in configs)
-        assert len({(c.data, c.tensor, c.pipeline) for c in configs}) == len(configs)
-        assert len(configs) >= 6
-
-    def test_enumerate_respects_limits(self):
-        configs = list(enumerate_parallelism(64, max_tensor=4, max_pipeline=2))
-        assert all(c.tensor <= 4 and c.pipeline <= 2 for c in configs)
-
-    def test_valid_parallelism_memory_check(self):
-        spec = get_workload("llama3-70b-prefill")
-        chip = get_chip("NPU-D")
-        from repro.workloads.base import ParallelismConfig
-
-        assert not valid_parallelism(spec, ParallelismConfig(), chip, 8)
-        assert valid_parallelism(spec, ParallelismConfig(tensor=4), chip, 8)
-
-    def test_best_parallelism_minimizes_sharding(self):
-        spec = get_workload("llama3-8b-prefill")
-        chip = get_chip("NPU-D")
-        best = best_parallelism(spec, 8, chip, 8)
-        assert best is not None
-        assert best.tensor == 1 and best.pipeline == 1
-
-    def test_best_parallelism_none_when_impossible(self):
-        spec = get_workload("llama3.1-405b-prefill")
-        chip = get_chip("NPU-A")  # 16 GB HBM: 405B cannot fit on 1 chip
-        assert best_parallelism(spec, 1, chip, 1) is None
 
 
 class TestSramAllocator:

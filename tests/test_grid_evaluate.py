@@ -49,7 +49,7 @@ from repro.gating.policies import (
 )
 from repro.gating.report import PolicyName
 from repro.hardware.components import Component
-from repro.simulator.columnar import use_fast_path
+from repro.simulator.columnar import GAP_COMPONENTS, use_fast_path
 
 #: The sensitivity figures' parameter axes (Figures 21 and 22).
 PARAMETER_GRID = tuple(
@@ -308,6 +308,52 @@ class TestChipMajorPacks:
             assert pack.profiles[position] is fleet[original]
             assert multi.pack_indices[pack_index][position] == original
 
+    def test_pack_joins_each_tables_reduction(self, fleet):
+        """A pack's per-profile totals and per-operator gap arrays are its
+        tables' own, byte for byte: the pack joins, it never reduces."""
+
+        def as_bytes(value) -> bytes:
+            return np.float64(value).tobytes()
+
+        with use_fast_path(True):
+            multi = ChipMajorPacks.pack(fleet)
+        for original, (pack_index, position) in enumerate(multi.index_map):
+            pack = multi.packs[pack_index]
+            table = fleet[original].table
+            totals = table.totals
+            start, end = pack.segments[position]
+
+            def own(packed) -> bytes:
+                return packed[position : position + 1].tobytes()
+
+            assert own(pack.total_time_s) == as_bytes(table.total_time_s())
+            for component in Component.all():
+                assert own(pack.dynamic_total_j[component]) == as_bytes(
+                    table.dynamic_total_j(component)
+                ), component
+            for component in GAP_COMPONENTS:
+                assert own(pack.active_total_s[component]) == as_bytes(
+                    table.active_total_s(component)
+                ), component
+                assert own(pack.idle_total_s[component]) == as_bytes(
+                    totals.idle_total_s[component]
+                ), component
+                assert own(pack.gap_count[component]) == as_bytes(
+                    totals.gap_count[component]
+                ), component
+                for packed, tabled in zip(
+                    pack.gaps[component], table.gap_table(component)
+                ):
+                    assert packed[start:end].tobytes() == tabled.tobytes(), component
+            assert (
+                pack.weighted_latency[start:end].tobytes()
+                == totals.weighted_latency.tobytes()
+            )
+            assert (
+                pack.weighted_sa_active[start:end].tobytes()
+                == (table.active[Component.SA] * table.count).tobytes()
+            )
+
     @pytest.mark.parametrize("policy_name", list_policies())
     def test_batch_evaluate_multi_chip(self, fleet, policy_name):
         """A one-point grid over a mixed-chip batch is per-profile evaluate."""
@@ -361,6 +407,51 @@ class TestSweepIntegration:
         with use_fast_path(False):
             oracle = run_sweep(spec)
         assert fast.to_csv() == oracle.to_csv()
+
+    def test_batch_pass_packs_once_and_shares_memos(self, monkeypatch):
+        """A cold 5-policy batch over 2 chips x 2 gating points builds one
+        chip-major pack and one parameter table, and every policy prices
+        on them: ReGate-Base/HW/Full gate the HBM and ICI controllers
+        alike, so each chip's pack holds one idle grid for each."""
+        from repro.core.config import SimulationConfig
+        from repro.experiments.cache import SimulationCache, simulate_cached_cells
+
+        packs: list[ChipMajorPacks] = []
+        parameter_tables: list[ParameterTable] = []
+        pack = ChipMajorPacks.pack.__func__
+        init = ParameterTable.__init__
+
+        def counting_pack(cls, profiles):
+            packs.append(pack(cls, profiles))
+            return packs[-1]
+
+        def counting_init(self, parameters):
+            parameter_tables.append(self)
+            init(self, parameters)
+
+        monkeypatch.setattr(ChipMajorPacks, "pack", classmethod(counting_pack))
+        monkeypatch.setattr(ParameterTable, "__init__", counting_init)
+        items = [
+            (workload, SimulationConfig(chip=chip, gating_parameters=parameters))
+            for chip in ("NPU-C", "NPU-D")
+            for workload in FLEET_WORKLOADS[:2]
+            for parameters in PARAMETER_GRID[:2]
+        ]
+        with use_fast_path(True):
+            _, cells = simulate_cached_cells(items, SimulationCache())
+        assert len(packs) == 1, "the batch must be packed once"
+        assert len(parameter_tables) == 1, "the batch must build one ParameterTable"
+        (batch,) = packs
+        assert [p.chip.name for p in batch.packs] == ["NPU-C", "NPU-D"]
+        assert all(len(row) == len(list_policies()) for row in cells)
+        for chip_pack in batch.packs:
+            for component in (Component.HBM, Component.ICI):
+                idle_grids = [
+                    key
+                    for key in chip_pack.memo
+                    if isinstance(key, tuple) and key[:2] == ("idle_grid", component)
+                ]
+                assert len(idle_grids) == 1, (chip_pack.chip.name, component)
 
     def test_simulate_cached_many_grid_matches_per_item(self):
         from repro.core.config import SimulationConfig
