@@ -62,7 +62,8 @@ class TableFusionResult:
     """Vectorized fusion output: the rewritten table plus group structure.
 
     ``group_id`` maps each (pre- and post-fusion, the boundaries are
-    positional) operator row to its fusion group in program order;
+    positional) operator row to its fusion group in program order,
+    counted from 0 in each graph of a batched run;
     ``demands`` is the per-row SRAM demand the fuse decisions used.
     """
 
@@ -72,6 +73,7 @@ class TableFusionResult:
 
     @property
     def num_groups(self) -> int:
+        """Fusion groups of a one-graph run (the last graph's in a batch)."""
         if self.group_id.size == 0:
             return 0
         return int(self.group_id[-1]) + 1
@@ -186,15 +188,27 @@ class FusionPass:
     # ------------------------------------------------------------------ #
     # Vectorized rewrite (columnar compiler frontend)
     # ------------------------------------------------------------------ #
-    def run_table(self, table: GraphTable) -> TableFusionResult:
+    def run_table(
+        self, table: GraphTable, starts: list[int] | np.ndarray | None = None
+    ) -> TableFusionResult:
         """Vectorized :meth:`run` over a :class:`GraphTable`.
 
         The fuse decision and both traffic rewrites only consult
         *original* neighbor columns (exactly like the object loop, whose
         ``previous`` variable always holds the unrewritten operator), so
         the whole rewrite is three masked array expressions.
+
+        ``starts`` runs many graphs at once: ``table`` is their rows end
+        to end (:meth:`GraphTable.concat`) and ``starts`` the first row
+        of each.  Fusion never crosses a segment: the row at a segment
+        start is never fused into the row before it, so no rewrite reads
+        the neighbouring graph, and ``group_id`` restarts at 0 in each
+        segment.  Every segment's result equals a run over its graph
+        alone.
         """
         n = table.n_ops
+        # A lone segment (or none) needs no boundary: row 0 never fuses.
+        segmented = starts is not None and len(starts) > 1
         if n == 0:
             return TableFusionResult(
                 table=table,
@@ -223,6 +237,8 @@ class FusionPass:
             & (table.count[1:] == table.count[:-1])
             & (demands[:-1] + demands[1:] <= self.chip.sram_bytes)
         )
+        if segmented:
+            fused[starts] = False
         read = table.hbm_read_bytes
         write = table.hbm_write_bytes
         new_read = read
@@ -242,6 +258,9 @@ class FusionPass:
                 producer, np.maximum(0.0, write - next_read), write
             )
         group_id = np.cumsum(~fused) - 1
+        if segmented:
+            lengths = np.diff(starts, append=n)
+            group_id -= np.repeat(group_id[starts], lengths)
         fused_table = table.replace(
             hbm_read_bytes=new_read, hbm_write_bytes=new_write
         )

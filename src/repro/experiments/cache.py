@@ -379,53 +379,86 @@ def _resolution_memo_key(spec: WorkloadSpec, config: SimulationConfig) -> tuple:
     )
 
 
-def _cached_profile(
-    spec: WorkloadSpec,
-    config: SimulationConfig,
-    cache: SimulationCache,
-    built_graphs: dict | None = None,
-    resolutions: dict | None = None,
-):
-    """Resolve one item's (chip, parallelism, pkey, profile) through ``cache``.
+def _resolve(
+    spec: WorkloadSpec, config: SimulationConfig, resolutions: dict
+) -> tuple:
+    """One item's ``(chip, batch_size, parallelism, profile key)``.
 
-    The single definition of the profile-memoization sequence, shared by
-    the per-item and batched entry points so their cache keys (and
-    therefore their results) can never diverge.  ``built_graphs`` lets a
-    batched caller share one built graph between chip-only variants of
-    the same workload (the simulator never mutates its input IR);
-    ``resolutions`` memoizes the execution resolution + profile key so a
-    gating-parameter grid resolves each distinct (workload, chip,
-    batch) combination once instead of once per grid point.
+    ``resolutions`` memoizes it per distinct (workload, chip, batch)
+    combination, so a gating-parameter grid resolves each one once
+    instead of once per grid point.
     """
-    resolved = None
-    if resolutions is not None:
-        resolution_key = _resolution_memo_key(spec, config)
-        resolved = resolutions.get(resolution_key)
-    if resolved is not None:
-        chip, batch_size, parallelism, pkey = resolved
-    else:
+    resolution_key = _resolution_memo_key(spec, config)
+    resolved = resolutions.get(resolution_key)
+    if resolved is None:
         chip, batch_size, parallelism = resolve_execution(spec, config)
         pkey = profile_key(
             spec.name, chip, batch_size, parallelism, config.apply_fusion
         )
-        if resolutions is not None:
-            resolutions[resolution_key] = (chip, batch_size, parallelism, pkey)
-    profile = cache.get_profile(pkey)
-    if profile is None:
-        from repro.core.regate import build_workload_graph
-        from repro.simulator.engine import NPUSimulator
+        resolved = (chip, batch_size, parallelism, pkey)
+        resolutions[resolution_key] = resolved
+    return resolved
 
-        graph = None
+
+def _simulate_misses(
+    items: list[tuple[WorkloadSpec, SimulationConfig]],
+    cache: SimulationCache,
+) -> tuple[list[tuple], dict[str, WorkloadProfile]]:
+    """Resolve every item and simulate the batch's missing profiles.
+
+    The single probe/simulate/put sequence, shared by the per-item and
+    batched entry points so their cache keys (and therefore their
+    results) can never diverge.  Returns, per item, its ``(chip,
+    parallelism, profile key)``, and the batch's distinct profiles by
+    key, in first-appearance order.  The first item of each key probes
+    the cache; the misses (one per key) are grouped by chip and fusion
+    flag and each group is simulated in one
+    :meth:`~repro.simulator.engine.NPUSimulator.simulate_many` pass, and
+    every profile is put in the cache.  A later item of a key then reads
+    its profile from the cache, so the cache counts one miss per missing
+    key and a hit for every other item, as if the items were simulated
+    one by one.  Graphs are chip-independent: two missing profiles
+    differing only in chip (same workload, batch and parallelism) share
+    one built graph.
+    """
+    from repro.core.regate import build_workload_graph
+    from repro.simulator.engine import NPUSimulator
+
+    resolved: list[tuple] = []
+    profiles: dict[str, WorkloadProfile | None] = {}
+    repeats: list[str] = []
+    # (chip identity, fusion flag) -> (simulator, missing keys, graphs)
+    misses: dict[tuple, tuple] = {}
+    built_graphs: dict[tuple, Any] = {}
+    resolutions: dict[tuple, tuple] = {}
+    for spec, config in items:
+        chip, batch_size, parallelism, pkey = _resolve(spec, config, resolutions)
+        resolved.append((chip, parallelism, pkey))
+        if pkey in profiles:
+            repeats.append(pkey)
+            continue
+        profiles[pkey] = cache.get_profile(pkey)
+        if profiles[pkey] is not None:
+            continue
         graph_key = (spec.name, batch_size, parallelism)
-        if built_graphs is not None:
-            graph = built_graphs.get(graph_key)
+        graph = built_graphs.get(graph_key)
         if graph is None:
             graph = build_workload_graph(spec, batch_size, parallelism)
-            if built_graphs is not None:
-                built_graphs[graph_key] = graph
-        profile = NPUSimulator(chip, apply_fusion=config.apply_fusion).simulate(graph)
-        cache.put_profile(pkey, profile)
-    return chip, parallelism, pkey, profile
+            built_graphs[graph_key] = graph
+        group = (id(chip), config.apply_fusion)
+        if group not in misses:
+            simulator = NPUSimulator(chip, apply_fusion=config.apply_fusion)
+            misses[group] = (simulator, [], [])
+        _, pkeys, graphs = misses[group]
+        pkeys.append(pkey)
+        graphs.append(graph)
+    for simulator, pkeys, graphs in misses.values():
+        for pkey, profile in zip(pkeys, simulator.simulate_many(graphs)):
+            cache.put_profile(pkey, profile)
+            profiles[pkey] = profile
+    for pkey in repeats:
+        cache.get_profile(pkey)
+    return resolved, profiles
 
 
 def simulate_cached(
@@ -451,7 +484,8 @@ def simulate_cached(
     if spec is None:
         return simulate_workload(workload, config)
     config = config or SimulationConfig()
-    chip, parallelism, pkey, profile = _cached_profile(spec, config, cache)
+    [(chip, parallelism, pkey)], profiles = _simulate_misses([(spec, config)], cache)
+    profile = profiles[pkey]
 
     # Fusion preserves all workload metadata, so the profile's graph
     # stands in for a freshly built one.
@@ -474,9 +508,9 @@ def _price_prepared(
 ) -> tuple[list[SimulationResult], list[list]]:
     """Fused simulate→price core over registry-backed (spec, config) items.
 
-    One pass: profiles are resolved through the cache with the
-    execution resolution memoized per distinct (workload, chip, batch)
-    combination.  The batch's distinct profiles (by profile key, in
+    One pass: every item is resolved, and the batch's missing profiles
+    are simulated in one columnar pass per chip
+    (:func:`_simulate_misses`).  The batch's distinct profiles (by profile key, in
     first-appearance order) are packed once, chip-major, into one
     :class:`~repro.gating.policies.ChipMajorPacks`, and its distinct
     gating-parameter points (by token) form one
@@ -505,23 +539,15 @@ def _price_prepared(
     from repro.gating.bet import ParameterTable
     from repro.gating.policies import ChipMajorPacks, get_policy
 
-    prepared: list[tuple] = []
-    profiles: dict[str, WorkloadProfile] = {}
+    resolved, profiles = _simulate_misses(items, cache)
     parameters: dict[int, GatingParameters] = {}
     policies: dict[PolicyName, None] = {}
-    # Graphs are chip-independent: two points differing only in chip
-    # (same workload, batch and parallelism) share one built graph.
-    built_graphs: dict[tuple, Any] = {}
-    resolutions: dict[tuple, tuple] = {}
-    for spec, config in items:
-        _, parallelism, pkey, profile = _cached_profile(
-            spec, config, cache, built_graphs, resolutions
-        )
+    prepared: list[tuple] = []
+    for (spec, config), (_, parallelism, pkey) in zip(items, resolved):
         token = parameters_token(config.gating_parameters)
-        profiles.setdefault(pkey, profile)
         parameters.setdefault(token, config.gating_parameters)
         policies.update(dict.fromkeys(config.policies))
-        prepared.append((spec, config, parallelism, profile, pkey, token))
+        prepared.append((spec, config, parallelism, profiles[pkey], pkey, token))
 
     grids = {}
     if policies:

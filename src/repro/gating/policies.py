@@ -21,7 +21,6 @@ energy of power-state transitions, and the exposed wake-up delays:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.simulator.columnar import (
     GAP_COMPONENTS,
     ProfileTable,
     ProfileTotals,
-    seq_sum,
+    Segments,
 )
 from repro.simulator.engine import GapProfile, WorkloadProfile
 
@@ -195,11 +194,11 @@ class PackedProfiles:
     factor arrays, shared idle grids) are memoized on the pack and
     shared by every policy evaluated on it — pack once, evaluate many.
 
-    The parameter-dependent sums of the kernel slice the packed arrays
-    at the segment offsets and reduce each segment with a sequential
-    ``cumsum``, keeping the strictly left-to-right accumulation the
-    bit-exactness contract requires (``np.add.reduceat`` rounds
-    differently).
+    The parameter-dependent sums of the kernel reduce every segment of
+    every row at once with :meth:`~repro.simulator.columnar.Segments.sums`,
+    keeping the strictly left-to-right accumulation the bit-exactness
+    contract requires (``np.add.reduceat`` rounds differently), and the
+    peak power with :meth:`~repro.simulator.columnar.Segments.maxes`.
     """
 
     def __init__(self, profiles: list[WorkloadProfile], tables: list[ProfileTable]):
@@ -208,12 +207,11 @@ class PackedProfiles:
             raise ValueError("PackedProfiles requires profiles of a single chip")
         self.profiles = profiles
         self.chip = profiles[0].chip
-        lengths = [table.n_ops for table in tables]
-        bounds = [0, *itertools.accumulate(lengths)]
-        #: ``(start, end)`` of every profile's segment in the packed arrays.
-        self.segments = list(zip(bounds[:-1], bounds[1:]))
+        #: Every profile's segment of the packed arrays, and the
+        #: reductions over them (``segments.sums`` / ``segments.maxes``).
+        self.segments = Segments([table.n_ops for table in tables])
         self.n_profiles = len(tables)
-        self.n_ops = np.asarray(lengths, dtype=np.float64)
+        self.n_ops = np.asarray(self.segments.lengths, dtype=np.float64)
         self.latency_s = _join([t.latency_s for t in tables])
         self.sram_demand_bytes = _join([t.sram_demand_bytes for t in tables])
         self.dims_m = _join([t.dims_m for t in tables])
@@ -273,38 +271,6 @@ class PackedProfiles:
         if pack is None:
             pack = table.memo["pack"] = cls([profile], [table])
         return pack
-
-    # ------------------------------------------------------------------ #
-    def seg_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile strictly-sequential sums of a packed array."""
-        return np.asarray(
-            [seq_sum(values[start:end]) for start, end in self.segments],
-            dtype=np.float64,
-        )
-
-    def seg_sums_matrix(self, stacked: np.ndarray) -> np.ndarray:
-        """Per-profile sequential sums of every row of a ``(R, n_ops)`` matrix.
-
-        Each segment accumulates with a single ``cumsum(axis=1)`` —
-        row-wise sequential, so every row reduces bit-identically to
-        :func:`seq_sum`, with one NumPy call per profile instead of one
-        per (row, profile).  The grid kernel feeds it ``(n_points *
-        quantities, n_ops)`` matrices so a whole policy × gating-parameter
-        grid reduces in one pass (the parameter axis rides along as
-        extra rows).
-        """
-        out = np.zeros((stacked.shape[0], self.n_profiles), dtype=np.float64)
-        for index, (start, end) in enumerate(self.segments):
-            if end > start:
-                out[:, index] = stacked[:, start:end].cumsum(axis=1)[:, -1]
-        return out
-
-    def seg_max_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile row-wise max of a ``(R, n_ops)`` matrix (0 floor)."""
-        out = np.empty((values.shape[0], self.n_profiles), dtype=np.float64)
-        for index, (start, end) in enumerate(self.segments):
-            out[:, index] = values[:, start:end].max(axis=1, initial=0.0)
-        return out
 
     def grid_totals(
         self, shape: tuple[int, int]
@@ -945,13 +911,13 @@ class PowerGatingPolicy:
         )
         gated_values = np.where(gated_mask, num_gaps, 0.0)
         if software:
-            sums = pack.seg_sums_matrix(np.vstack((energy_values, gated_values)))
+            sums = pack.segments.sums(np.vstack((energy_values, gated_values)))
             cached = sums[:n_points], sums[n_points:], np.zeros(shape)
         else:
             exposed_values = np.where(
                 gated_mask, coeffs.delay_cycles * num_gaps, 0.0
             )
-            sums = pack.seg_sums_matrix(
+            sums = pack.segments.sums(
                 np.concatenate((energy_values, gated_values, exposed_values))
             )
             cached = (
@@ -1024,7 +990,7 @@ class PowerGatingPolicy:
         if cached is None:
             active = pack.weighted_sa_active
             factor = self._spatial_factor_grid(pack, ptable)
-            cached = pack.seg_sums_matrix(
+            cached = pack.segments.sums(
                 np.where(active > 0.0, static_power_w * active * factor, 0.0)
             )
             pack.memo[key] = cached
@@ -1046,7 +1012,7 @@ class PowerGatingPolicy:
         if cached is None:
             duration = pack.weighted_latency
             factor = self._sram_factor_grid(pack, ptable)
-            cached = pack.seg_sums_matrix(static_power_w * duration * factor)
+            cached = pack.segments.sums(static_power_w * duration * factor)
             pack.memo[key] = cached
         return cached
 
@@ -1100,9 +1066,9 @@ class PowerGatingPolicy:
         values = np.where(mask, dynamic_w + static_w, 0.0)
         if values.ndim == 1:
             # Every contribution was parameter-independent (e.g. NoPG).
-            maxes = pack.seg_max_matrix(values[None, :])[0]
+            maxes = pack.segments.maxes(values)
             return _grid_view(maxes, (ptable.n_points, pack.n_profiles))
-        return pack.seg_max_matrix(values)
+        return pack.segments.maxes(values)
 
 
 class NoPGPolicy(PowerGatingPolicy):
@@ -1187,7 +1153,7 @@ class IdealPolicy(PowerGatingPolicy):
     ) -> np.ndarray:
         active = pack.weighted_sa_active
         active_share = _spatial_shares(pack)[0]
-        energy = pack.seg_sums(
+        energy = pack.segments.sums(
             np.where(active > 0.0, static_power_w * active * active_share, 0.0)
         )
         return _grid_view(energy, (ptable.n_points, pack.n_profiles))
@@ -1198,7 +1164,7 @@ class IdealPolicy(PowerGatingPolicy):
         capacity = pack.chip.sram_bytes
         duration = pack.weighted_latency
         used = np.minimum(1.0, pack.sram_demand_bytes / capacity)
-        energy = pack.seg_sums(static_power_w * duration * used)
+        energy = pack.segments.sums(static_power_w * duration * used)
         return _grid_view(energy, (ptable.n_points, pack.n_profiles))
 
 

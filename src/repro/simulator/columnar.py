@@ -7,10 +7,12 @@ as a Python loop over them.  This module provides the NumPy-backed fast
 path: a :class:`ProfileTable` holds one aligned ``float64`` array per
 per-operator quantity.  The fast path builds it in one vectorized batch
 from a :class:`~repro.workloads.table.GraphTable`
-(:func:`batch_simulate_table`), and that table *is* the profile: no
-per-operator object is ever built from it.  An oracle profile's table
-is extracted from its objects (:meth:`ProfileTable.from_profiles`), so
-an oracle profile can be priced on the fast path too.
+(:func:`batch_simulate_table`), one batch per chip for many graphs laid
+end to end (:class:`Segments`, :meth:`ProfileTable.segment`), and that
+table *is* the profile: no per-operator object is ever built from it.
+An oracle profile's table is extracted from its objects
+(:meth:`ProfileTable.from_profiles`), so an oracle profile can be priced
+on the fast path too.
 
 **Bit-for-bit equivalence with the object path is a hard contract**, not
 a best-effort goal: the golden regression fixtures and the experiment
@@ -21,9 +23,10 @@ exactly equal:
 * every elementwise expression mirrors the scalar code's operation
   order (IEEE-754 double arithmetic is deterministic, but not
   associative — ``a + b + c`` must stay ``(a + b) + c``);
-* reductions that the object path accumulates sequentially use
-  :func:`seq_sum` (a ``cumsum``-based strictly left-to-right sum)
-  rather than ``np.sum``, whose pairwise summation rounds differently.
+* reductions that the object path accumulates sequentially are
+  strictly left to right: :meth:`Segments.sums` (one segment per
+  profile of a batch) or :func:`seq_sum`, never ``np.sum``, whose
+  pairwise summation rounds differently.
 
 The fast path can be globally disabled with :func:`use_fast_path` (or
 :func:`set_fast_path`, or ``REPRO_FAST_PATH=0`` at startup): the
@@ -34,6 +37,7 @@ for the equivalence tests.
 
 from __future__ import annotations
 
+import itertools
 import os
 from contextlib import contextmanager
 from typing import Iterator
@@ -103,15 +107,101 @@ def _as_float_array(values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _row_sums(rows: np.ndarray) -> list[float]:
-    """:func:`seq_sum` of every row of a ``(R, n)`` matrix, in one call.
+class Segments:
+    """Ragged segments packed end to end along an array's last axis.
 
-    ``cumsum(axis=1)`` accumulates each row strictly left to right, so
-    every entry is bit-identical to :func:`seq_sum` of its row.
+    ``Segments(lengths)`` cuts ``sum(lengths)`` columns into consecutive
+    runs: segment ``s`` is columns ``[bounds[s], bounds[s + 1])``.  A
+    batch of profiles (or graphs) of one chip is laid out this way, one
+    segment per profile, and :meth:`sums` / :meth:`maxes` reduce every
+    segment of every row in a fixed number of NumPy calls, however many
+    segments there are.
+
+    :meth:`sums` is the fast path's one sequential reduction.  It starts
+    each segment from its element 0 and adds the segment's elements
+    position by position (one NumPy call per position, all segments
+    still that long at once), so every entry is bit-identical to
+    ``cumsum(axis=-1)[..., -1]`` of its segment, a leading ``-0.0``
+    included, and therefore to :func:`seq_sum`; a lone segment is that
+    one ``cumsum``.  :meth:`maxes` needs no ordering and is one
+    ``np.maximum.reduceat``.
     """
-    if rows.shape[1] == 0:
-        return [0.0] * rows.shape[0]
-    return rows.cumsum(axis=1)[:, -1].tolist()
+
+    def __init__(self, lengths):
+        self.lengths = [int(length) for length in lengths]
+        #: Segment ``s`` spans ``bounds[s]:bounds[s + 1]``.
+        self.bounds = [0, *itertools.accumulate(self.lengths)]
+        self.n_segments = len(self.lengths)
+        self._plan: tuple | None = None
+
+    def spans(self) -> list[tuple[int, int]]:
+        """``(start, end)`` of every segment."""
+        return list(zip(self.bounds[:-1], self.bounds[1:]))
+
+    def _position_plan(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """``(order, live, gather)`` of the position-by-position sum.
+
+        ``order`` lists the non-empty segments longest first (stable),
+        ``live[k]`` counts those longer than ``k``, so at position ``k``
+        the live segments are a prefix of ``order``; ``gather`` picks
+        the columns position-major: position 0 of every live segment,
+        then position 1, and so on.
+        """
+        if self._plan is None:
+            lengths = np.asarray(self.lengths, dtype=np.int64)
+            order = np.argsort(-lengths, kind="stable")
+            order = order[lengths[order] > 0]
+            ordered = lengths[order]
+            max_length = int(ordered[0]) if order.size else 0
+            live = np.searchsorted(-ordered, -np.arange(max_length), side="left")
+            step = np.repeat(np.arange(max_length), live)
+            rank = np.arange(step.size) - np.repeat(np.cumsum(live) - live, live)
+            starts = np.asarray(self.bounds[:-1], dtype=np.int64)[order]
+            self._plan = (order, live.tolist(), starts[rank] + step)
+        return self._plan
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment sequential sums along the last axis of ``values``.
+
+        Returns an array of shape ``values.shape[:-1] + (n_segments,)``
+        whose entries are bit-identical to ``values[..., start:end]
+        .cumsum(axis=-1)[..., -1]`` (``0.0`` for an empty segment).
+        """
+        head = values.shape[:-1]
+        if self.n_segments == 1 and self.lengths[0]:
+            return values.cumsum(axis=-1)[..., -1:]
+        order, live, gather = self._position_plan()
+        if not live:
+            return np.zeros((*head, self.n_segments), dtype=np.float64)
+        # Position-major and transposed, so that each position's live
+        # segments (a prefix of ``order``) are one contiguous block.
+        gathered = values.T[gather]
+        acc = gathered[: live[0]].copy()
+        offset = live[0]
+        for count in live[1:]:
+            block = acc[:count]
+            block += gathered[offset : offset + count]
+            offset += count
+        out = np.zeros((self.n_segments, *head[::-1]), dtype=np.float64)
+        out[order] = acc
+        return out.T
+
+    def maxes(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment max along the last axis of ``values``, floored at 0.0.
+
+        Equal to ``values[..., start:end].max(axis=-1, initial=0.0)``
+        (``0.0`` for an empty segment) for values without a ``-0.0``,
+        where the order of equal-valued zeros could pick either sign.
+        """
+        nonempty = [s for s, length in enumerate(self.lengths) if length]
+        out = np.zeros((*values.shape[:-1], self.n_segments), dtype=np.float64)
+        if nonempty:
+            starts = [self.bounds[s] for s in nonempty]
+            maxes = np.maximum(0.0, np.maximum.reduceat(values, starts, axis=-1))
+            if len(nonempty) == self.n_segments:
+                return maxes
+            out[..., nonempty] = maxes
+        return out
 
 
 #: Components with per-operator idle gaps, in the row order of
@@ -154,8 +244,8 @@ class ProfileTotals:
     """The one reduction of a :class:`ProfileTable` (:attr:`ProfileTable.totals`).
 
     Every per-profile sum the aggregates and the policies read comes
-    from one :func:`_row_sums` pass over the products the object path
-    sums, so each is bit-identical to the oracle's loop:
+    from one :meth:`Segments.sums` pass over the products the object
+    path sums, so each is bit-identical to the oracle's loop:
 
     * ``total_time_s``: busy time, ``sum(latency * count)``;
     * ``active_total_s`` / ``dynamic_total_j``: per component;
@@ -168,7 +258,8 @@ class ProfileTotals:
     ``latency * count`` and SA ``active * count`` rows, then one block
     each of ``gap_s``, ``num_gaps`` (gaps per iteration) and ``idle_s``
     (``gap_s * num_gaps``) rows in :data:`GAP_COMPONENTS` order.
-    :meth:`rows` names them.
+    :meth:`rows` names them.  :meth:`segmented` reduces a whole batch of
+    profiles laid end to end in one table at once.
     """
 
     __slots__ = (
@@ -182,10 +273,33 @@ class ProfileTotals:
         "_gaps",
     )
 
-    def __init__(self, table: "ProfileTable"):
-        count = table.count
+    def __init__(self, arrays: np.ndarray, sums: list[float]):
+        """One profile's ``arrays`` and its row sums, in :meth:`segmented` order."""
         components = Component.all()
         n = len(components)
+        self.arrays = arrays
+        self._gaps: dict | None = None
+        self.total_time_s: float = sums[0]
+        self.active_total_s = dict(zip(components, sums[1 : 1 + n]))
+        self.dynamic_total_j = dict(zip(components, sums[1 + n : 1 + 2 * n]))
+        gap_sums = sums[1 + 2 * n : -2]
+        self.gap_count = dict(zip(GAP_COMPONENTS, gap_sums))
+        self.idle_total_s = dict(zip(GAP_COMPONENTS, gap_sums[len(GAP_COMPONENTS) :]))
+        weighted_util, total = sums[-2:]
+        self.sa_spatial_utilization = 0.0 if total <= 0 else weighted_util / total
+
+    @classmethod
+    def segmented(
+        cls, table: "ProfileTable", segments: Segments
+    ) -> list["ProfileTotals"]:
+        """The reduction of every segment of ``table``, one profile each.
+
+        The per-operator rows are computed once over the whole table and
+        every segment's ``arrays`` is a view of them; the sums are one
+        :meth:`Segments.sums` call.
+        """
+        count = table.count
+        components = Component.all()
         # Rows: latency, then active and dynamic per component, all
         # weighted by the invocation count.
         weighted = (
@@ -203,10 +317,7 @@ class ProfileTotals:
         gap_s, per_invocation = _burst_gaps(table)
         num_gaps = per_invocation * count
         idle_s = gap_s * num_gaps
-        self.arrays = np.concatenate(
-            (weighted[[0, sa_row]], gap_s, num_gaps, idle_s)
-        )
-        self._gaps: dict | None = None
+        arrays = np.concatenate((weighted[[0, sa_row]], gap_s, num_gaps, idle_s))
         sa_mask = sa_active > 0.0
         spatial = np.array(
             [
@@ -214,15 +325,11 @@ class ProfileTotals:
                 np.where(sa_mask, sa_active, 0.0),
             ]
         )
-        sums = _row_sums(np.concatenate((weighted, num_gaps, idle_s, spatial)))
-        self.total_time_s: float = sums[0]
-        self.active_total_s = dict(zip(components, sums[1 : 1 + n]))
-        self.dynamic_total_j = dict(zip(components, sums[1 + n : 1 + 2 * n]))
-        gap_sums = sums[1 + 2 * n : -2]
-        self.gap_count = dict(zip(GAP_COMPONENTS, gap_sums))
-        self.idle_total_s = dict(zip(GAP_COMPONENTS, gap_sums[len(GAP_COMPONENTS) :]))
-        weighted_util, total = sums[-2:]
-        self.sa_spatial_utilization = 0.0 if total <= 0 else weighted_util / total
+        sums = segments.sums(np.concatenate((weighted, num_gaps, idle_s, spatial)))
+        return [
+            cls(arrays[:, start:end], column)
+            for (start, end), column in zip(segments.spans(), sums.T.tolist())
+        ]
 
     @property
     def weighted_latency(self) -> np.ndarray:
@@ -353,12 +460,44 @@ class ProfileTable:
             has_dims=np.asarray([d is not None for d in dims], dtype=bool),
         )
 
+    def segment(
+        self, start: int, end: int, graph: GraphTable, totals: ProfileTotals
+    ) -> "ProfileTable":
+        """Rows ``[start, end)``, one graph of a batch, as that graph's profile.
+
+        Every simulated array is a view of this table's (nothing is
+        copied); the graph columns (counts, matmul dimensions) are
+        ``graph``'s own arrays, which hold the same values, so a profile
+        pins no copy of the batch's concatenated graph columns.
+        ``totals`` is the segment's reduction
+        (:meth:`ProfileTotals.segmented`).
+        """
+        rows = slice(start, end)
+        part = ProfileTable(
+            count=graph.count,
+            latency_s=self.latency_s[rows],
+            sa_mapped=self.sa_mapped[rows],
+            sa_spatial_util=self.sa_spatial_util[rows],
+            active={c: values[rows] for c, values in self.active.items()},
+            dynamic={c: values[rows] for c, values in self.dynamic.items()},
+            sram_demand_bytes=self.sram_demand_bytes[rows],
+            num_weight_tiles=self.num_weight_tiles[rows],
+            num_output_tiles=self.num_output_tiles[rows],
+            num_dma_bursts=self.num_dma_bursts[rows],
+            dims_m=graph.dims_m,
+            dims_k=graph.dims_k,
+            dims_n=graph.dims_n,
+            has_dims=graph.has_dims,
+        )
+        part._totals = totals
+        return part
+
     # -- aggregates (all read the one reduction) ------------------------ #
     @property
     def totals(self) -> ProfileTotals:
         """The profile's reduction, computed on first use."""
         if self._totals is None:
-            self._totals = ProfileTotals(self)
+            self._totals = ProfileTotals.segmented(self, Segments([self.n_ops]))[0]
         return self._totals
 
     def total_time_s(self) -> float:
@@ -535,6 +674,7 @@ __all__ = [
     "GAP_COMPONENTS",
     "ProfileTable",
     "ProfileTotals",
+    "Segments",
     "batch_simulate_table",
     "fast_path_enabled",
     "seq_sum",

@@ -9,8 +9,9 @@ account static energy under the different gating schemes — the same
 split the paper uses between its performance simulator backend and its
 power/energy analysis.
 
-:meth:`NPUSimulator.simulate` fixes each profile's representation when
-it builds it.  On the columnar fast path the profile *is* its
+:meth:`NPUSimulator.simulate` (and :meth:`NPUSimulator.simulate_many`,
+its batched form) fixes each profile's representation when it builds
+it.  On the columnar fast path the profile *is* its
 :class:`~repro.simulator.columnar.ProfileTable` (with the fused
 :class:`~repro.workloads.table.GraphTable` as its graph); the object-path
 oracle (``REPRO_FAST_PATH=0``) builds one :class:`OperatorProfile` per
@@ -277,9 +278,6 @@ class WorkloadProfile:
             return table.dynamic_total_j(component)
         return sum(p.dynamic_energy_j[component] * p.count for p in self.profiles)
 
-    def total_dynamic_energy_j(self) -> float:
-        return sum(self.dynamic_energy_j(c) for c in Component.all())
-
     # ------------------------------------------------------------------ #
     def sa_spatial_utilization(self) -> float:
         """SA-active-time-weighted spatial utilization (Figure 5 metric)."""
@@ -393,29 +391,14 @@ class NPUSimulator:
     def simulate(self, graph: OperatorGraph | GraphTable) -> WorkloadProfile:
         """Simulate one iteration of a workload graph.
 
-        Accepts either IR.  On the columnar fast path the graph runs
-        through the array-native frontend end to end — vectorized
-        fusion, tiling, timing and dynamic energy over a
-        :class:`~repro.workloads.table.GraphTable` — into a profile that
-        holds only its :class:`ProfileTable`.  The per-operator loop
-        below is the reference oracle (``columnar.use_fast_path(False)``).
-        Both produce bit-identical tables.
+        Accepts either IR.  On the columnar fast path this is
+        :meth:`simulate_many` of the one graph.  The per-operator loop
+        below is the reference oracle (``columnar.use_fast_path(False)``);
+        both produce bit-identical tables.
         """
-        NPUSimulator.simulate_calls += 1
         if columnar.fast_path_enabled():
-            table = graph if isinstance(graph, GraphTable) else GraphTable.from_graph(graph)
-            table.validate()
-            demand = None
-            if self.apply_fusion:
-                fusion = FusionPass(self.chip).run_table(table)
-                # Fusion never changes an input of the demand expressions,
-                # so its fuse-decision demands are the fused table's.
-                table, demand = fusion.table, fusion.demands
-            profile_table = columnar.batch_simulate_table(
-                table, self.chip, self.power_model.dynamic, self.tiling,
-                sram_demand=demand,
-            )
-            return WorkloadProfile.from_table(table, self.chip, profile_table)
+            return self.simulate_many([graph])[0]
+        NPUSimulator.simulate_calls += 1
         if isinstance(graph, GraphTable):
             graph = graph.to_graph()
         graph.validate()
@@ -424,6 +407,73 @@ class NPUSimulator:
         return WorkloadProfile(
             graph, self.chip, [self.simulate_operator(op) for op in graph.operators]
         )
+
+    def simulate_many(
+        self, graphs: Iterable[OperatorGraph | GraphTable]
+    ) -> list[WorkloadProfile]:
+        """Simulate many graphs on this chip, one profile per graph, in order.
+
+        On the columnar fast path the graphs run through the array-native
+        frontend in one pass: their tables are laid end to end
+        (:meth:`GraphTable.concat`, one segment per graph), and fusion
+        (which never crosses a segment), tiling, timing, dynamic energy
+        and the :class:`~repro.simulator.columnar.ProfileTotals`
+        reduction each run once over the whole batch.  Each graph's
+        profile holds its segment of the batch's arrays as views
+        (:meth:`ProfileTable.segment`) and its own fused
+        :class:`~repro.workloads.table.GraphTable` (a lone graph's are
+        the batch's own).  Every profile is
+        bit-identical to simulating its graph alone.  With the fast path
+        off, each graph goes through :meth:`simulate`'s oracle.
+
+        Each graph is validated on its own, so an error names the graph,
+        and :attr:`simulate_calls` counts one per graph.
+        """
+        graphs = list(graphs)
+        if not columnar.fast_path_enabled():
+            return [self.simulate(graph) for graph in graphs]
+        if not graphs:
+            return []
+        NPUSimulator.simulate_calls += len(graphs)
+        tables = [
+            graph if isinstance(graph, GraphTable) else GraphTable.from_graph(graph)
+            for graph in graphs
+        ]
+        for table in tables:
+            table.validate()
+        segments = columnar.Segments([table.n_ops for table in tables])
+        batch = GraphTable.concat(tables)
+        demand = None
+        if self.apply_fusion:
+            fusion = FusionPass(self.chip).run_table(
+                batch, starts=segments.bounds[:-1]
+            )
+            # Fusion never changes an input of the demand expressions,
+            # so its fuse-decision demands are the fused table's.
+            batch, demand = fusion.table, fusion.demands
+        whole = columnar.batch_simulate_table(
+            batch, self.chip, self.power_model.dynamic, self.tiling,
+            sram_demand=demand,
+        )
+        if len(tables) == 1:
+            # One graph is the whole batch: its profile is the batch's
+            # fused table and profile table, reduced on first use.
+            return [WorkloadProfile.from_table(batch, self.chip, whole)]
+        totals = columnar.ProfileTotals.segmented(whole, segments)
+        profiles = []
+        for table, (start, end), reduced in zip(tables, segments.spans(), totals):
+            if self.apply_fusion:
+                # Fusion rewrites only the HBM traffic columns.
+                table = table.replace(
+                    hbm_read_bytes=batch.hbm_read_bytes[start:end],
+                    hbm_write_bytes=batch.hbm_write_bytes[start:end],
+                )
+            profiles.append(
+                WorkloadProfile.from_table(
+                    table, self.chip, whole.segment(start, end, table, reduced)
+                )
+            )
+        return profiles
 
 
 __all__ = [

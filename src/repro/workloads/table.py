@@ -138,27 +138,6 @@ class GraphTable:
             self.__dict__["_hbm_bytes"] = cached
         return cached
 
-    # -- aggregate conveniences (mirror OperatorGraph's totals) ---------- #
-    @property
-    def total_sa_flops(self) -> float:
-        return float((self.sa_flops * self.count).cumsum()[-1]) if self.n_ops else 0.0
-
-    @property
-    def total_vu_flops(self) -> float:
-        return float((self.vu_flops * self.count).cumsum()[-1]) if self.n_ops else 0.0
-
-    @property
-    def total_hbm_bytes(self) -> float:
-        return float((self.hbm_bytes * self.count).cumsum()[-1]) if self.n_ops else 0.0
-
-    @property
-    def total_ici_bytes(self) -> float:
-        return float((self.ici_bytes * self.count).cumsum()[-1]) if self.n_ops else 0.0
-
-    @property
-    def num_operator_invocations(self) -> int:
-        return int(self.count.sum()) if self.n_ops else 0
-
     def validate(self) -> None:
         """Raise ``ValueError`` on the same structural errors as the graph."""
         if not self.n_ops:
@@ -227,6 +206,24 @@ class GraphTable:
             batch_size=graph.batch_size,
         )
 
+    @classmethod
+    def concat(cls, tables: list["GraphTable"]) -> "GraphTable":
+        """One table holding every row of ``tables``, end to end.
+
+        The simulator's batch input: each table is one segment of the
+        result, in order.  Only the columns describe the batch; the
+        metadata (name, phase, parallelism, ...) is the first table's.
+        A single table is returned as it is.
+        """
+        if len(tables) == 1:
+            return tables[0]
+        columns = {
+            column: np.concatenate([getattr(table, column) for table in tables])
+            for column in COLUMNS
+        }
+        names = [name for table in tables for name in table.names]
+        return tables[0].replace(names=names, **columns)
+
     # -- materialization -------------------------------------------------- #
     def to_operators(self) -> list[Operator]:
         """Materialize the equivalent object-path operator list."""
@@ -288,7 +285,14 @@ class GraphTable:
         return dataclasses.replace(self, **overrides)
 
 
+#: The per-operator array columns of a :class:`GraphTable`, in field order.
+COLUMNS = tuple(
+    f.name for f in dataclasses.fields(GraphTable) if f.type == "np.ndarray"
+)
+
+
 __all__ = [
+    "COLUMNS",
     "COLLECTIVE_CODE",
     "COLLECTIVE_LIST",
     "GraphTable",

@@ -321,7 +321,7 @@ class TestChipMajorPacks:
             pack = multi.packs[pack_index]
             table = fleet[original].table
             totals = table.totals
-            start, end = pack.segments[position]
+            start, end = pack.segments.spans()[position]
 
             def own(packed) -> bytes:
                 return packed[position : position + 1].tobytes()
