@@ -12,6 +12,7 @@ mirrors every vectorized stage bit-for-bit for equivalence testing
 
 from repro.serving.arrivals import (
     NS,
+    TAG_DTYPE,
     RequestTrace,
     TraceError,
     diurnal_trace,
@@ -57,6 +58,7 @@ __all__ = [
     "ServingCarbonReport",
     "ServingError",
     "ServingReport",
+    "TAG_DTYPE",
     "TraceError",
     "WorkloadMetrics",
     "carbon_table",

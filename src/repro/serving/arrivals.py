@@ -13,7 +13,10 @@ Three sources produce traces:
 * :func:`load_trace` — a trace file (CSV or JSONL) of recorded arrival
   timestamps and workload tags, replayed verbatim.
 
-All timestamps are held as **integer nanoseconds** (``int64``).  The
+All timestamps are held as **integer nanoseconds** (``int64``), and a
+trace spans less than ``2**63`` ns (about 292 years), so differences of
+two arrivals fit too.  Workload tags are ``uint8`` (at most 256
+workloads per trace), an eighth of the bytes of ``int64``.  The
 queueing simulation is pure integer arithmetic on these columns, which
 is what makes the vectorized path bit-identical to the event-at-a-time
 oracle: there is no floating-point reassociation to disagree about.
@@ -36,6 +39,9 @@ NS = 1_000_000_000
 #: 2**63: scaled arrivals must stay in [-2**63, 2**63) to fit int64.
 _INT64_LIMIT = 2.0**63
 
+#: dtype of every trace constructor's workload-tag column.
+TAG_DTYPE = np.uint8
+
 
 class TraceError(ValueError):
     """A trace file (or trace construction) is malformed."""
@@ -50,20 +56,30 @@ def _to_ns(seconds: float) -> int:
 class RequestTrace:
     """A columnar request trace: sorted arrival times + workload tags.
 
-    ``arrival_ns`` is sorted ascending; ``workload_ids[i]`` indexes
-    ``workloads``.  Construct via the factory helpers below — they
-    normalize sorting and the tag dictionary.
+    ``arrival_ns`` is sorted ascending and spans less than ``2**63``
+    ns; ``workload_ids[i]`` indexes ``workloads``.  Construct via the
+    factory helpers below — they normalize sorting and the tag
+    dictionary, and store the tags as :data:`TAG_DTYPE`.
     """
 
     arrival_ns: np.ndarray  # int64, sorted ascending
-    workload_ids: np.ndarray  # int64, parallel to arrival_ns
+    workload_ids: np.ndarray  # TAG_DTYPE (uint8), parallel to arrival_ns
     workloads: tuple[str, ...]  # tag dictionary: id -> workload name
 
     def __post_init__(self) -> None:
-        if len(self.arrival_ns) != len(self.workload_ids):
+        arrival = self.arrival_ns
+        if len(arrival) != len(self.workload_ids):
             raise TraceError("arrival and workload columns differ in length")
-        if len(self.arrival_ns) and np.any(np.diff(self.arrival_ns) < 0):
+        # Neighbour comparison: a bool per request, and no int64
+        # difference to overflow.
+        if len(arrival) and np.any(arrival[1:] < arrival[:-1]):
             raise TraceError("arrival timestamps must be sorted ascending")
+        span = int(arrival[-1]) - int(arrival[0]) if len(arrival) else 0
+        if span >= 2**63:
+            raise TraceError(
+                f"trace spans {span / NS:.3f}s, past the int64 nanosecond "
+                "range (about 292 years)"
+            )
 
     # -- construction --------------------------------------------------- #
     @classmethod
@@ -87,7 +103,8 @@ class RequestTrace:
             arrivals.append(_to_ns(float(timestamp)))
             tags.append(ids[workload])
         arrival_ns = np.asarray(arrivals, dtype=np.int64)
-        workload_ids = np.asarray(tags, dtype=np.int64)
+        _check_tag_count(names)
+        workload_ids = np.asarray(tags, dtype=TAG_DTYPE)
         order = np.argsort(arrival_ns, kind="stable")
         return cls(arrival_ns[order], workload_ids[order], tuple(names))
 
@@ -143,7 +160,11 @@ class RequestTrace:
                     f"load factor {load_factor:g} scales the arrivals "
                     "past the int64 nanosecond range"
                 )
-        arrival = np.rint(self.arrival_ns / load_factor).astype(np.int64)
+        # One float scratch, rounded in place, then the int64 column.
+        scaled = np.divide(self.arrival_ns, load_factor)
+        np.rint(scaled, out=scaled)
+        arrival = scaled.astype(np.int64)
+        del scaled
         return RequestTrace(arrival, self.workload_ids, self.workloads)
 
     def demand_qps(self, window_s: float = 60.0) -> float:
@@ -177,19 +198,42 @@ def peak_demand_qps(arrival_ns: np.ndarray, window_s: float = 60.0) -> float:
 # ---------------------------------------------------------------------- #
 # Synthetic processes
 # ---------------------------------------------------------------------- #
-def _merge_streams(
-    streams: list[tuple[np.ndarray, int]], workloads: tuple[str, ...]
-) -> RequestTrace:
-    if streams:
-        arrival = np.concatenate([times for times, _ in streams])
-        tags = np.concatenate(
-            [np.full(len(times), tag, dtype=np.int64) for times, tag in streams]
+def _check_tag_count(workloads: Sequence[str]) -> None:
+    """Raise :class:`TraceError` if ``workloads`` overflow :data:`TAG_DTYPE`."""
+    limit = np.iinfo(TAG_DTYPE).max + 1
+    if len(workloads) > limit:
+        raise TraceError(
+            f"a trace holds at most {limit} workloads, got {len(workloads)}"
         )
-    else:
-        arrival = np.empty(0, dtype=np.int64)
-        tags = np.empty(0, dtype=np.int64)
+
+
+def _merge_streams(
+    streams: list[np.ndarray], workloads: tuple[str, ...]
+) -> RequestTrace:
+    """One trace from per-workload sorted streams (``streams[tag]``).
+
+    Takes the list's arrays: it empties ``streams``, and drops each
+    temporary (the streams, the unsorted columns, the order) as soon as
+    its successor exists.
+    """
+    _check_tag_count(workloads)
+    tags = np.repeat(
+        np.arange(len(streams), dtype=TAG_DTYPE), [len(times) for times in streams]
+    )
+    arrival = np.concatenate(streams) if streams else np.empty(0, dtype=np.int64)
+    streams.clear()
     order = np.argsort(arrival, kind="stable")
-    return RequestTrace(arrival[order], tags[order], workloads)
+    arrival = arrival[order]
+    tags = tags[order]
+    del order
+    return RequestTrace(arrival, tags, workloads)
+
+
+def _stream_ns(times_s: np.ndarray) -> np.ndarray:
+    """Arrival seconds → int64 nanoseconds, scaled and rounded in place."""
+    times_s *= NS
+    np.rint(times_s, out=times_s)
+    return times_s.astype(np.int64)
 
 
 def poisson_trace(
@@ -212,8 +256,9 @@ def poisson_trace(
     for tag, (workload, rate) in enumerate(zip(workloads, rates)):
         rng = np.random.default_rng([seed, tag])
         count = rng.poisson(rate * duration_s)
-        times = np.sort(rng.uniform(0.0, duration_s, size=count))
-        streams.append((np.rint(times * NS).astype(np.int64), tag))
+        times = rng.uniform(0.0, duration_s, size=count)
+        times.sort()
+        streams.append(_stream_ns(times))
     return _merge_streams(streams, workloads)
 
 
@@ -250,7 +295,7 @@ def diurnal_trace(
             1.0 + amplitude * np.sin(2.0 * math.pi * times / period_s + phase)
         )
         keep = rng.uniform(0.0, peak, size=count) < rate
-        streams.append((np.rint(times[keep] * NS).astype(np.int64), tag))
+        streams.append(_stream_ns(times[keep]))
     return _merge_streams(streams, workloads)
 
 
@@ -370,6 +415,7 @@ def write_trace_csv(trace: RequestTrace, path: str | Path) -> Path:
 __all__ = [
     "NS",
     "RequestTrace",
+    "TAG_DTYPE",
     "TraceError",
     "diurnal_trace",
     "load_trace",

@@ -64,7 +64,7 @@ class BatchTable:
     close_ns: np.ndarray  # int64 per batch: dispatch-ready time
     sizes: np.ndarray  # int64 per batch
     pool_offsets: np.ndarray  # int64, len(workloads) + 1
-    request_tags: np.ndarray  # int64 per request: the trace's workload_ids
+    request_tags: np.ndarray  # per request: the trace's workload_ids (uint8)
     workloads: tuple[str, ...]
     _request_batch: np.ndarray | None = field(default=None, repr=False)
 
@@ -148,7 +148,8 @@ def _pool_batches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(close_ns, sizes)`` of one pool's batches, from its sorted arrivals.
 
-    One floor division and one ``diff`` find the window groups; the rest
+    One floor division and one neighbour comparison (a bool per
+    request, not an int64 ``diff``) find the window groups; the rest
     works on the far shorter group and batch arrays.  A group of ``g``
     requests opens ``ceil(g / max_batch)`` batches, every one full but
     the last.
@@ -157,15 +158,16 @@ def _pool_batches(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     window = arrival // window_ns
-    boundaries = np.flatnonzero(np.diff(window)) + 1
+    boundaries = np.flatnonzero(window[1:] != window[:-1]) + 1
     group_start = np.concatenate(([0], boundaries))
+    window_close = (window[group_start] + 1) * window_ns
+    del window  # the per-request scratch goes before the batch arrays
     group_end = np.concatenate((boundaries, [len(arrival)]))
     per_group = -(-(group_end - group_start) // max_batch)
     group = np.repeat(np.arange(len(group_start)), per_group)
     first_batch = np.repeat(np.cumsum(per_group) - per_group, per_group)
     batch_start = group_start[group] + (np.arange(len(group)) - first_batch) * max_batch
     sizes = np.minimum(group_end[group] - batch_start, max_batch)
-    window_close = (window[group_start] + 1) * window_ns
     close_ns = np.where(
         sizes == max_batch, arrival[batch_start + sizes - 1], window_close[group]
     )

@@ -44,11 +44,15 @@ class PolicyEnergy:
         return 1.0 - self.total_j / baseline.total_j
 
 
-def _p50_p99_ms(values_ns: np.ndarray) -> tuple[float, float]:
-    """p50 and p99 in milliseconds, from one partition of ``values_ns``."""
-    if len(values_ns) == 0:
+def p50_p99_ms(scratch_ns: np.ndarray) -> tuple[float, float]:
+    """p50 and p99 in milliseconds, from one partition of ``scratch_ns``.
+
+    Partitions ``scratch_ns`` in place (``np.percentile`` would
+    otherwise copy it), so pass an array you own and need no more.
+    """
+    if len(scratch_ns) == 0:
         return 0.0, 0.0
-    p50, p99 = np.percentile(values_ns, (50, 99))
+    p50, p99 = np.percentile(scratch_ns, (50, 99), overwrite_input=True)
     return float(p50) / 1e6, float(p99) / 1e6
 
 
@@ -112,13 +116,41 @@ def compute_workload_metrics(
     latency_ns: np.ndarray,
     energy: dict[PolicyName, PolicyEnergy],
 ) -> WorkloadMetrics:
-    """Assemble one pool's metrics from its batch/request columns."""
+    """Assemble one pool's metrics from its batch/request columns.
+
+    Reads the request columns without changing them: each percentile
+    pair partitions a copy.
+    """
+    return pool_metrics(
+        workload,
+        replicas,
+        span_ns,
+        sizes,
+        service_ns,
+        p50_p99_ms(np.array(queue_wait_ns)),
+        p50_p99_ms(np.array(latency_ns)),
+        energy,
+    )
+
+
+def pool_metrics(
+    workload: str,
+    replicas: int,
+    span_ns: int,
+    sizes: np.ndarray,
+    service_ns: np.ndarray,
+    queue_ms: tuple[float, float],
+    latency_ms: tuple[float, float],
+    energy: dict[PolicyName, PolicyEnergy],
+) -> WorkloadMetrics:
+    """One pool's metrics from its batch columns and the ``(p50, p99)``
+    pairs :func:`p50_p99_ms` took of its queue wait and latency."""
     requests = int(sizes.sum()) if len(sizes) else 0
     busy_ns = int(service_ns.sum()) if len(service_ns) else 0
     span_s = span_ns / NS if span_ns > 0 else 0.0
     capacity_ns = replicas * span_ns
-    p50_queue_ms, p99_queue_ms = _p50_p99_ms(queue_wait_ns)
-    p50_latency_ms, p99_latency_ms = _p50_p99_ms(latency_ns)
+    p50_queue_ms, p99_queue_ms = queue_ms
+    p50_latency_ms, p99_latency_ms = latency_ms
     return WorkloadMetrics(
         workload=workload,
         replicas=replicas,
@@ -243,4 +275,6 @@ __all__ = [
     "aggregate_fleet",
     "compute_workload_metrics",
     "metrics_table",
+    "p50_p99_ms",
+    "pool_metrics",
 ]

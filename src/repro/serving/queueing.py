@@ -23,6 +23,8 @@ across arrival processes, batch policies and replica counts.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.serving.arrivals import RequestTrace, TraceError
@@ -136,20 +138,26 @@ def pool_latencies(
     start_ns: np.ndarray,
     finish_ns: np.ndarray,
     workload_id: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pool's ``(queue_wait_ns, latency_ns)``, in arrival order.
+) -> Iterator[np.ndarray]:
+    """One pool's queue wait, then its latency (ns), in arrival order.
 
     The same values :func:`request_latencies` gives for the pool's
     requests: the pool's requests fill its batches in arrival order, so
     each batch's start and finish repeat once per request it carries.
+    A generator, so ``queue_wait, latency = pool_latencies(...)`` still
+    unpacks both; each array is built in place (``np.repeat``, then
+    ``-= arrival``) only when asked for, so a consumer that drops the
+    queue wait before taking the latency (``map``) holds one of them at
+    a time.
     """
     rows = batches.workload_slice(workload_id)
     arrival = trace.pool_arrivals(workload_id)
     sizes = batches.sizes[rows]
-    return (
-        np.repeat(start_ns[rows], sizes) - arrival,
-        np.repeat(finish_ns[rows], sizes) - arrival,
-    )
+    for edge_ns in (start_ns, finish_ns):
+        values = np.repeat(edge_ns[rows], sizes)
+        values -= arrival
+        yield values
+        del values
 
 
 __all__ = [

@@ -38,8 +38,9 @@ from repro.serving.metrics import (
     PolicyEnergy,
     WorkloadMetrics,
     aggregate_fleet,
-    compute_workload_metrics,
     metrics_table,
+    p50_p99_ms,
+    pool_metrics,
 )
 from repro.serving.queueing import (
     pool_latencies,
@@ -227,24 +228,28 @@ def simulate_serving(
     per_workload: list[WorkloadMetrics] = []
     for wid, workload in enumerate(trace.workloads):
         rows = batches.workload_slice(wid)
+        # Each pool's percentiles partition scratch arrays this loop
+        # owns; on the fast path ``map`` drops the queue wait before
+        # the latency is built, so one per-request array is live.
         if fast:
-            queue_wait, latency = pool_latencies(
-                trace, batches, start_ns, finish_ns, wid
+            queue_ms, latency_ms = map(
+                p50_p99_ms, pool_latencies(trace, batches, start_ns, finish_ns, wid)
             )
         else:
             mask = trace.workload_mask(wid)
-            queue_wait, latency = queue_wait_ns[mask], latency_ns[mask]
+            queue_ms = p50_p99_ms(queue_wait_ns[mask])
+            latency_ms = p50_p99_ms(latency_ns[mask])
         plan = plans[workload]
         busy_ns = int(service_ns[rows].sum())
         per_workload.append(
-            compute_workload_metrics(
+            pool_metrics(
                 workload=workload,
                 replicas=plan.replicas,
                 span_ns=span_ns,
                 sizes=batches.sizes[rows],
                 service_ns=service_ns[rows],
-                queue_wait_ns=queue_wait,
-                latency_ns=latency,
+                queue_ms=queue_ms,
+                latency_ms=latency_ms,
                 energy=_policy_energy(
                     plan, service_model, histograms[wid], busy_ns, span_ns
                 ),
@@ -341,6 +346,10 @@ def utilization_curve(
                 },
             )
         )
+        # Only the point outlives its level: the report's compressed
+        # trace, batch table and start/finish arrays go before the next
+        # level is built.
+        del report
     return points
 
 

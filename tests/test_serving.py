@@ -11,6 +11,7 @@ infeasible-SLO path), metrics, the carbon rollup and the CLI.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gating.report import PolicyName
 from repro.serving import (
     NS,
+    TAG_DTYPE,
     Autoscaler,
     BatchPolicy,
     PodPlan,
@@ -168,6 +170,40 @@ class TestRequestTrace:
         with pytest.raises(TraceError, match="differ in length"):
             RequestTrace(np.asarray([1], dtype=np.int64), tags, ("a",))
 
+    def test_a_span_past_int64_names_the_span(self):
+        # Sorted, and each end fits int64, but their difference does
+        # not: an int64 ``np.diff`` would wrap negative here.
+        tags = np.zeros(2, dtype=TAG_DTYPE)
+        arrivals = np.asarray([-9 * 10**18, 9 * 10**18], dtype=np.int64)
+        with pytest.raises(TraceError, match=r"spans 18000000000\.000s"):
+            RequestTrace(arrivals, tags, ("a",))
+        # The widest span that fits still builds, and reads back exact.
+        arrivals[0] = 9 * 10**18 - (2**63 - 1)
+        assert RequestTrace(arrivals, tags, ("a",)).span_ns == 2**63 - 1
+
+    def test_every_constructor_stores_uint8_tags(self, tmp_path):
+        assert TAG_DTYPE is np.uint8
+        trace = poisson_trace(["a", "b"], [30.0, 5.0], 2.0, seed=1)
+        path = write_trace_csv(trace, tmp_path / "trace.csv")
+        built = {
+            "poisson": trace,
+            "diurnal": diurnal_trace(["a", "b"], 20.0, 2.0, seed=1, period_s=2.0),
+            "from_rows": RequestTrace.from_rows([(0.5, "b"), (0.1, "a")]),
+            "from_rows (empty)": RequestTrace.from_rows([], workloads=("a",)),
+            "load_trace": load_trace(path),
+            "compressed": trace.compressed(0.3),
+        }
+        for name, made in built.items():
+            assert made.workload_ids.dtype == TAG_DTYPE, name
+
+    def test_more_workloads_than_tags_is_a_trace_error(self):
+        names = [f"w{index}" for index in range(257)]
+        RequestTrace.from_rows([(0.0, name) for name in names[:256]])
+        with pytest.raises(TraceError, match="at most 256 workloads, got 257"):
+            RequestTrace.from_rows([(0.0, name) for name in names])
+        with pytest.raises(TraceError, match="at most 256 workloads"):
+            poisson_trace(names, 1.0, 1.0)
+
     def test_compressed_scales_load(self):
         trace = RequestTrace.from_rows([(0.0, "a"), (10.0, "a")])
         assert trace.compressed(2.0).span_ns == trace.span_ns // 2
@@ -289,6 +325,18 @@ class TestTraceFiles:
         # The largest representable span still loads.
         path.write_text("timestamp_s,workload\n0.5,a\n9e9,b\n")
         assert load_trace(path).arrival_ns[-1] == 9 * 10**18
+
+    def test_a_span_past_int64_is_a_trace_error(self, tmp_path):
+        # Each timestamp fits int64 nanoseconds; the span between them
+        # does not.
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "timestamp_s,workload\n"
+            "-9000000000,llama3-8b-decode\n"
+            "9000000000,llama3-8b-decode\n"
+        )
+        with pytest.raises(TraceError, match="spans 18000000000.000s, past"):
+            load_trace(path)
 
     def test_unreadable_path_is_a_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot read trace"):
@@ -491,7 +539,9 @@ class TestEndToEndEquivalence:
             )
             for name, cap, replicas in zip(trace.workloads, (8, 3, 1), (3, 2, 2))
         }
-        factors = (0.25, 1.0, 4.0, 16.0)
+        # 0.3, 1.7 and 3 do not scale nanoseconds exactly, so their
+        # compressed arrivals depend on how the scaled values round.
+        factors = (0.25, 0.3, 1.0, 1.7, 3.0, 4.0, 16.0)
         with columnar.use_fast_path(True):
             fast = utilization_curve(trace, plans, model, load_factors=factors)
         with columnar.use_fast_path(False):
@@ -580,6 +630,49 @@ class TestCurveOperatingPoint:
         report = simulate_serving(trace, plans, model, max_wait_s=0.02)
         assert report.max_wait_s == 0.02
         assert "max_wait_s" not in json.dumps(report.to_json())
+
+
+class TestMemoryBudget:
+    """The fast path holds one load level, and one per-request scratch
+    array per pool, at a time."""
+
+    #: Traced peak of the operating point plus a 4-level curve, in bytes
+    #: per request, beyond the base trace.  What may be live at once:
+    #: the operating point's batch table (a few int64 words per batch,
+    #: about 1/16 of a word per request here), one level's int64 arrival
+    #: column (8 B) and then either the float64 scratch it is scaled in
+    #: (8 B) or one pool's arrival column and one latency scratch array
+    #: (4 + 4 B with two equal pools), plus that level's batch table.
+    #: Measured 23.7 B/request (numpy 2.4); keeping the previous
+    #: level's report, both latency arrays of every pool, the copies
+    #: ``np.percentile`` makes and three arrays in
+    #: ``RequestTrace.compressed`` measured 45.5.  28 leaves ~18% for
+    #: numpy's own scratch to vary across versions.
+    BYTES_PER_REQUEST = 28
+
+    def test_operating_point_and_curve_stay_within_budget(self):
+        model = FakeServiceModel()
+
+        def serve(trace):
+            plans = manual_plans(trace, replicas=2, max_batch=16)
+            report = simulate_serving(trace, plans, model)
+            utilization_curve(
+                trace, plans, model,
+                load_factors=(0.3, 1.0, 1.7, 3.0), operating_point=report,
+            )
+
+        with columnar.use_fast_path(True):
+            # A small run first, so lazy imports do not count.
+            serve(poisson_trace(["a", "b"], 100.0, 1.0, seed=0))
+            trace = poisson_trace(["a", "b"], 2000.0, 60.0, seed=0)
+            assert 230_000 < len(trace) < 250_000
+            tracemalloc.start()
+            try:
+                serve(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak / len(trace) <= self.BYTES_PER_REQUEST, peak / len(trace)
 
 
 # --------------------------------------------------------------------- #
@@ -915,22 +1008,38 @@ class TestServeCli:
         ids=lambda flags: " ".join(flags),
     )
     def test_bad_input_exits_with_one_error_line(self, flags):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        assert_one_error_line(["-w", "dlrm-s-inference", "--duration", "1", *flags])
 
-        import repro
-
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "-w", "dlrm-s-inference", "--duration", "1", *flags,
-            ],
-            capture_output=True, text=True, env=env, timeout=120,
+    def test_a_trace_spanning_past_int64_exits_with_one_error_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "timestamp_s,workload\n"
+            "-9000000000,llama3-8b-decode\n"
+            "9000000000,llama3-8b-decode\n"
         )
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        lines = done.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        line = assert_one_error_line(["--arrival", "trace", "--trace", str(path)])
+        assert "spans 18000000000.000s" in line
+
+
+def assert_one_error_line(flags: list[str]) -> str:
+    """Run ``repro serve`` with ``flags`` in a fresh interpreter; it must
+    exit 2 with one ``error:`` line on stderr, which is returned."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    return lines[0]
