@@ -4,7 +4,7 @@
 Runs a chips x workloads x policies grid through the cached sweep
 runner, then slices the result table a few ways.  Run with::
 
-    python examples/parameter_sweep.py [--parallel N] [--cache PATH]
+    python examples/parameter_sweep.py [--cache PATH]
 
 A second invocation with ``--cache`` completes without re-simulating
 anything (the runner reads every row back from the JSON store).
@@ -21,15 +21,13 @@ CHIPS = ("NPU-C", "NPU-D", "NPU-E")
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="run grid points on N worker processes")
     parser.add_argument("--cache", metavar="PATH",
                         help="persist results to a JSON cache file")
     args = parser.parse_args()
 
     spec = SweepSpec(workloads=WORKLOADS, chips=CHIPS)
     cache = SimulationCache(args.cache) if args.cache else SimulationCache()
-    result = SweepRunner(spec, cache=cache, max_workers=args.parallel).run()
+    result = SweepRunner(spec, cache=cache).run()
     print(f"grid: {spec.describe()} -> {len(result)} rows")
     stats = cache.stats()
     print(f"cache: {stats['hits']} hits, {stats['misses']} misses\n")

@@ -7,12 +7,12 @@ Usage::
     python -m repro simulate llama3-70b-prefill --chip NPU-D
     python -m repro simulate dlrm-m --chip NPU-E --num-chips 16 --policy ReGate-Full
     python -m repro sweep -w llama3-8b-prefill -w dlrm-s --chip NPU-C --chip NPU-D \
-        --parallel 4 --cache sweep-cache.json --csv sweep.csv
+        --cache sweep-cache.json --csv sweep.csv
 
 ``simulate`` is a thin wrapper over
 :func:`repro.core.regate.simulate_workload`; ``sweep`` drives the
 :mod:`repro.experiments` runner over a workload x chip x policy grid
-with optional multiprocessing and an on-disk result cache.
+with an optional on-disk result cache.
 
 Each handler imports the layers it runs, so ``--help``, ``list`` and
 ``chips`` load no numpy and a warm ``sweep`` loads no simulator.
@@ -181,21 +181,13 @@ def _spec_from_args(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.experiments.cache import CacheFileError, SimulationCache
 
-    if args.parallel is not None and args.parallel < 0:
-        raise _input_error(
-            ValueError(
-                f"--parallel expects N >= 0 (0 and 1 run serially), "
-                f"got {args.parallel}"
-            )
-        )
     spec = _spec_from_args(args)
     lines = [f"sweep grid    : {spec.describe()}"]
     try:
         cache = SimulationCache(args.cache) if args.cache else None
         from repro.experiments.runner import SweepRunner
 
-        runner = SweepRunner(spec, cache=cache, max_workers=args.parallel)
-        result = runner.run()
+        result = SweepRunner(spec, cache=cache).run()
         lines.append(f"result rows   : {len(result)}")
     except CacheFileError as error:
         # Refused at load, or at flush if the file changed meanwhile.
@@ -276,8 +268,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             if not args.trace:
                 raise TraceError("--arrival trace needs --trace FILE")
             trace = load_trace(args.trace, args.workload or ())
-            if not len(trace):
-                raise TraceError(f"trace {args.trace} holds no requests")
+            empty = f"trace {args.trace} holds no requests"
         else:
             if not args.workload:
                 raise TraceError(
@@ -297,6 +288,12 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                     period_s=args.period,
                     amplitude=args.amplitude,
                 )
+            empty = (
+                f"the {args.arrival} trace holds no requests in "
+                f"{args.duration:g}s; raise --rate or --duration"
+            )
+        if not len(trace):
+            raise TraceError(empty)
     except TraceError as error:
         raise _input_error(error)
 
@@ -438,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
              "included",
     )
     sweep.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="run points on N worker processes (default: serial)",
-    )
-    sweep.add_argument(
         "--cache", metavar="PATH",
         help="JSON cache file; a warm cache skips all simulation",
     )
@@ -546,9 +539,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options that name a file the command writes.
+_OUTPUT_OPTIONS = ("csv", "json", "save_trace")
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    for name in _OUTPUT_OPTIONS:
+        path = getattr(args, name, None)
+        if path:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                option = "--" + name.replace("_", "-")
+                raise _input_error(
+                    ValueError(
+                        f"{option} {path}: directory {directory} does not exist"
+                    )
+                )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_output_dirs(args)
     try:
         output = args.handler(args)
     except KeyError as error:

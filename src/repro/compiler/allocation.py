@@ -43,12 +43,6 @@ class BufferAllocation:
     def end_address(self) -> int:
         return self.start_address + self.request.size_bytes
 
-    def overlaps_address(self, other: "BufferAllocation") -> bool:
-        return not (
-            self.end_address <= other.start_address
-            or other.end_address <= self.start_address
-        )
-
 
 @dataclass
 class SegmentLifetime:
@@ -125,10 +119,6 @@ class SramAllocator:
         if not allocations:
             return 0
         return max(allocation.end_address for allocation in allocations)
-
-    def used_segments(self, allocations: list[BufferAllocation]) -> int:
-        """Number of segments touched by at least one buffer."""
-        return sum(1 for life in self.segment_lifetimes(allocations) if life.ever_used)
 
 
 __all__ = [

@@ -59,14 +59,6 @@ class SimulationConfig:
             return self.chip
         return get_chip(self.chip)
 
-    def with_policy_subset(self, *policies: PolicyName) -> "SimulationConfig":
-        """Copy of this config evaluating only the given policies."""
-        return replace(self, policies=tuple(policies))
-
-    def with_gating_parameters(self, parameters: GatingParameters) -> "SimulationConfig":
-        """Copy of this config with different gating parameters."""
-        return replace(self, gating_parameters=parameters)
-
     def with_chip(self, chip: str | NPUChipSpec) -> "SimulationConfig":
         """Copy of this config targeting a different NPU generation."""
         return replace(self, chip=chip)

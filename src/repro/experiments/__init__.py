@@ -1,13 +1,14 @@
-"""Parallel experiment sweeps with simulation memoization.
+"""Experiment sweeps with simulation memoization.
 
 The experiments subsystem turns the one-off simulation loops scattered
-through the benchmarks and analyses into declarative, cached, optionally
-parallel parameter studies:
+through the benchmarks and analyses into declarative, cached parameter
+studies:
 
 * :class:`SweepSpec` — declares a grid over workloads, chips, batch
   sizes, pod sizes, policies and gating parameters.
-* :class:`SweepRunner` / :func:`run_sweep` — executes the grid serially
-  or on a process pool, with bit-identical results either way.
+* :class:`SweepRunner` / :func:`run_sweep` — executes the grid
+  in-process: the row cache first, then one batched pricing pass over
+  the misses.
 * :class:`SimulationCache` / :func:`simulate_cached` — content-addressed
   memoization of workload profiles, per-policy energy reports and
   finished sweep rows, with an optional on-disk JSON store.
@@ -24,12 +25,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "cache": (
             "JsonFileStore",
-            "PackedRows",
             "SimulationCache",
-            "pack_rows",
             "simulate_cached",
             "simulate_cached_many",
-            "unpack_rows",
         ),
         "keys": (
             "canonical",
@@ -42,6 +40,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "runner": (
             "SweepRunner",
             "assemble_packed_rows",
+            "pack_rows",
             "rows_from_result",
             "run_point",
             "run_points_packed",

@@ -65,29 +65,6 @@ _LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------- #
-# Packed sweep rows
-# ---------------------------------------------------------------------- #
-#: Compact row format of the runner and the process pool: one column
-#: tuple plus one value tuple per row, instead of repeating every column
-#: name in every row dict (~40 string keys per row otherwise).
-PackedRows = tuple[tuple[str, ...], list[tuple[Any, ...]]]
-
-
-def pack_rows(rows: list[dict[str, Any]]) -> PackedRows:
-    """Pack row dicts into (columns, value-tuples)."""
-    if not rows:
-        return ((), [])
-    columns = tuple(rows[0])
-    return columns, [tuple(row[column] for column in columns) for row in rows]
-
-
-def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
-    """Inverse of :func:`pack_rows`."""
-    columns, values = packed
-    return [dict(zip(columns, row)) for row in values]
-
-
-# ---------------------------------------------------------------------- #
 # Disk store
 # ---------------------------------------------------------------------- #
 class CacheFileError(ValueError):
@@ -645,11 +622,8 @@ def simulate_cached_many(
 __all__ = [
     "CacheFileError",
     "JsonFileStore",
-    "PackedRows",
     "SimulationCache",
-    "pack_rows",
     "simulate_cached",
     "simulate_cached_cells",
     "simulate_cached_many",
-    "unpack_rows",
 ]

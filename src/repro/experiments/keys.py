@@ -7,8 +7,8 @@ inputs that determine it.  Canonicalization recurses through dataclasses,
 enums, mappings and sequences, so hashing a
 :class:`~repro.core.config.SimulationConfig` (which nests chip specs,
 gating parameters and policy tuples) is deterministic across processes
-and Python invocations — a requirement for the on-disk cache and for the
-parallel sweep runner, whose workers hash in separate interpreters.
+and Python invocations — a requirement for the on-disk cache, whose
+keys are written by one run and looked up by the next.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ CACHE_SCHEMA_VERSION = __version__
 #: hot key path serializes a 32-char string instead of re-walking (and
 #: re-JSON-encoding) a deeply nested dataclass.  Digests are themselves
 #: canonical hashes, so they stay deterministic across processes — a
-#: requirement for the parallel runner and the on-disk cache.
+#: requirement for the on-disk cache.
 _DIGESTED_TYPES = (NPUChipSpec, GatingParameters)
 
 #: id(instance) -> (digest dict, its JSON text), evicted by

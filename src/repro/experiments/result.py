@@ -23,10 +23,10 @@ column, one chunk of at most :data:`_CSV_CHUNK_ROWS` rows at a time
 float columns print one ``repr`` per distinct bit pattern in the chunk,
 int columns one ``str`` per cell, and every other cell goes through a
 per-chunk memo of its csv-quoted text.  Floats are exported with
-``repr`` so a CSV written by a parallel run is byte-identical to one
-written by a serial run of the same sweep.  :func:`iter_csv_oracle` is
-the per-row ``csv.writer`` reference the column renderer must match
-byte for byte.
+``repr`` so a CSV written from cached rows is byte-identical to one
+written from freshly computed rows of the same sweep.
+:func:`iter_csv_oracle` is the per-row ``csv.writer`` reference the
+column renderer must match byte for byte.
 """
 
 from __future__ import annotations

@@ -1,34 +1,26 @@
-"""Executes a :class:`SweepSpec`, serially or across worker processes.
+"""Executes a :class:`SweepSpec` in-process.
 
-The runner guarantees **bit-identical results in either mode**: every
-row is a pure function of its :class:`SweepPoint`, points are evaluated
-in deterministic grid order (``ProcessPoolExecutor.map`` preserves input
-order), and floats are never re-derived from formatted strings.  Worker
-processes receive chunk-sized *lists* of points so the packed
-grid evaluation path (:func:`run_points_packed`, backed by the fused
+A sweep has one execution path: probe the row cache, then price every
+miss in one :func:`run_points_packed` call, backed by the fused
 :func:`~repro.experiments.cache.simulate_cached_cells` pass and the
-grid-batched policy kernel) runs inside the pool too, with a
-per-process :class:`SimulationCache` sharing the expensive workload
-profiles between a worker's points; in serial mode the runner's own
-cache plays that role and additionally memoizes finished rows, making a
-warm re-run free of simulator calls.
+grid-batched policy kernel.  Every row is a pure function of its
+:class:`SweepPoint`, points are evaluated in deterministic grid order,
+and floats are never re-derived from formatted strings, so a run's
+table is bit-identical across runs, and a warm re-run from the row
+cache is free of simulator calls.
 
 Row assembly is **array-native**: :func:`assemble_packed_cells` builds
 one column array per result column straight from the grid cells
 (vectorizing the derived-cell arithmetic of :func:`rows_from_result`
 operation-for-operation, so the cells are bit-identical doubles) and
-hands the runner packed ``(ROW_COLUMNS, value-tuples)`` rows — no
-~40-key dict per row is ever built on the sweep path.
+hands the runner one block of ``ROW_COLUMNS``-ordered value tuples per
+point — no ~40-key dict per row is ever built on the sweep path.
 :func:`rows_from_result` remains the per-point object-path oracle the
 equivalence tests compare against.
 """
 
 from __future__ import annotations
 
-import logging
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.core.results import SimulationResult
@@ -36,12 +28,9 @@ from repro.gating.report import PolicyName
 from repro.hardware.components import Component
 
 from repro.experiments.cache import (
-    PackedRows,
     SimulationCache,
-    pack_rows,
     simulate_cached,
     simulate_cached_cells,
-    unpack_rows,
 )
 from repro.experiments.result import SweepResult, render_rows
 from repro.experiments.schema import (
@@ -52,7 +41,8 @@ from repro.experiments.schema import (
 )
 from repro.experiments.spec import SweepPoint, SweepSpec
 
-_LOG = logging.getLogger(__name__)
+#: One point's rows: a value tuple per policy, in ``ROW_COLUMNS`` order.
+RowBlock = list[tuple[Any, ...]]
 
 
 def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[str, Any]]:
@@ -124,7 +114,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
 
 def assemble_packed_rows(
     points: list[SweepPoint], results: list[SimulationResult]
-) -> list[PackedRows]:
+) -> list[RowBlock]:
     """:func:`assemble_packed_cells` over results with materialized reports.
 
     The object-API form of the sweep's row assembly: each result's
@@ -139,15 +129,15 @@ def assemble_packed_cells(
     points: list[SweepPoint],
     results: list[SimulationResult],
     cells: list[list],
-) -> list[PackedRows]:
+) -> list[RowBlock]:
     """Assemble result rows column-wise: one array per column, no dicts.
 
     Gathers the base report scalars of every (point, policy) row into
     ``float64`` column arrays, then computes every derived column with
     vectorized elementwise operations mirroring the scalar chains of
     :func:`rows_from_result` (same operations, same order — the cells
-    are bit-identical doubles).  Returns one packed row block per point
-    (the cache granularity).
+    are bit-identical doubles).  Returns one row block per point (the
+    cache granularity): its rows' value tuples in ``ROW_COLUMNS`` order.
 
     ``cells[i]`` holds one ``(policy, cell)`` pair per row of point
     ``i``, where a cell is either a ``(grid, row, col)`` triple into a
@@ -341,13 +331,13 @@ def assemble_packed_cells(
         for column in columns.values()
     ]
     all_values: list[tuple[Any, ...]] = list(zip(*series)) if n_rows else []
-    packed: list[PackedRows] = []
+    blocks: list[RowBlock] = []
     offset = 0
     for row_cells in cells:
         end = offset + len(row_cells)
-        packed.append((ROW_COLUMNS, all_values[offset:end]))
+        blocks.append(all_values[offset:end])
         offset = end
-    return packed
+    return blocks
 
 
 def run_point(point: SweepPoint, cache: SimulationCache | None = None) -> list[dict[str, Any]]:
@@ -356,10 +346,15 @@ def run_point(point: SweepPoint, cache: SimulationCache | None = None) -> list[d
     return rows_from_result(point, result)
 
 
+def pack_rows(rows: list[dict[str, Any]]) -> RowBlock:
+    """Row dicts of :func:`rows_from_result` as a row block."""
+    return [tuple(row[column] for column in ROW_COLUMNS) for row in rows]
+
+
 def run_points_packed(
     points: list[SweepPoint], cache: SimulationCache | None = None
-) -> list[PackedRows]:
-    """Evaluate many sweep points into packed rows, batching everything.
+) -> list[RowBlock]:
+    """Evaluate many sweep points into row blocks, batching everything.
 
     On the columnar fast path the points are priced through the
     grid-batched policy kernel — one
@@ -384,7 +379,7 @@ def run_points_packed(
     return [pack_rows(run_point(point, cache)) for point in points]
 
 
-def _as_lines(blocks: list[list[tuple[Any, ...]]]) -> list[list[str]]:
+def _as_lines(blocks: list[RowBlock]) -> list[list[str]]:
     """Each block of value rows as its CSV lines, rendered in one pass."""
     lines = render_rows([row for block in blocks for row in block])
     split: list[list[str]] = []
@@ -393,25 +388,6 @@ def _as_lines(blocks: list[list[tuple[Any, ...]]]) -> list[list[str]]:
         split.append(lines[offset : offset + len(block)])
         offset += len(block)
     return split
-
-
-# Per-worker-process cache: shares workload profiles between the points a
-# worker handles without any cross-process communication.
-_WORKER_CACHE: SimulationCache | None = None
-
-
-def _run_points_in_worker(points: list[SweepPoint]) -> list[PackedRows]:
-    """Worker entry point: one chunk-sized point list per task.
-
-    Dispatching *lists* keeps the packed batch/grid evaluation path hot
-    inside the pool: each worker prices its whole chunk through
-    :func:`run_points_packed` and its process-local cache instead of
-    re-entering the per-point path once per grid point.
-    """
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = SimulationCache()
-    return run_points_packed(points, _WORKER_CACHE)
 
 
 class SweepRunner:
@@ -423,26 +399,13 @@ class SweepRunner:
         The grid to execute.
     cache:
         Optional :class:`SimulationCache`.  Cached rows are returned
-        without re-simulation (in serial *and* parallel mode: the row
-        lookup happens before work is dispatched); freshly computed rows
-        are written back and flushed to the disk layer when present.
-    max_workers:
-        ``None``, ``0`` or ``1`` run serially; ``>= 2`` dispatches the
-        uncached points to a :class:`ProcessPoolExecutor`.  If the pool
-        cannot be created or fails (sandboxed environments, pickling
-        restrictions), the runner logs a warning and falls back to the
-        serial path, which produces identical rows.
+        without re-simulation; freshly computed rows are written back
+        and flushed to the disk layer when present.
     """
 
-    def __init__(
-        self,
-        spec: SweepSpec,
-        cache: SimulationCache | None = None,
-        max_workers: int | None = None,
-    ):
+    def __init__(self, spec: SweepSpec, cache: SimulationCache | None = None):
         self.spec = spec
         self.cache = cache
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
@@ -477,7 +440,7 @@ class SweepRunner:
         """Evaluate a point subset into ``{point.index: row block}``.
 
         The execution pipeline behind :meth:`run`: probe the row cache,
-        batch the misses through the packed serial or pool path, write
+        price the misses in one :func:`run_points_packed` batch, write
         fresh rows back.  A cached block counts only when it holds one
         full ``ROW_COLUMNS`` row per policy of its point; any other
         block is a miss, recomputed and replaced.  A block is the rows'
@@ -497,11 +460,7 @@ class SweepRunner:
                 pending.append(point)
 
         if pending:
-            if self.max_workers is not None and self.max_workers >= 2:
-                computed = self._run_parallel(pending, cache)
-            else:
-                computed = run_points_packed(pending, cache)
-            fresh = [values for _, values in computed]
+            fresh: list[list] = run_points_packed(pending, cache)
             if cache.stores_text:
                 fresh = _as_lines(fresh)
             for point, block in zip(pending, fresh):
@@ -509,55 +468,10 @@ class SweepRunner:
                 cache.put_rows(point.cache_key, block)
         return blocks
 
-    # ------------------------------------------------------------------ #
-    def _run_parallel(
-        self, pending: list[SweepPoint], cache: SimulationCache
-    ) -> list[PackedRows]:
-        # Only pool-infrastructure failures fall back to the serial path;
-        # a point-level error (e.g. an unknown workload) propagates as-is
-        # rather than re-simulating the whole grid to rediscover it.
-        def _fallback(error: BaseException) -> list[PackedRows]:
-            _LOG.warning(
-                "parallel sweep execution failed (%s: %s); falling back to serial",
-                type(error).__name__,
-                error,
-            )
-            return run_points_packed(pending, cache)
 
-        # Points arrive in grid order with gating parameters innermost, so
-        # variants sharing one workload profile are consecutive; dispatching
-        # one chunk-sized point *list* per worker keeps them together and
-        # runs the packed batch/grid path inside the pool — the same
-        # batching the serial path gets for free.
-        chunksize = max(1, -(-len(pending) // self.max_workers))
-        chunks = [
-            pending[offset : offset + chunksize]
-            for offset in range(0, len(pending), chunksize)
-        ]
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        except OSError as error:  # pool creation only: sandboxes, no sem support
-            return _fallback(error)
-        try:
-            with executor:
-                computed: list[PackedRows] = []
-                for chunk in executor.map(_run_points_in_worker, chunks):
-                    computed.extend(chunk)
-                return computed
-        except (BrokenProcessPool, pickle.PicklingError) as error:
-            # executor.map re-raises worker exceptions with their original
-            # type, so a point-level error (even an OSError from a builder)
-            # propagates as-is instead of triggering a serial re-run.
-            return _fallback(error)
-
-
-def run_sweep(
-    spec: SweepSpec,
-    cache: SimulationCache | None = None,
-    max_workers: int | None = None,
-) -> SweepResult:
-    """Convenience wrapper: ``SweepRunner(spec, cache, max_workers).run()``."""
-    return SweepRunner(spec, cache=cache, max_workers=max_workers).run()
+def run_sweep(spec: SweepSpec, cache: SimulationCache | None = None) -> SweepResult:
+    """Convenience wrapper: ``SweepRunner(spec, cache).run()``."""
+    return SweepRunner(spec, cache=cache).run()
 
 
 __all__ = [
@@ -570,5 +484,4 @@ __all__ = [
     "run_point",
     "run_points_packed",
     "run_sweep",
-    "unpack_rows",
 ]

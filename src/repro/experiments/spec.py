@@ -5,8 +5,7 @@ pod sizes, policies and gating parameters; :meth:`SweepSpec.points`
 expands the grid into an ordered list of :class:`SweepPoint` objects,
 each of which maps to exactly one
 :class:`~repro.core.config.SimulationConfig`.  Points are value objects
-(picklable, content-hashable) so the runner can dispatch them to worker
-processes and cache their results.
+(content-hashable) so the runner can cache their results.
 """
 
 from __future__ import annotations

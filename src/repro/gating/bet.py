@@ -208,20 +208,6 @@ class GatingParameters:
             ),
         )
 
-    # ------------------------------------------------------------------ #
-    def transition_energy_j(
-        self, static_power_w: float, chip: NPUChipSpec, component: Component,
-        variant: str | None = None,
-    ) -> float:
-        """Dynamic energy of one power-off/on cycle.
-
-        Defined so that gating an idle period exactly equal to the BET is
-        energy neutral: ``E_trans = P_static * BET * (1 - off_leakage)``.
-        """
-        timing = self.timing(component, variant)
-        bet_s = chip.cycles_to_seconds(timing.bet_cycles)
-        return static_power_w * bet_s * (1.0 - self.off_leakage(component))
-
 
 @dataclass(frozen=True)
 class IdleGatingCoefficients:

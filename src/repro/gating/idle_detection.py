@@ -65,10 +65,6 @@ class IdleDetector:
         self._wake_counter = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_gated(self) -> bool:
-        return self.state is DetectorState.GATED
-
     def step(self, has_work: bool) -> bool:
         """Advance one cycle; returns True if work can execute this cycle."""
         if self.state is DetectorState.ACTIVE:

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.compiler.allocation import SegmentLifetime, SramAllocator
 from repro.gating.bet import GatingParameters
 from repro.hardware.chips import NPUChipSpec
-from repro.hardware.components import PowerState
 
 
 @dataclass(frozen=True)
@@ -71,46 +69,6 @@ class SramGatingModel:
         """Average SRAM leakage factor for one operator."""
         shares = self.shares_for_demand(demand_bytes, software_managed)
         return shares.leakage_factor(self.parameters)
-
-    # ------------------------------------------------------------------ #
-    def shares_from_lifetimes(
-        self,
-        allocator: SramAllocator,
-        lifetimes: list[SegmentLifetime],
-        num_instructions: int,
-        software_managed: bool,
-    ) -> SramStateShares:
-        """State shares derived from per-segment buffer lifetimes.
-
-        Used by the trace-level path: a segment is ON while any buffer
-        mapped to it is live, OFF (software) or SLEEP (hardware)
-        otherwise.
-        """
-        if num_instructions <= 0:
-            raise ValueError("num_instructions must be positive")
-        total = len(lifetimes) * num_instructions
-        on_cells = 0
-        for lifetime in lifetimes:
-            for start, end in lifetime.busy_intervals:
-                on_cells += min(end, num_instructions - 1) - max(0, start) + 1
-        on = min(1.0, on_cells / total)
-        rest = 1.0 - on
-        if software_managed:
-            return SramStateShares(on=on, sleep=0.0, off=rest)
-        return SramStateShares(on=on, sleep=rest, off=0.0)
-
-    def segment_state(
-        self,
-        lifetime: SegmentLifetime,
-        instruction_index: int,
-        software_managed: bool,
-    ) -> PowerState:
-        """Power state of one segment at one instruction index."""
-        if lifetime.busy_at(instruction_index):
-            return PowerState.ON
-        if software_managed and not lifetime.ever_used:
-            return PowerState.OFF
-        return PowerState.OFF if software_managed else PowerState.SLEEP
 
 
 __all__ = ["SramGatingModel", "SramStateShares"]

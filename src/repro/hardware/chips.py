@@ -123,11 +123,6 @@ class NPUChipSpec:
         return self.sram_mb * MiB
 
     @property
-    def num_sram_segments(self) -> int:
-        """Number of power-gateable SRAM segments (4 KB each by default)."""
-        return int(self.sram_bytes // (self.sram_segment_kb * KiB))
-
-    @property
     def hbm_bandwidth_bytes(self) -> float:
         """Peak HBM bandwidth in bytes/s."""
         return self.hbm.bandwidth_bytes

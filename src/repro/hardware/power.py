@@ -190,10 +190,6 @@ class ChipPowerModel:
         """Per-component leakage powers (shared mapping, do not mutate)."""
         return self._static
 
-    def peak_dynamic_power_w(self, component: Component) -> float:
-        """Dynamic power of one component at 100% utilization."""
-        return self._peak_dynamic[component]
-
     def breakdown(self) -> PowerBreakdown:
         """Full static + peak dynamic breakdown of the chip."""
         return PowerBreakdown(

@@ -46,17 +46,6 @@ class SystolicRunResult:
             return 0.0
         return self.compute_pe_cycles / self.total_pe_cycles
 
-    @property
-    def on_fraction(self) -> float:
-        if self.total_pe_cycles == 0:
-            return 0.0
-        return self.pe_on_cycles / self.total_pe_cycles
-
-    @property
-    def off_fraction(self) -> float:
-        if self.total_pe_cycles == 0:
-            return 0.0
-        return self.pe_off_cycles / self.total_pe_cycles
 
 
 class SystolicArraySimulator:
@@ -132,24 +121,6 @@ class SystolicArraySimulator:
             pe_off_cycles=pe_off_cycles,
             compute_pe_cycles=compute_pe_cycles,
         )
-
-    # ------------------------------------------------------------------ #
-    def leakage_energy_factor(
-        self,
-        result: SystolicRunResult,
-        off_leakage: float = 0.03,
-        weight_register_share: float = 0.12,
-    ) -> float:
-        """Leakage of the gated run relative to an always-on array."""
-        if result.total_pe_cycles == 0:
-            return 1.0
-        w_on_leak = weight_register_share + (1.0 - weight_register_share) * off_leakage
-        energy = (
-            result.pe_on_cycles
-            + result.pe_weight_only_cycles * w_on_leak
-            + result.pe_off_cycles * off_leakage
-        )
-        return energy / result.total_pe_cycles
 
 
 __all__ = ["SystolicArraySimulator", "SystolicRunResult"]

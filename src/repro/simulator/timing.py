@@ -47,17 +47,6 @@ class ComponentTimes:
         """Operator latency with perfect overlap of the bound resources."""
         return max(self.sa_s, self.vu_s, self.hbm_s, self.ici_s) + self.overhead_s
 
-    @property
-    def bound_component(self) -> Component:
-        """The component that determines the operator latency."""
-        times = {
-            Component.SA: self.sa_s,
-            Component.VU: self.vu_s,
-            Component.HBM: self.hbm_s,
-            Component.ICI: self.ici_s,
-        }
-        return max(times, key=times.get)
-
     def active(self, component: Component) -> float:
         """Active seconds of one component."""
         mapping = {

@@ -10,7 +10,6 @@ units), HBM traffic, and ICI traffic for collectives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -149,13 +148,6 @@ class Operator:
         """Total FLOPs (matrix + vector) of one invocation."""
         return self.sa_flops + self.vu_flops
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of HBM traffic (infinity if no HBM traffic)."""
-        if self.hbm_bytes == 0:
-            return math.inf
-        return self.total_flops / self.hbm_bytes
-
     def scaled_counts(self, factor: int) -> "Operator":
         """Return a copy whose ``count`` is multiplied by ``factor``."""
         clone = Operator(**{**self.__dict__})
@@ -214,11 +206,6 @@ class OperatorGraph:
     def total_ici_bytes(self) -> float:
         """Total ICI traffic per chip per iteration."""
         return sum(op.ici_bytes * op.count for op in self.operators)
-
-    @property
-    def num_operator_invocations(self) -> int:
-        """Total number of operator executions per iteration."""
-        return sum(op.count for op in self.operators)
 
     def collectives(self) -> list[Operator]:
         """All collective operators in the graph."""

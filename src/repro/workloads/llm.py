@@ -54,12 +54,6 @@ class LlamaConfig:
     def params_per_layer(self) -> int:
         return self.attention_params + self.mlp_params
 
-    @property
-    def total_params(self) -> int:
-        """Total parameter count (layers + embeddings/LM head)."""
-        embeddings = 2 * self.vocab_size * self.hidden_dim
-        return self.num_layers * self.params_per_layer + embeddings
-
     def kv_cache_bytes_per_token(self, dtype_bytes: int = 2) -> int:
         """KV-cache bytes stored per token across all layers."""
         return 2 * self.num_layers * self.num_kv_heads * self.head_dim * dtype_bytes

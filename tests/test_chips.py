@@ -79,7 +79,7 @@ class TestDerivedQuantities:
             assert 0 < chip.peak_vu_flops < chip.peak_sa_flops
 
     def test_sram_segments_are_4kb(self):
-        assert NPU_D.num_sram_segments == 128 * 1024 * 1024 // 4096
+        assert NPU_D.sram_segment_kb == 4
 
     def test_cycle_round_trip(self):
         cycles = 1234.0

@@ -147,15 +147,6 @@ class TestSweepCommand:
         )
         assert path.read_text() == content
 
-    def test_sweep_parallel_matches_serial_csv(self, capsys, tmp_path):
-        serial_csv = str(tmp_path / "serial.csv")
-        parallel_csv = str(tmp_path / "parallel.csv")
-        assert main([*self.GRID, "--csv", serial_csv]) == 0
-        assert main([*self.GRID, "--parallel", "2", "--csv", parallel_csv]) == 0
-        capsys.readouterr()
-        with open(serial_csv) as serial, open(parallel_csv) as parallel:
-            assert serial.read() == parallel.read()
-
     def test_sweep_json_export(self, capsys, tmp_path):
         import json
 
@@ -246,7 +237,6 @@ class TestSweepCommand:
             ["--policy", "bogus"],
             ["--chip", "NPU-Z"],
             ["-w", "no-such-workload"],
-            ["--parallel", "-2"],
         ],
         ids=lambda flags: " ".join(flags),
     )

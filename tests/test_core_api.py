@@ -44,10 +44,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="batch_size"):
             SimulationConfig(batch_size=batch_size)
 
-    def test_with_policy_subset(self):
-        config = SimulationConfig().with_policy_subset(PolicyName.NOPG)
-        assert config.policies == (PolicyName.NOPG,)
-
     def test_with_chip(self):
         config = SimulationConfig().with_chip("NPU-A")
         assert config.resolve_chip().name == "NPU-A"

@@ -229,6 +229,8 @@ class TestSimulateCached:
         assert result.report(PolicyName.NOPG).total_energy_j > 0
 
     def test_profile_reused_across_gating_parameters(self):
+        import dataclasses
+
         from repro.simulator.engine import NPUSimulator
 
         cache = SimulationCache()
@@ -236,8 +238,8 @@ class TestSimulateCached:
         NPUSimulator.reset_simulate_calls()
         simulate_cached("llama3-8b-decode", base, cache)
         assert NPUSimulator.simulate_calls == 1
-        varied = base.with_gating_parameters(
-            DEFAULT_PARAMETERS.with_delay_multiplier(2.0)
+        varied = dataclasses.replace(
+            base, gating_parameters=DEFAULT_PARAMETERS.with_delay_multiplier(2.0)
         )
         simulate_cached("llama3-8b-decode", varied, cache)
         assert NPUSimulator.simulate_calls == 1  # profile cache hit

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.compiler.allocation import BufferRequest, SramAllocator
 from repro.gating.bet import (
     DEFAULT_PARAMETERS,
     FIGURE21_LEAKAGE_POINTS,
@@ -14,6 +13,7 @@ from repro.gating.bet import (
     GatingParameters,
     LeakageRatios,
     TABLE3_TIMINGS,
+    idle_gating_coefficients,
 )
 from repro.gating.idle_detection import DetectorState, IdleDetector
 from repro.gating.sa_gating import (
@@ -29,7 +29,7 @@ from repro.gating.sa_gating import (
 )
 from repro.gating.sram_gating import SramGatingModel, SramStateShares
 from repro.hardware.chips import get_chip
-from repro.hardware.components import Component, PowerState
+from repro.hardware.components import Component
 from repro.workloads.base import MatmulDims
 
 
@@ -102,9 +102,11 @@ class TestTable3:
         static = 10.0
         bet_s = chip.cycles_to_seconds(DEFAULT_PARAMETERS.timing(Component.VU).bet_cycles)
         energy_no_gate = static * bet_s
+        coefficients = idle_gating_coefficients(
+            DEFAULT_PARAMETERS, Component.VU, None, static, chip, software=True
+        )
         energy_gate = (
-            static * DEFAULT_PARAMETERS.off_leakage(Component.VU) * bet_s
-            + DEFAULT_PARAMETERS.transition_energy_j(static, chip, Component.VU)
+            static * coefficients.off_leakage * bet_s + coefficients.transition_j
         )
         assert energy_gate == pytest.approx(energy_no_gate, rel=1e-9)
 
@@ -118,7 +120,7 @@ class TestIdleDetector:
         detector = IdleDetector(detection_window_cycles=4, wakeup_delay_cycles=2)
         for _ in range(10):
             detector.step(False)
-        assert detector.is_gated
+        assert detector.state is DetectorState.GATED
         assert detector.stats.gate_events == 1
 
     def test_does_not_gate_short_idle(self):
@@ -250,24 +252,3 @@ class TestSramGating:
     def test_state_shares_validation(self):
         with pytest.raises(ValueError):
             SramStateShares(on=0.5, sleep=0.2, off=0.2)
-
-    def test_segment_states_from_lifetimes(self):
-        chip = get_chip("NPU-D")
-        allocator = SramAllocator(chip)
-        allocations = allocator.allocate([BufferRequest("a", 4096, 5, 10)])
-        lifetimes = allocator.segment_lifetimes(allocations)
-        model = SramGatingModel(chip, DEFAULT_PARAMETERS)
-        used_segment = next(life for life in lifetimes if life.ever_used)
-        unused_segment = next(life for life in lifetimes if not life.ever_used)
-        assert model.segment_state(used_segment, 7, True) is PowerState.ON
-        assert model.segment_state(used_segment, 20, True) is PowerState.OFF
-        assert model.segment_state(unused_segment, 7, False) is PowerState.SLEEP
-
-    def test_shares_from_lifetimes(self):
-        chip = get_chip("NPU-D")
-        allocator = SramAllocator(chip)
-        allocations = allocator.allocate([BufferRequest("a", 1 << 20, 0, 99)])
-        lifetimes = allocator.segment_lifetimes(allocations)
-        model = SramGatingModel(chip, DEFAULT_PARAMETERS)
-        shares = model.shares_from_lifetimes(allocator, lifetimes, 100, software_managed=True)
-        assert shares.on == pytest.approx((1 << 20) / chip.sram_bytes, rel=1e-3)

@@ -99,7 +99,7 @@ class TestPowerModel:
 
     def test_peak_dynamic_positive_per_component(self, model):
         for component in Component.all():
-            assert model.peak_dynamic_power_w(component) > 0
+            assert model.breakdown().peak_dynamic_w[component] > 0
 
     def test_dynamic_energy_per_op_scales_with_node(self):
         old = ChipPowerModel(get_chip("NPU-A")).dynamic

@@ -14,6 +14,11 @@ from repro.workloads.llm import (
 )
 
 
+def _total_params(cfg) -> float:
+    """Parameters on one unsharded chip: weight bytes at one byte each."""
+    return weights_per_chip_bytes(cfg, ParallelismConfig(), dtype_bytes=1)
+
+
 class TestLlamaConfigs:
     def test_all_four_models_present(self):
         assert set(LLAMA_CONFIGS) == {
@@ -29,7 +34,7 @@ class TestLlamaConfigs:
     )
     def test_parameter_counts_match_model_names(self, name, params_b):
         cfg = get_llama_config(name)
-        assert cfg.total_params == pytest.approx(params_b * 1e9, rel=0.15)
+        assert _total_params(cfg) == pytest.approx(params_b * 1e9, rel=0.15)
 
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError):
@@ -54,7 +59,7 @@ class TestPrefillGraph:
         cfg = get_llama_config("llama3-8b")
         batch, seq = 1, 2048
         graph = build_prefill_graph(cfg, batch, seq)
-        expected = 2.0 * cfg.total_params * batch * seq
+        expected = 2.0 * _total_params(cfg) * batch * seq
         assert graph.total_sa_flops == pytest.approx(expected, rel=0.35)
 
     def test_phase_and_units(self):

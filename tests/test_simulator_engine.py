@@ -31,7 +31,7 @@ class TestOperatorTiming:
         op = matmul_op("mm", m=8192, k=8192, n=8192)
         times = timing.times(op)
         assert times.sa_mapped
-        assert times.bound_component is Component.SA
+        assert times.sa_s > max(times.vu_s, times.hbm_s, times.ici_s)
         # Within 2x of the ideal peak-FLOPs time.
         ideal = op.sa_flops / chip.peak_sa_flops
         assert ideal <= times.sa_s <= 2 * ideal
@@ -45,12 +45,12 @@ class TestOperatorTiming:
     def test_streaming_op_is_hbm_bound(self, timing):
         op = elementwise_op("norm", elements=int(5e8), flops_per_element=2.0)
         times = timing.times(op)
-        assert times.bound_component is Component.HBM
+        assert times.hbm_s > max(times.sa_s, times.vu_s, times.ici_s)
 
     def test_collective_is_ici_bound(self, timing):
         op = collective_op("ar", CollectiveKind.ALL_REDUCE, payload_bytes=1e9, num_chips=8)
         times = timing.times(op)
-        assert times.bound_component is Component.ICI
+        assert times.ici_s > max(times.sa_s, times.vu_s, times.hbm_s)
 
     def test_latency_is_max_plus_overhead(self, timing):
         op = matmul_op("mm", m=1024, k=1024, n=1024)

@@ -1,4 +1,4 @@
-"""Tests for the sweep runner: parallel/serial equivalence and caching."""
+"""Tests for the sweep runner: grid order, row assembly and caching."""
 
 from __future__ import annotations
 
@@ -33,23 +33,6 @@ class TestRunnerModes:
         # Grid order: workloads outer, chips inner.
         assert result[0]["workload"] == "llama3-8b-prefill"
         assert result[0]["chip"] == "NPU-C"
-
-    def test_parallel_and_serial_are_bit_identical(self, small_spec, caplog):
-        import logging
-
-        serial = run_sweep(small_spec)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.runner"):
-            parallel = run_sweep(small_spec, max_workers=2)
-        # Guard against the serial fallback silently comparing serial to
-        # serial: the pool must actually have run.
-        assert not [m for m in caplog.messages if "falling back to serial" in m]
-        assert serial.to_csv() == parallel.to_csv()
-        assert serial.to_json() == parallel.to_json()
-
-    def test_parallel_with_cache_matches_serial(self, small_spec):
-        serial = run_sweep(small_spec)
-        parallel = run_sweep(small_spec, cache=SimulationCache(), max_workers=2)
-        assert serial.to_csv() == parallel.to_csv()
 
 
 class TestCaching:
@@ -152,12 +135,10 @@ class TestRowsOnlyPersistence:
 
         return set(json.loads(path.read_text()))
 
-    def test_serial_and_parallel_write_the_same_row_keys(self, small_spec, tmp_path):
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        run_sweep(small_spec, cache=SimulationCache(serial))
-        run_sweep(small_spec, cache=SimulationCache(parallel), max_workers=2)
-        keys = self._keys(serial)
-        assert keys == self._keys(parallel)
+    def test_cache_file_holds_one_row_key_per_point(self, small_spec, tmp_path):
+        path = tmp_path / "cache.json"
+        run_sweep(small_spec, cache=SimulationCache(path))
+        keys = self._keys(path)
         # One entry per point, plus the file's one header key.
         assert len(keys) == small_spec.num_points + 1
         assert "header" in keys
@@ -328,85 +309,6 @@ class TestSweepResultHelpers:
         assert len(text.splitlines()) == len(table) + 1
 
 
-class TestParallelFallback:
-    """Pool-infrastructure failures must fall back to bit-identical serial."""
-
-    def _assert_falls_back(self, small_spec, monkeypatch, caplog, factory):
-        import logging
-
-        from repro.experiments import runner as runner_module
-
-        clean = run_sweep(small_spec)
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", factory)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.runner"):
-            fallen_back = run_sweep(small_spec, max_workers=2)
-        assert [m for m in caplog.messages if "falling back to serial" in m]
-        assert fallen_back.to_csv() == clean.to_csv()
-        assert fallen_back.to_json() == clean.to_json()
-
-    def test_pool_creation_oserror_falls_back_serial(
-        self, small_spec, monkeypatch, caplog
-    ):
-        def broken_factory(*args, **kwargs):
-            raise OSError("no semaphores in this sandbox")
-
-        self._assert_falls_back(small_spec, monkeypatch, caplog, broken_factory)
-
-    def test_broken_process_pool_falls_back_serial(
-        self, small_spec, monkeypatch, caplog
-    ):
-        from concurrent.futures.process import BrokenProcessPool
-
-        class BrokenExecutor:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, **kwargs):
-                raise BrokenProcessPool("worker died")
-
-        self._assert_falls_back(small_spec, monkeypatch, caplog, BrokenExecutor)
-
-
-class TestWorkerBatching:
-    def test_parallel_dispatches_chunked_point_lists(self, small_spec, monkeypatch):
-        """Workers receive chunk-sized point *lists*, not single points,
-        so the packed batch/grid path runs inside the pool too."""
-        from repro.experiments import runner as runner_module
-
-        dispatched: list[list] = []
-
-        class InProcessExecutor:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks, **kwargs):
-                for chunk in chunks:
-                    dispatched.append(list(chunk))
-                    yield fn(chunk)
-
-        serial = run_sweep(small_spec)
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", InProcessExecutor)
-        parallel = run_sweep(small_spec, max_workers=2)
-        assert parallel.to_csv() == serial.to_csv()
-        # 4 pending points across 2 workers -> 2 chunks of 2 points.
-        assert [len(chunk) for chunk in dispatched] == [2, 2]
-        assert all(
-            hasattr(point, "cache_key") for chunk in dispatched for point in chunk
-        )
-
-
 class TestPackedRowPipeline:
     def test_row_schema_matches_oracle(self, small_spec):
         """ROW_COLUMNS (the columnar assembly order) == the oracle's keys."""
@@ -423,17 +325,16 @@ class TestPackedRowPipeline:
             rows_from_result,
             run_points_packed,
             simulate_cached,
-            unpack_rows,
         )
 
         points = small_spec.points()
-        packed = run_points_packed(points, SimulationCache())
+        blocks = run_points_packed(points, SimulationCache())
         oracle_cache = SimulationCache()
-        for point, block in zip(points, packed):
+        for point, block in zip(points, blocks):
             oracle = rows_from_result(
                 point, simulate_cached(point.workload, point.config, oracle_cache)
             )
-            assert unpack_rows(block) == oracle
+            assert [dict(zip(ROW_COLUMNS, row)) for row in block] == oracle
 
     def test_disk_cache_stores_packed_rows(self, small_spec, tmp_path):
         """A file-backed cache stores each point's rows as the CSV lines
@@ -535,7 +436,7 @@ class TestTextRows:
             workloads=("llama3-8b-decode",), chips=("NPU-D",), batch_sizes=(1,)
         )
         (point,) = spec.points()
-        ((columns, values),) = run_points_packed([point], SimulationCache())
+        (values,) = run_points_packed([point], SimulationCache())
         awkward = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
         floats = [i for i, kind in enumerate(ROW_KINDS) if kind is float]
         label = ROW_COLUMNS.index("gating_label")
@@ -546,7 +447,7 @@ class TestTextRows:
                 row[column] = awkward[(row_index + offset) % len(awkward)]
             row[label] = 'leak, "hot"'
             block.append(tuple(row))
-        fresh = SweepResult.from_packed(columns, block)
+        fresh = SweepResult.from_packed(ROW_COLUMNS, block)
 
         path = tmp_path / "cache.json"
         writer = SimulationCache(path)
